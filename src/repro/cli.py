@@ -243,7 +243,7 @@ def cmd_figures(args):
 
 def cmd_scaleout(args) -> Table:
     """The 64-1024-node cluster projection (fig_scaleout): GUPS, BFS
-    and FFT on both fabrics over the pooled fast flow engines.  The
+    and FFT on both fabrics over the fast flow engines.  The
     full five-doubling grid takes tens of minutes serial — pass
     ``--workers``/``--cache``, or trim ``--nodes``/``--workloads``."""
     import repro.api as api

@@ -1,32 +1,25 @@
-"""Pooled IB fabric — the ``flow_impl="fast"`` engine for the fat tree.
+"""Fast IB fabric — the ``flow_impl="fast"`` engine for the fat tree.
 
-Mirrors :mod:`repro.dv.fastflow`: per-message state moves out of marker
-:class:`~repro.sim.events.Event` objects and closures into a numpy
-structured-array pool, deliveries are scheduled with
-:meth:`Engine.call_in` (sequence parity with the reference marker
-events), and the static-routing path — a blake2b hash per message in the
-reference — is memoised per (src, dst) flow, which is exact because the
-hash is a pure function of the pair.
+Per-message state rides in the arguments of one :meth:`Engine.call_in`
+wakeup instead of a marker :class:`~repro.sim.events.Event` and a
+closure (the wakeup takes the marker's sequence slot, so ordering is
+identical to the reference), and the static-routing path — a blake2b
+hash per message in the reference — is memoised per (src, dst) flow,
+which is exact because the hash is a pure function of the pair.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.ib.fabric import IBFabric
 from repro.sim.events import CompletionEvent, Event
 
-_POOL_DTYPE = np.dtype([
-    ("src", np.int32),
-    ("dst", np.int32),
-    ("nbytes", np.int64),
-])
-
 
 class FastIBFabric(IBFabric):
-    """Drop-in :class:`IBFabric` with pooled, cached internals.
+    """Drop-in :class:`IBFabric` with call-in deliveries and cached paths.
 
     Same constructor, same public surface, same simulated timings to
     the last bit — selected via ``ClusterSpec(flow_impl="fast")``.
@@ -36,11 +29,6 @@ class FastIBFabric(IBFabric):
                  contention: bool = True) -> None:
         super().__init__(engine, config, n_nodes, contention=contention)
         self._path_cache: Dict[Tuple[int, int], tuple] = {}
-        self._pool = np.zeros(256, _POOL_DTYPE)
-        self._kinds: List[Optional[str]] = [None] * 256
-        self._payloads: List[Any] = [None] * 256
-        self._dones: List[Optional[Event]] = [None] * 256
-        self._free_slots: List[int] = list(range(255, -1, -1))
 
     def _cached_path(self, src: int, dst: int) -> tuple:
         key = (src, dst)
@@ -48,20 +36,6 @@ class FastIBFabric(IBFabric):
         if path is None:
             path = self._path_cache[key] = tuple(self._path(src, dst))
         return path
-
-    def _alloc(self) -> int:
-        free = self._free_slots
-        if not free:
-            old = self._pool
-            cap = old.size
-            pool = np.zeros(2 * cap, _POOL_DTYPE)
-            pool[:cap] = old
-            self._pool = pool
-            self._kinds.extend([None] * cap)
-            self._payloads.extend([None] * cap)
-            self._dones.extend([None] * cap)
-            free.extend(range(2 * cap - 1, cap - 1, -1))
-        return free.pop()
 
     def transfer(self, src: int, dst: int, nbytes: int, *,
                  kind: str = "data", payload: Any = None) -> Event:
@@ -95,12 +69,13 @@ class FastIBFabric(IBFabric):
         for ch in path:
             free[ch] = busy_until
 
+        # a cross-leaf path has four channels and four switch hops
+        cross = len(path) == 4
         arrival = (start + occupancy + retry_lat + cfg.wire_latency_s
-                   + self.hops(src, dst) * cfg.hop_latency_s)
+                   + (4 if cross else 2) * cfg.hop_latency_s)
 
         self.stats.messages += 1
         self.stats.bytes += nbytes
-        cross = len(path) == 4
         if cross:
             self.stats.cross_leaf_messages += 1
         if self._obs_on:
@@ -112,30 +87,13 @@ class FastIBFabric(IBFabric):
 
         done = CompletionEvent(self.engine, fabric="ib", op=kind,
                                src=src, dest=dst, nbytes=nbytes)
-        idx = self._alloc()
-        row = self._pool
-        row["src"][idx] = src
-        row["dst"][idx] = dst
-        row["nbytes"][idx] = nbytes
-        self._kinds[idx] = kind
-        self._payloads[idx] = payload
-        self._dones[idx] = done
-        self.engine.call_in(arrival - now, self._deliver, idx)
+        self.engine.call_in(arrival - now, self._deliver,
+                            src, dst, nbytes, kind, payload, done)
         return done
 
-    def _deliver(self, idx: int) -> None:
-        row = self._pool
-        src = int(row["src"][idx])
-        dst = int(row["dst"][idx])
-        nbytes = int(row["nbytes"][idx])
-        kind = self._kinds[idx]
-        payload = self._payloads[idx]
-        done = self._dones[idx]
-        self._kinds[idx] = None
-        self._payloads[idx] = None
-        self._dones[idx] = None
-        self._free_slots.append(idx)
-        receiver = self._receivers[dst] if dst < len(self._receivers) else None
+    def _deliver(self, src: int, dst: int, nbytes: int, kind: str,
+                 payload: Any, done: Event) -> None:
+        receiver = self._receivers[dst]
         if receiver is not None:
             receiver(src, kind, payload, nbytes)
         done.succeed(payload)
@@ -237,7 +195,7 @@ class ShardedIBFabric(FastIBFabric):
             now, origin, seq0, src, dst, nbytes, kind, payload, done = p
             if shard_of[dst] == my:
                 engine.schedule_key(arrival, now, origin, seq0,
-                                    self._deliver2,
+                                    self._deliver,
                                     (src, dst, nbytes, kind, payload, done))
             else:
                 out.append([now, origin, seq0, src, dst, nbytes, kind,
@@ -253,14 +211,7 @@ class ShardedIBFabric(FastIBFabric):
                                  self._receive,
                                  (src, dst, nbytes, kind, payload))
 
-    # -- delivery (pool-free) ----------------------------------------------
-    def _deliver2(self, src: int, dst: int, nbytes: int, kind: str,
-                  payload: Any, done: Event) -> None:
-        receiver = self._receivers[dst]
-        if receiver is not None:
-            receiver(src, kind, payload, nbytes)
-        done.succeed(payload)
-
+    # -- split delivery halves -------------------------------------------
     def _receive(self, src: int, dst: int, nbytes: int, kind: str,
                  payload: Any) -> None:
         receiver = self._receivers[dst]

@@ -50,7 +50,16 @@ def payload_nbytes(data: Any) -> int:
     return 64  # generic pickled-object floor
 
 
-@dataclass
+def _take(buckets: Dict[Tuple[int, int], list], key: Tuple[int, int]):
+    """Pop the oldest item of one matching bucket; drop it once empty."""
+    bucket = buckets[key]
+    item = bucket.pop(0)
+    if not bucket:
+        del buckets[key]
+    return item
+
+
+@dataclass(slots=True)
 class _Arrival:
     src: int
     tag: int
@@ -58,7 +67,13 @@ class _Arrival:
     payload: Any
     nbytes: int
     rts_id: int = -1
-    seq: int = -1        # per-(src, dst) send sequence number
+    stamp: int = 0       # matching order among unexpected arrivals
+
+
+class _PostedRecv(Event):
+    """A blocked receive's event, stamped with its post order."""
+
+    __slots__ = ("stamp",)
 
 
 class MPIEndpoint:
@@ -74,8 +89,19 @@ class MPIEndpoint:
         #: concurrent isends cannot both burn the core at once
         self._cpu = Resource(runtime.engine, capacity=1,
                              name=f"mpi{rank}:cpu")
-        self._unexpected: List[_Arrival] = []
-        self._recv_waiters: List[Tuple[int, int, Event]] = []
+        # Matching queues, bucketed by (src, tag) so an arrival or a
+        # specific receive looks at O(1) entries, not O(P).  Buckets hold
+        # stamped items in stamp order; the per-endpoint stamp orders
+        # posts against posts and arrivals against arrivals, so "oldest
+        # stamp among the matching bucket heads" is exactly MPI's "first
+        # match in post (or arrival) order".  Empty buckets are deleted:
+        # every collective uses a fresh tag.
+        self._stamp = 0
+        #: posted receives, keyed by their (src, tag) pattern (wildcards
+        #: included)
+        self._recv_waiters: Dict[Tuple[int, int], List[_PostedRecv]] = {}
+        #: unexpected arrivals, keyed by their actual (src, tag)
+        self._unexpected: Dict[Tuple[int, int], List[_Arrival]] = {}
         self._cts_waiters: Dict[int, Event] = {}
         self._data_waiters: Dict[int, Event] = {}
         # MPI non-overtaking: every eager/RTS envelope carries a
@@ -89,6 +115,10 @@ class MPIEndpoint:
         self._recv_held: Dict[int, Dict[int, _Arrival]] = {}
         self._collective_seq = itertools.count()
         self._verbs = None
+        # hot-path event and process labels, formatted once per rank
+        self._recv_name = f"recv@{rank}"
+        self._isend_name = f"isend @{rank}"
+        self._irecv_name = f"irecv @{rank}"
         # shared series across endpoints; label picks apart the protocol
         self._obs_on = obsreg.enabled()
         if self._obs_on:
@@ -126,8 +156,7 @@ class MPIEndpoint:
             self._data_waiters.pop(rts_id).succeed(data)
             return
         tag, rts_id, data, seq = envelope
-        arrival = _Arrival(src=src, tag=tag, kind=kind, payload=data,
-                           nbytes=nbytes, rts_id=rts_id, seq=seq)
+        arrival = _Arrival(src, tag, kind, data, nbytes, rts_id)
         expected = self._recv_next_seq.get(src, 0)
         if seq != expected:
             # delivered out of send order: hold until the gap closes
@@ -147,22 +176,26 @@ class MPIEndpoint:
     def _deliver(self, arrival: _Arrival) -> None:
         """Hand one in-order arrival to matching (posted receives in
         post order, else the unexpected queue in arrival order)."""
-        for i, (wsrc, wtag, ev) in enumerate(self._recv_waiters):
-            if self._matches(arrival, wsrc, wtag):
-                del self._recv_waiters[i]
-                ev.succeed(arrival)
-                return
-        self._unexpected.append(arrival)
+        src, tag = arrival.src, arrival.tag
+        waiters = self._recv_waiters
+        best = None
+        for key in ((src, tag), (src, ANY_TAG), (ANY_SOURCE, tag),
+                    (ANY_SOURCE, ANY_TAG)):
+            bucket = waiters.get(key)
+            if bucket is not None and (best is None
+                                       or bucket[0].stamp < best[0].stamp):
+                best, best_key = bucket, key
+        if best is not None:
+            _take(waiters, best_key).succeed(arrival)
+            return
+        self._stamp += 1
+        arrival.stamp = self._stamp
+        self._unexpected.setdefault((src, tag), []).append(arrival)
 
     def _next_send_seq(self, dest: int) -> int:
         seq = self._send_seq.get(dest, 0)
         self._send_seq[dest] = seq + 1
         return seq
-
-    @staticmethod
-    def _matches(a: _Arrival, src: int, tag: int) -> bool:
-        return ((src == ANY_SOURCE or a.src == src)
-                and (tag == ANY_TAG or a.tag == tag))
 
     def _overhead(self):
         """Serialised per-message software cost (o in LogGP terms)."""
@@ -253,29 +286,43 @@ class MPIEndpoint:
         return data, arrival.src, arrival.tag
 
     def _match_or_wait(self, src: int, tag: int):
-        for i, a in enumerate(self._unexpected):
-            if self._matches(a, src, tag):
-                del self._unexpected[i]
-                return a
-        ev = self.engine.event(name=f"recv@{self.rank}")
-        self._recv_waiters.append((src, tag, ev))
+        unexpected = self._unexpected
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            key = (src, tag)
+        else:
+            # wildcard: the oldest arrival among the matching buckets
+            key, oldest = None, None
+            for k, bucket in unexpected.items():
+                if ((src == ANY_SOURCE or k[0] == src)
+                        and (tag == ANY_TAG or k[1] == tag)
+                        and (oldest is None or bucket[0].stamp < oldest)):
+                    key, oldest = k, bucket[0].stamp
+        if key in unexpected:
+            return _take(unexpected, key)
+        ev = _PostedRecv(self.engine, self._recv_name)
+        self._stamp += 1
+        ev.stamp = self._stamp
+        self._recv_waiters.setdefault((src, tag), []).append(ev)
         return ev
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check for a matching pending message."""
-        return any(self._matches(a, src, tag) for a in self._unexpected)
+        if src != ANY_SOURCE and tag != ANY_TAG:
+            return (src, tag) in self._unexpected
+        return any((src == ANY_SOURCE or s == src)
+                   and (tag == ANY_TAG or t == tag)
+                   for s, t in self._unexpected)
 
     def isend(self, dest: int, payload: Any, *, tag: int = 0,
               nbytes: Optional[int] = None):
         """Non-blocking send; returns a joinable process event."""
         return self.engine.process(
-            self._send(dest, payload, tag, nbytes),
-            name=f"isend {self.rank}->{dest}")
+            self._send(dest, payload, tag, nbytes), name=self._isend_name)
 
     def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG):
         """Non-blocking receive; join it to obtain ``(data, src, tag)``."""
         return self.engine.process(self.recv(src, tag=tag),
-                                   name=f"irecv @{self.rank}")
+                                   name=self._irecv_name)
 
     def sendrecv(self, dest: int, payload: Any,
                  src: int = ANY_SOURCE, *, sendtag: int = 0,
@@ -377,8 +424,8 @@ class MPIRuntime:
         self.engine = engine
         self.config = config
         self.n_ranks = n_ranks
-        # fabric_cls lets the cluster layer swap in the pooled
-        # FastIBFabric (flow_impl="fast") without an import cycle here;
+        # fabric_cls lets the cluster layer swap in FastIBFabric
+        # (flow_impl="fast") without an import cycle here;
         # a pre-built fabric (e.g. a tenancy TenantFabricView over a
         # shared fat tree) wins outright
         if fabric is not None:

@@ -368,16 +368,22 @@ def _mpi_gups(ctx: RankContext, table_words: int, n_updates: int,
         lo, hi = e * window, min((e + 1) * window, n_updates)
         o, li, v = owner[lo:hi], local[lo:hi], val[lo:hi]
         packed = _pack(li, v)
-        chunks = [packed[o == d] for d in range(P)]
+        # one stable sort splits the window by owner, in update order
+        order = np.argsort(o, kind="stable")
+        chunks = np.split(packed[order],
+                          np.searchsorted(o[order], np.arange(1, P)))
         yield from ctx.compute(dispatches=1,
                                stream_bytes=packed.nbytes)
         got = yield from ctx.timed(
             "mpi", mpi.alltoallv(chunks), "gups-exchange")
+        arrived = [a for a in got if a is not None and len(a)]
+        if arrived:
+            # XOR updates commute: one batched apply, same table
+            _apply(table, np.concatenate(arrived))
         for src, arr in enumerate(got):
             if arr is not None and len(arr):
-                _apply(table, arr)
                 ctx.tracer.message(src, ctx.rank, ctx.now, arr.nbytes)
-        n_applied = sum(len(a) for a in got if a is not None)
+        n_applied = sum(len(a) for a in arrived)
         if _obs:
             m_epochs.inc()
             m_applied.inc(n_applied)

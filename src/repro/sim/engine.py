@@ -23,12 +23,13 @@ class SimulationError(RuntimeError):
 class _Wakeup:
     """Zero-payload heap entry invoking a bare callback when popped.
 
-    The pooled fast fabrics (:mod:`repro.dv.fastflow`,
-    :mod:`repro.ib.fastfabric`) schedule one of these per arrival or
-    ejection instead of a full :class:`Event` + closure pair; it shares
-    the heap with regular events (the engine only ever calls
-    ``_process``), so ordering between the two kinds is governed by the
-    usual ``(time, sequence)`` key.
+    :meth:`Engine.call_in` schedules one of these where a marker
+    :class:`Event` + closure pair would otherwise go: per arrival or
+    ejection in the fast fabrics (:mod:`repro.dv.fastflow`,
+    :mod:`repro.ib.fastfabric`) and per process start.  It shares the
+    heap with regular events (the engine only ever calls ``_process``),
+    so ordering between the two kinds is governed by the usual
+    ``(time, sequence)`` key.
     """
 
     __slots__ = ("fn", "args")
@@ -177,6 +178,19 @@ class Engine:
             Safety valve for runaway simulations; raises
             :class:`SimulationError` when exhausted.
         """
+        if (until is None and max_events is None and not self._obs_on
+                and type(self).step is Engine.step):
+            # the common case, with step() inlined
+            queue = self._queue
+            pop = heapq.heappop
+            while queue:
+                t, _seq, event = pop(queue)
+                if t < self._now:  # pragma: no cover - heap invariant guard
+                    raise SimulationError("event scheduled in the past")
+                self._now = t
+                self._processed_count += 1
+                event._process()
+            return
         n = 0
         while self._queue:
             if until is not None and self.peek() > until:

@@ -71,7 +71,7 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
         self._ok = True
         self._value = value
@@ -101,11 +101,7 @@ class Event:
             # Already processed: deliver on a fresh queue pass so that the
             # caller never observes re-entrant execution.  The callback
             # still receives *this* event (waiters compare identity).
-            proxy = Event(self.engine, name=f"{self.name}:late")
-            proxy.callbacks.append(lambda _ev: fn(self))  # type: ignore[union-attr]
-            proxy._ok = True
-            proxy._value = None
-            self.engine._enqueue(proxy, delay=0.0)
+            self.engine.call_in(0.0, fn, self)
         else:
             self.callbacks.append(fn)
 
@@ -117,11 +113,14 @@ class Event:
             for fn in callbacks:
                 fn(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def _label(self) -> str:
+        """Debug label when no name was given (built only on demand)."""
+        return self.__class__.__name__
+
+    def __repr__(self) -> str:
         state = "processed" if self._processed else (
             "triggered" if self.triggered else "pending")
-        label = self.name or self.__class__.__name__
-        return f"<{label} {state} at {id(self):#x}>"
+        return f"<{self.name or self._label()} {state} at {id(self):#x}>"
 
 
 class CompletionEvent(Event):
@@ -172,11 +171,14 @@ class Timeout(Event):
                  name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(engine, name=name or f"timeout({delay:g})")
+        super().__init__(engine, name=name)
         self.delay = delay
         self._ok = True
         self._value = value
         engine._enqueue(self, delay=delay)
+
+    def _label(self) -> str:
+        return f"timeout({self.delay:g})"
 
 
 class _Condition(Event):

@@ -22,13 +22,24 @@ class ProcessKilled(Exception):
     """Thrown into a generator by :meth:`Process.kill`."""
 
 
+class _Start:
+    """Pre-fired stand-in for the event a fresh process waits on."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
+
+
 class Process(Event):
     """An event that completes when its generator returns.
 
     Do not instantiate directly; use :meth:`Engine.process`.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_started", "origin")
+    __slots__ = ("_generator", "_waiting_on", "origin")
 
     def __init__(self, engine: "Engine", generator: Generator,
                  name: str = "") -> None:
@@ -42,16 +53,11 @@ class Process(Event):
         # -1 under the serial engine, which never tracks origins.
         self.origin = engine._origin
         self._generator = generator
-        self._waiting_on: Event | None = None
-        self._started = False
         # Kick off on the next queue pass so that creation order, not
-        # creation *code position*, determines interleaving.
-        start = Event(engine, name=f"{self.name}:start")
-        start.add_callback(self._resume)
-        start._ok = True
-        start._value = None
-        self._waiting_on = start
-        engine._enqueue(start, delay=0.0)
+        # creation *code position*, determines interleaving.  The shared
+        # token stands in for the fired event _resume expects.
+        self._waiting_on: Any = _START
+        engine.call_in(0.0, self._resume, _START)
 
     @property
     def is_alive(self) -> bool:
@@ -82,7 +88,7 @@ class Process(Event):
             self._wait_on(target)
 
     # -- internal stepping -----------------------------------------------
-    def _resume(self, trigger: Event) -> None:
+    def _resume(self, trigger: Any) -> None:
         """Advance the generator with the trigger's value."""
         if trigger is not self._waiting_on:
             # Stale wakeup: the process was killed (or re-targeted) while
@@ -94,12 +100,12 @@ class Process(Event):
             # cascade root (shard merge ordering, repro.sim.pdes).
             self.engine._origin = self.origin
         try:
-            if trigger.ok:
-                target = self._generator.send(trigger.value)
+            if trigger._ok:
+                target = self._generator.send(trigger._value)
             else:
                 # Propagate child failure into the generator so it may
                 # handle it (e.g. a timed-out counter wait).
-                target = self._generator.throw(trigger.value)
+                target = self._generator.throw(trigger._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -122,4 +128,9 @@ class Process(Event):
                 f"process {self.name!r} yielded event from another engine"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            # already processed: add_callback re-delivers on a fresh pass
+            target.add_callback(self._resume)
+        else:
+            callbacks.append(self._resume)

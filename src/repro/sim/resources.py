@@ -37,6 +37,7 @@ class Resource:
         self.engine = engine
         self.capacity = capacity
         self.name = name
+        self._acquire_name = f"{name}:acquire"
         self._in_use = 0
         self._waiters: Deque[Event] = collections.deque()
 
@@ -52,7 +53,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request a slot; the returned event succeeds when granted."""
-        ev = Event(self.engine, name=f"{self.name}:acquire")
+        ev = Event(self.engine, name=self._acquire_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(self)

@@ -5,8 +5,8 @@ from 1 to 9 so non-power-of-two paths are covered)."""
 import numpy as np
 import pytest
 
-from repro.ib import ANY_SOURCE, IBConfig, MPIRuntime
-from repro.sim import Engine
+from repro.ib import ANY_SOURCE, ANY_TAG, IBConfig, MPIRuntime
+from repro.sim import Engine, Event
 
 
 def run_ranks(n, fn, config=None, until=None):
@@ -316,6 +316,34 @@ def test_contention_slows_colliding_flows():
     assert workload(contention=True) > workload(contention=False)
 
 
+# ------------------------------------------------------- debug labels ---
+
+@pytest.mark.parametrize("shadow", [False, True])
+def test_deadlock_error_names_the_stuck_rank(shadow):
+    """Two ranks that both receive first never finish; the error must
+    name a stuck rank process, serially and through the tenancy
+    co-scheduler."""
+    from repro import tenancy
+    from repro.core.cluster import ClusterSpec, run_spmd
+
+    def program(ctx):
+        yield from ctx.mpi.recv(1 - ctx.rank, tag=3)
+        yield from ctx.mpi.send(1 - ctx.rank, 0, tag=3)
+
+    with tenancy.shadow_session(shadow):
+        with pytest.raises(RuntimeError,
+                           match=r"deadlock: rank0 never finished"):
+            run_spmd(ClusterSpec(n_nodes=2), program, "mpi")
+
+
+def test_blocked_receive_event_is_labelled_with_its_rank():
+    eng = Engine()
+    ep = MPIRuntime(eng, IBConfig(), 2).endpoint(1)
+    assert "recv@1 pending" in repr(ep._match_or_wait(0, 0))
+    assert "irecv @1" in repr(ep.irecv(0))
+    assert "isend @1" in repr(ep.isend(0, None))
+
+
 # ------------------------------------------------- matching-order fixes ---
 
 def test_reordered_arrivals_respect_send_order():
@@ -383,3 +411,146 @@ def test_wildcard_never_matches_later_eligible_first():
                 recvd = [i for src, t, i in got
                          if src == s and t == tag]
                 assert recvd == sent, (trial, s, tag, recvd, sent)
+
+
+# ------------------------------------------ indexed vs linear matching ---
+
+class _LinearMatcher:
+    """Oracle: MPI matching as two linear scans (posted receives in
+    post order, unexpected arrivals in arrival order)."""
+
+    def __init__(self):
+        self.posted = []        # (src, tag, recv_id)
+        self.unexpected = []    # (src, tag, msg_id)
+
+    @staticmethod
+    def _matches(a_src, a_tag, src, tag):
+        return ((src == ANY_SOURCE or a_src == src)
+                and (tag == ANY_TAG or a_tag == tag))
+
+    def arrive(self, src, tag, msg_id):
+        """Return the recv_id the arrival completes, or None."""
+        for i, (wsrc, wtag, rid) in enumerate(self.posted):
+            if self._matches(src, tag, wsrc, wtag):
+                del self.posted[i]
+                return rid
+        self.unexpected.append((src, tag, msg_id))
+        return None
+
+    def post(self, src, tag, recv_id):
+        """Return the msg_id the receive takes at once, or None."""
+        for i, (a_src, a_tag, mid) in enumerate(self.unexpected):
+            if self._matches(a_src, a_tag, src, tag):
+                del self.unexpected[i]
+                return mid
+        self.posted.append((src, tag, recv_id))
+        return None
+
+    def iprobe(self, src, tag):
+        return any(self._matches(a_src, a_tag, src, tag)
+                   for a_src, a_tag, _ in self.unexpected)
+
+
+class _MatchHarness:
+    """Feeds the same posts and arrivals to rank 0's endpoint and to
+    the oracle, recording which arrival each receive got from both."""
+
+    def __init__(self, n_ranks=4):
+        self.ep = MPIRuntime(Engine(), IBConfig(), n_ranks).endpoint(0)
+        self.oracle = _LinearMatcher()
+        self.seq = {}
+        self.n_msgs = 0
+        self.n_recvs = 0
+        self.waiting = {}       # recv_id -> Event of the endpoint
+        self.got = {}           # recv_id -> msg_id, from the endpoint
+        self.want = {}          # recv_id -> msg_id, from the oracle
+
+    def arrive(self, src, tag):
+        msg_id = self.n_msgs
+        self.n_msgs += 1
+        seq = self.seq.get(src, 0)
+        self.seq[src] = seq + 1
+        self.ep._on_fabric(src, "eager", (tag, -1, msg_id, seq), 8)
+        rid = self.oracle.arrive(src, tag, msg_id)
+        if rid is not None:
+            self.want[rid] = msg_id
+        return msg_id
+
+    def post(self, src, tag):
+        rid = self.n_recvs
+        self.n_recvs += 1
+        res = self.ep._match_or_wait(src, tag)
+        if isinstance(res, Event):
+            self.waiting[rid] = res
+        else:
+            self.got[rid] = res.payload
+        mid = self.oracle.post(src, tag, rid)
+        if mid is not None:
+            self.want[rid] = mid
+        return rid
+
+    def results(self):
+        got = dict(self.got)
+        for rid, ev in self.waiting.items():
+            if ev.triggered:
+                got[rid] = ev.value.payload
+        return got
+
+
+def test_indexed_matching_equals_linear_scan_oracle():
+    """Random interleavings of posts and arrivals on one endpoint:
+    specific, ANY_SOURCE, ANY_TAG and full-wildcard receives over
+    several sources and tags.  Every receive must get the arrival the
+    linear-scan oracle gives it, and iprobe must agree throughout."""
+    rng = np.random.default_rng(2017)
+    srcs, tags = (1, 2, 3), (0, 1, 2)
+    for trial in range(150):
+        d = _MatchHarness()
+        for _ in range(int(rng.integers(10, 60))):
+            op = rng.integers(0, 3)
+            if op == 0:
+                d.arrive(int(rng.choice(srcs)), int(rng.choice(tags)))
+            else:
+                src = int(rng.choice((ANY_SOURCE,) + srcs))
+                tag = int(rng.choice((ANY_TAG,) + tags))
+                if op == 1:
+                    d.post(src, tag)
+                else:
+                    assert d.ep.iprobe(src, tag) == \
+                        d.oracle.iprobe(src, tag), (trial, src, tag)
+        assert d.results() == d.want, trial
+        # nothing left behind but what the oracle also still holds
+        left = sorted(a.payload for b in d.ep._unexpected.values()
+                      for a in b)
+        assert left == sorted(m for _, _, m in d.oracle.unexpected)
+        assert sum(len(b) for b in d.ep._recv_waiters.values()) == \
+            len(d.oracle.posted)
+
+
+def test_earlier_wildcard_receive_beats_later_specific_one():
+    """A wildcard posted before a specific receive wins an arrival
+    both match (post order, not specificity, decides)."""
+    d = _MatchHarness()
+    first = d.post(ANY_SOURCE, ANY_TAG)
+    second = d.post(2, 5)
+    third = d.post(ANY_SOURCE, 5)
+    m0 = d.arrive(2, 5)
+    m1 = d.arrive(2, 5)
+    m2 = d.arrive(3, 5)
+    assert d.results() == d.want == {first: m0, second: m1, third: m2}
+
+
+def test_wildcard_receive_drains_unexpected_in_arrival_order():
+    """Unexpected arrivals from several sources and tags come back to
+    wildcard receives in arrival order, across sources."""
+    d = _MatchHarness()
+    order = [(3, 1), (1, 0), (2, 1), (1, 1), (3, 0), (2, 0)]
+    msgs = [d.arrive(s, t) for s, t in order]
+    assert d.ep.iprobe(ANY_SOURCE, 1) and not d.ep.iprobe(1, 2)
+    rids = [d.post(ANY_SOURCE, ANY_TAG) for _ in range(3)]
+    rids += [d.post(ANY_SOURCE, 0), d.post(ANY_SOURCE, 0)]
+    rids.append(d.post(1, ANY_TAG))
+    assert d.results() == d.want
+    assert [d.want[r] for r in rids] == [msgs[i] for i in
+                                         (0, 1, 2, 4, 5, 3)]
+    assert not d.ep._unexpected and not d.ep._recv_waiters

@@ -243,3 +243,48 @@ def test_is_alive_lifecycle():
     assert p.is_alive
     eng.run()
     assert not p.is_alive
+
+
+def test_kill_before_start_never_runs_the_body():
+    eng = Engine()
+    ran = []
+
+    def body():
+        ran.append(True)
+        yield eng.timeout(1.0)
+
+    p = eng.process(body())
+    p.kill("early")
+    eng.run()
+    assert ran == []
+    assert not p.ok and isinstance(p.value, ProcessKilled)
+    assert eng.now == 0.0
+
+
+def test_yielding_a_processed_event_resumes_with_its_value():
+    eng = Engine()
+    ev = eng.event()
+    ev.succeed("v")
+    eng.run()
+    assert ev.processed
+
+    def body():
+        got = yield ev
+        return got, eng.now
+
+    p = eng.process(body())
+    eng.run()
+    assert p.ok and p.value == ("v", 0.0)
+
+
+def test_repr_labels_are_readable():
+    eng = Engine()
+    assert "timeout(1.5)" in repr(eng.timeout(1.5))
+    assert "<Event pending" in repr(eng.event())
+    assert "<cts:7 pending" in repr(eng.event(name="cts:7"))
+
+    def body():
+        yield eng.timeout(1.0)
+
+    assert "<rank3 " in repr(eng.process(body(), name="rank3"))
+    assert "<body " in repr(eng.process(body()))
