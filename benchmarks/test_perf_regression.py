@@ -180,29 +180,33 @@ def test_degradation_sweep_serial_parallel_identical(tmp_path):
     })
 
 
-def test_flow_engine_ab_speedup_at_256_nodes():
-    """The nightly A/B guard for the pooled flow engines: one 256-node
-    GUPS run per implementation, identical simulated results, and the
-    fast engine at least 3x quicker wall-clock.  A regression here
-    means someone de-vectorised a hot path (or taught the reference
-    model a trick the fast one didn't learn)."""
+def test_flow_engine_ab_speedup_at_256_nodes(monkeypatch):
+    """The nightly A/B guard for the DV flow engine: one 256-node GUPS
+    run on the production engine and one on the scalar test oracle
+    (``tests/reference_engines.py``), identical simulated results, and
+    the production engine at least 3x quicker wall-clock.  A regression
+    here means someone de-vectorised a hot path (or taught the oracle a
+    trick the engine didn't learn)."""
+    from repro.core import cluster
     from repro.core.cluster import ClusterSpec
     from repro.kernels import run_gups
+    from tests.reference_engines import ReferenceFlowNetwork
 
     kw = dict(table_words=1 << 12, n_updates=1 << 11, window=256)
 
-    def one(flow_impl, reps=2):
+    def one(reps=2):
         best, result = float("inf"), None
         for _ in range(reps):               # best-of-N against noise
-            spec = ClusterSpec(n_nodes=256, seed=2017,
-                               flow_impl=flow_impl)
+            spec = ClusterSpec(n_nodes=256, seed=2017)
             t0 = time.perf_counter()
             result = run_gups(spec, "dv", **kw)
             best = min(best, time.perf_counter() - t0)
         return result, best
 
-    ref, ref_s = one("reference")
-    fast, fast_s = one("fast")
+    fast, fast_s = one()
+    with monkeypatch.context() as m:
+        m.setattr(cluster, "FlowNetwork", ReferenceFlowNetwork)
+        ref, ref_s = one()
     drop = lambda r: {k: v for k, v in r.items() if k != "tracer"}
     assert drop(fast) == drop(ref)           # bit-identical simulation
     ratio = ref_s / max(fast_s, 1e-9)
@@ -400,8 +404,7 @@ def test_pdes_ab_speedup_at_4096_nodes():
     kw = dict(table_words=1 << 12, n_updates=1 << 7, window=256)
 
     def one(shards):
-        spec = ClusterSpec(n_nodes=4096, seed=2017, flow_impl="fast",
-                           shards=shards)
+        spec = ClusterSpec(n_nodes=4096, seed=2017, shards=shards)
         t0 = time.perf_counter()
         result = run_gups(spec, "dv", **kw)
         return result, time.perf_counter() - t0

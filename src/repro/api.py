@@ -265,19 +265,15 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
 # ------------------------------------------------------------- builders ---
 
 def build_cluster(*, n_nodes: int = 32, seed: int = 2017,
-                  flow_impl: str = "reference",
                   ib_contention: bool = True,
                   trace: bool = False, **overrides: Any) -> "ClusterSpec":
     """A :class:`~repro.core.cluster.ClusterSpec` by keyword.
 
-    ``flow_impl`` selects the flow-level engines: ``"reference"`` (the
-    scalar models the tests were written against) or ``"fast"`` (pooled
-    and vectorised, bit-identical — required for 1024-node projection
-    work).  Extra keywords pass through to the spec (``dv``, ``ib``,
-    ``node`` configs).
+    Extra keywords pass through to the spec (``dv``, ``ib``, ``node``
+    configs).
     """
     from repro.core.cluster import ClusterSpec
-    return ClusterSpec(n_nodes=n_nodes, seed=seed, flow_impl=flow_impl,
+    return ClusterSpec(n_nodes=n_nodes, seed=seed,
                        ib_contention=ib_contention, trace=trace,
                        **overrides)
 
@@ -646,7 +642,7 @@ def run_sweep(*, name: str,
 def run_scaleout(*, workloads: Optional[Sequence[str]] = None,
                  nodes: Optional[Sequence[int]] = None,
                  fabrics: Optional[Sequence[str]] = None,
-                 seed: int = 2017, flow_impl: str = "fast",
+                 seed: int = 2017,
                  plan: Optional["FaultPlan"] = None,
                  shards: int = 1,
                  options: Optional[RunOptions] = None,
@@ -654,8 +650,7 @@ def run_scaleout(*, workloads: Optional[Sequence[str]] = None,
     """Deprecated 1.x entry point: use :func:`run` with
     ``exp_id="fig_scaleout"``."""
     _deprecated("run_scaleout", "api.run")
-    params: Dict[str, Any] = dict(seed=seed, flow_impl=flow_impl,
-                                  **overrides)
+    params: Dict[str, Any] = dict(seed=seed, **overrides)
     if workloads is not None:
         params["workloads"] = tuple(workloads)
     if nodes is not None:
@@ -671,15 +666,14 @@ def run_skew(*, nodes: int = 4, seed: int = 2017,
              exponents: Optional[Sequence[float]] = None,
              include_hotset: bool = True,
              table_words: int = 1 << 12, n_updates: int = 1 << 9,
-             window: int = 256, flow_impl: str = "reference",
+             window: int = 256,
              options: Optional[RunOptions] = None) -> "Table":
     """Deprecated 1.x entry point: use :func:`run` with
     ``exp_id="fig_skew"``."""
     _deprecated("run_skew", "api.run")
     params: Dict[str, Any] = dict(
         nodes=nodes, seed=seed, include_hotset=include_hotset,
-        table_words=table_words, n_updates=n_updates, window=window,
-        flow_impl=flow_impl)
+        table_words=table_words, n_updates=n_updates, window=window)
     if exponents is not None:
         params["exponents"] = tuple(exponents)
     return run(spec=ExperimentSpec(exp_id="fig_skew", params=params),
@@ -692,7 +686,7 @@ def run_agg(*, nodes: int = 8, seed: int = 2017,
             watermarks: Optional[Sequence[int]] = None,
             routing: str = "direct",
             table_words: int = 1 << 10, n_updates: int = 1 << 12,
-            window: int = 64, flow_impl: str = "reference",
+            window: int = 64,
             options: Optional[RunOptions] = None) -> "Table":
     """Deprecated 1.x entry point: use :func:`run` with
     ``exp_id="fig_agg"``."""
@@ -700,7 +694,7 @@ def run_agg(*, nodes: int = 8, seed: int = 2017,
     params: Dict[str, Any] = dict(
         nodes=nodes, seed=seed, include_hotset=include_hotset,
         routing=routing, table_words=table_words, n_updates=n_updates,
-        window=window, flow_impl=flow_impl)
+        window=window)
     if exponents is not None:
         params["exponents"] = tuple(exponents)
     if watermarks is not None:

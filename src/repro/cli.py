@@ -243,7 +243,7 @@ def cmd_figures(args):
 
 def cmd_scaleout(args) -> Table:
     """The 64-1024-node cluster projection (fig_scaleout): GUPS, BFS
-    and FFT on both fabrics over the fast flow engines.  The
+    and FFT on both fabrics over the flow engines.  The
     full five-doubling grid takes tens of minutes serial — pass
     ``--workers``/``--cache``, or trim ``--nodes``/``--workloads``."""
     import repro.api as api
@@ -252,7 +252,7 @@ def cmd_scaleout(args) -> Table:
         params=dict(workloads=tuple(args.workloads),
                     nodes=tuple(args.nodes),
                     fabrics=tuple(args.fabrics),
-                    seed=args.seed, flow_impl=args.flow_impl),
+                    seed=args.seed),
         shards=args.shards), options=_options(args))
 
 
@@ -692,10 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["dv", "mpi"],
                    help="scaleout: comma-separated fabrics "
                         "(default dv,mpi)")
-    p.add_argument("--flow-impl", choices=["reference", "fast"],
-                   default="fast", dest="flow_impl",
-                   help="scaleout: flow-engine implementation "
-                        "(default fast; both are bit-identical)")
     p.add_argument("--shards", type=int, default=1,
                    help="scaleout: PDES shard count — partitions each "
                         "point's simulation across OS processes, "

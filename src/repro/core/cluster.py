@@ -18,11 +18,9 @@ from repro.core.trace import Tracer
 from repro.dv.api import DataVortexAPI
 from repro.dv.barrier import FastBarrier, HardwareBarrier
 from repro.dv.config import DVConfig
-from repro.dv.fastflow import FastFlowNetwork
 from repro.dv.flow import FlowNetwork
 from repro.dv.vic import VIC
 from repro.ib.config import IBConfig
-from repro.ib.fastfabric import FastIBFabric
 from repro.ib.mpi import MPIRuntime
 from repro.sim.engine import Engine
 
@@ -42,15 +40,14 @@ class ClusterSpec:
     trace: bool = False
     #: toggle the fat-tree static-routing contention model (ablation)
     ib_contention: bool = True
-    #: flow-network implementation: ``"reference"`` (scalar, the model
-    #: the tests were written against) or ``"fast"`` (pooled/vectorised,
-    #: bit-identical — see :mod:`repro.dv.fastflow`); applies to both
-    #: fabrics' flow-level models
-    flow_impl: str = "reference"
+    #: inert: each fabric has one flow engine.  The field stays only
+    #: because the benchmark workloads pass ``flow_impl="fast"``; it
+    #: accepts nothing else, and goes with their next edit.
+    flow_impl: str = "fast"
     #: conservative-PDES shard count (:mod:`repro.sim.pdes`): ``> 1``
     #: partitions the simulation across OS processes, bit-identical to
-    #: serial; requires ``flow_impl="fast"``.  ``1`` (the default) still
-    #: honours a scoped ``pdes.session(n)`` override.
+    #: serial.  ``1`` (the default) still honours a scoped
+    #: ``pdes.session(n)`` override.
     shards: int = 1
     #: production-shaped load: a :class:`~repro.traffic.TrafficModel`
     #: (destination distribution + arrival process) the traffic-aware
@@ -70,16 +67,12 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        if self.flow_impl not in ("reference", "fast"):
+        if self.flow_impl != "fast":
             raise ValueError(
-                f'flow_impl must be "reference" or "fast", '
+                f'flow_impl is inert and must be "fast", '
                 f'got {self.flow_impl!r}')
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shards > 1 and self.flow_impl != "fast":
-            raise ValueError(
-                'shards > 1 requires flow_impl="fast" (the sharded '
-                "transports build on the pooled engines)")
         if self.traffic is not None:
             from repro.traffic.model import TrafficModel
             if not isinstance(self.traffic, TrafficModel):
@@ -140,19 +133,25 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
     # Conservative-PDES dispatch: an explicit spec.shards wins; a spec
     # left at 1 honours the scoped pdes.session(n) override.  The
     # sharded runner raises ShardingFallback for anything it cannot
-    # reproduce bit-identically, and this serial body is the fallback.
+    # reproduce bit-identically, and this serial body is the fallback;
+    # both outcomes are counted (pdes.sharded_runs / pdes.fallbacks).
     shards = spec.shards
     if shards == 1:
         from repro.sim import pdes
         shards = pdes.session_shards() or 1
     if shards > 1 and spec.n_nodes > 1:
+        from repro.obs import registry as obsreg
         from repro.sim import pdes
         from repro.sim.pdes.runner import run_spmd_sharded
         try:
-            return run_spmd_sharded(spec, program, fabric, max_events,
-                                    shards=shards)
-        except pdes.ShardingFallback:
-            pass
+            result = run_spmd_sharded(spec, program, fabric, max_events,
+                                      shards=shards)
+        except pdes.ShardingFallback as fb:
+            obsreg.counter("pdes.fallbacks", fabric=fabric,
+                           reason=fb.reason).inc()
+        else:
+            obsreg.counter("pdes.sharded_runs", fabric=fabric).inc()
+            return result
 
     # Tenancy determinism axis: inside a tenancy.shadow_session() the
     # whole run is routed through the co-scheduler as a single
@@ -170,9 +169,7 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
     contexts: List[RankContext] = []
     net_stats: Any = None
     if fabric == "dv":
-        net_cls = (FastFlowNetwork if spec.flow_impl == "fast"
-                   else FlowNetwork)
-        network = net_cls(engine, spec.dv, n)
+        network = FlowNetwork(engine, spec.dv, n)
         vics = [VIC(engine, spec.dv, i, network) for i in range(n)]
         apis = [DataVortexAPI(engine, spec.dv, v, network) for v in vics]
         hw_barrier = HardwareBarrier(engine, spec.dv, vics, network)
@@ -185,11 +182,8 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
                                         spec.seed, dv=apis[r]))
         net_stats = network.stats
     else:
-        fabric_cls = (FastIBFabric if spec.flow_impl == "fast"
-                      else None)
         runtime = MPIRuntime(engine, spec.ib, n,
-                             contention=spec.ib_contention,
-                             fabric_cls=fabric_cls)
+                             contention=spec.ib_contention)
         for r in range(n):
             contexts.append(RankContext(engine, r, n, spec.node, tracer,
                                         spec.seed, mpi=runtime.endpoint(r)))

@@ -114,12 +114,12 @@ def _run_fig9(seed: int = 2017, n_nodes: int = 32) -> Table:
 
 
 def _run_fig_scaleout(seed: int = 2017, nodes=None, workloads=None,
-                      fabrics=None, flow_impl: str = "fast",
-                      executor=None, **overrides) -> Table:
+                      fabrics=None, executor=None,
+                      **overrides) -> Table:
     """The 64-1024-node cluster projection (§IX extended).
 
     Rides :func:`repro.core.scaling.scaleout_sweep`: every point runs
-    the pooled ``flow_impl="fast"`` engines and fans across the
+    the vectorised flow engines and fans across the
     executor's worker pool / result cache.
     """
     from repro.core import scaling
@@ -129,7 +129,7 @@ def _run_fig_scaleout(seed: int = 2017, nodes=None, workloads=None,
     fabrics = tuple(fabrics) if fabrics else scaling.SCALEOUT_FABRICS
     rows = scaling.scaleout_sweep(workloads=workloads, nodes=nodes,
                                   fabrics=fabrics, seed=seed,
-                                  flow_impl=flow_impl, executor=executor,
+                                  executor=executor,
                                   **overrides)
     by_key = {(r["workload"], r["nodes"], r["fabric"]): r for r in rows}
     t = Table("fig_scaleout: projected per-PE and aggregate rates "
@@ -150,8 +150,7 @@ def _run_fig_scaleout(seed: int = 2017, nodes=None, workloads=None,
 def _run_fig_skew(seed: int = 2017, nodes: int = 4, exponents=None,
                   include_hotset: bool = True,
                   table_words: int = 1 << 12, n_updates: int = 1 << 9,
-                  window: int = 256, flow_impl: str = "reference",
-                  executor=None) -> Table:
+                  window: int = 256, executor=None) -> Table:
     """Fabric degradation under destination skew (docs/traffic.md).
 
     GUPS under a sweep of destination distributions — uniform
@@ -164,15 +163,14 @@ def _run_fig_skew(seed: int = 2017, nodes: int = 4, exponents=None,
         exponents=(tuple(exponents) if exponents is not None
                    else SKEW_EXPONENTS),
         include_hotset=include_hotset, table_words=table_words,
-        n_updates=n_updates, window=window, flow_impl=flow_impl)
+        n_updates=n_updates, window=window)
 
 
 def _run_fig_agg(seed: int = 2017, nodes: int = 8, exponents=None,
                  include_hotset: bool = True, watermarks=None,
                  routing: str = "direct",
                  table_words: int = 1 << 10, n_updates: int = 1 << 12,
-                 window: int = 64, flow_impl: str = "reference",
-                 executor=None) -> Table:
+                 window: int = 64, executor=None) -> Table:
     """Destination-coalescing aggregation vs fabric choice
     (docs/aggregation.md).
 
@@ -190,12 +188,11 @@ def _run_fig_agg(seed: int = 2017, nodes: int = 8, exponents=None,
         watermarks=(tuple(watermarks) if watermarks is not None
                     else AGG_WATERMARKS),
         routing=routing, table_words=table_words,
-        n_updates=n_updates, window=window, flow_impl=flow_impl)
+        n_updates=n_updates, window=window)
 
 
 def _run_fig_interference(seed: int = 2017, pairs=None, fabrics=None,
                           tenants=None, nodes_per_tenant: int = 4,
-                          flow_impl: str = "reference",
                           ib_leaf_size: int = 3, ib_uplinks: int = 2,
                           executor=None) -> Table:
     """Multi-tenant interference matrix (docs/tenancy.md).
@@ -219,7 +216,7 @@ def _run_fig_interference(seed: int = 2017, pairs=None, fabrics=None,
         fabrics=(tuple(fabrics) if fabrics is not None
                  else ("dv", "mpi")),
         nodes_per_tenant=nodes_per_tenant, seed=seed,
-        flow_impl=flow_impl, ib_leaf_size=ib_leaf_size,
+        ib_leaf_size=ib_leaf_size,
         ib_uplinks=ib_uplinks)
 
 
@@ -299,8 +296,7 @@ REGISTRY: Dict[str, Experiment] = {
             "fig_scaleout", "cluster projection: 64-1024 nodes",
             "GUPS/BFS/FFT weak scaling on both fabrics, 64..1024 "
             "nodes, pooled fast flow engines",
-            ("repro.core.scaling", "repro.dv.fastflow",
-             "repro.ib.fastfabric"),
+            ("repro.core.scaling", "repro.dv.flow", "repro.ib.fabric"),
             "benchmarks/test_perf_regression.py",
             "per-PE DV rates stay near-flat across five doublings; "
             "MPI per-PE rates decay (SS IX extended)",

@@ -17,13 +17,13 @@ This module develops exactly that simulation, at two levels:
   nodes running the barrier and GUPS kernels, checking that the flat
   barrier and per-PE GUPS curves extend;
 * :func:`scaleout_sweep` — the full cluster projection: GUPS, BFS and
-  FFT on **both** fabrics from 64 up to 1024 nodes, riding the pooled
-  ``flow_impl="fast"`` engines (:mod:`repro.dv.fastflow` /
-  :mod:`repro.ib.fastfabric`) that make thousand-node flow simulation
-  tractable.  Points fan across an :class:`~repro.exec.Executor` pool
-  and memoise in its cache; a :class:`~repro.faults.FaultPlan` can be
-  installed per point (plans are applied *inside* the point so they
-  survive the trip into pool workers).
+  FFT on **both** fabrics from 64 up to 1024 nodes, riding the
+  vectorised flow engines (:mod:`repro.dv.flow` / :mod:`repro.ib.fabric`)
+  that make thousand-node flow simulation tractable.  Points fan across
+  an :class:`~repro.exec.Executor` pool and memoise in its cache; a
+  :class:`~repro.faults.FaultPlan` can be installed per point (plans
+  are applied *inside* the point so they survive the trip into pool
+  workers).
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def dv_lookahead_s(config: "DVConfig", n_ports: int) -> float:
     ``(1 + min_hops) * hop`` — the window width within which shards
     cannot affect each other.
     """
-    from repro.dv.fastflow import hop_table
+    from repro.dv.flow import hop_table
     cfg = config.scaled_to_ports(n_ports)
     topo = DataVortexTopology(height=cfg.height, angles=cfg.angles)
     return cfg.hop_time_s * (1 + int(hop_table(topo, n_ports).min()))
@@ -266,7 +266,7 @@ def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
 
 
 def scaleout_point(workload: str, fabric: str, n_nodes: int,
-                   seed: int = 2017, flow_impl: str = "fast",
+                   seed: int = 2017,
                    plan: Optional["FaultPlan"] = None, shards: int = 1,
                    **overrides) -> Dict[str, float]:
     """One (workload, fabric, node-count) projection point.
@@ -286,8 +286,7 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
 
     params = scaleout_params(workload, n_nodes)
     params.update(overrides)
-    spec = ClusterSpec(n_nodes=n_nodes, seed=seed, flow_impl=flow_impl,
-                       shards=shards)
+    spec = ClusterSpec(n_nodes=n_nodes, seed=seed, shards=shards)
     with faults.session(plan) if plan is not None else _null():
         if workload == "gups":
             r = run_gups(spec, fabric, **params)
@@ -319,7 +318,7 @@ class _null:
 def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
                    nodes: Sequence[int] = SCALEOUT_NODES,
                    fabrics: Sequence[str] = SCALEOUT_FABRICS,
-                   seed: int = 2017, flow_impl: str = "fast",
+                   seed: int = 2017,
                    plan: Optional["FaultPlan"] = None,
                    executor: Optional["Executor"] = None,
                    shards: int = 1,
@@ -337,7 +336,7 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     from repro.exec import Executor
     executor = executor or Executor()
     grid = [{"workload": w, "fabric": f, "n_nodes": n, "seed": seed,
-             "flow_impl": flow_impl, "plan": plan, "shards": shards,
+             "plan": plan, "shards": shards,
              **overrides}
             for w in workloads for n in nodes for f in fabrics]
     return executor.map(scaleout_point, grid, name="scaling.scaleout")

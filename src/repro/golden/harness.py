@@ -10,8 +10,9 @@ vs parallel pools, warm-cache equivalence, all-zero fault plans) into
 * ``obs``    — metrics collection off vs on,
 * ``faults`` — no fault plan vs an installed all-zero :class:`FaultPlan`,
 * ``shards`` — serial event loop vs the two-shard PDES runner
-  (:mod:`repro.sim.pdes`; figures on the reference flow engine take the
-  documented fallback path and must come back identical too),
+  (:mod:`repro.sim.pdes`; runs it cannot split exactly take the
+  documented serial fallback, counted as ``pdes.fallbacks``, and must
+  come back identical too),
 * ``agg``    — the figure under a scoped :func:`repro.agg.session`
   aggregation override: repeats and a two-shard run must agree with
   each other bit-for-bit (seeded flush ordering), though kernels that
@@ -68,8 +69,8 @@ GOLDEN_CONFIGS: Dict[str, Dict[str, Any]] = {
     "fig7": {"seed": GOLDEN_SEED, "nodes": (2, 4)},
     "fig8": {"seed": GOLDEN_SEED, "nodes": (2,)},
     "fig9": {"seed": GOLDEN_SEED, "n_nodes": 4},
-    # one small scale-out projection point: pins the fast flow engines
-    # (flow_impl="fast" is fig_scaleout's default) into the golden set
+    # one small scale-out projection point: pins a 64-node flow
+    # simulation into the golden set
     "fig_scaleout": {"seed": GOLDEN_SEED, "nodes": (64,),
                      "workloads": ("gups",)},
     # skewed-traffic sweep at a tiny config: pins the traffic layer's

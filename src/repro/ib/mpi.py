@@ -424,10 +424,9 @@ class MPIRuntime:
         self.engine = engine
         self.config = config
         self.n_ranks = n_ranks
-        # fabric_cls lets the cluster layer swap in FastIBFabric
-        # (flow_impl="fast") without an import cycle here;
-        # a pre-built fabric (e.g. a tenancy TenantFabricView over a
-        # shared fat tree) wins outright
+        # fabric_cls lets the PDES runner build its ShardedIBFabric
+        # without an import cycle here; a pre-built fabric (e.g. a
+        # tenancy TenantFabricView over a shared fat tree) wins outright
         if fabric is not None:
             self.fabric = fabric
         else:

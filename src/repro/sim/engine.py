@@ -25,8 +25,8 @@ class _Wakeup:
 
     :meth:`Engine.call_in` schedules one of these where a marker
     :class:`Event` + closure pair would otherwise go: per arrival or
-    ejection in the fast fabrics (:mod:`repro.dv.fastflow`,
-    :mod:`repro.ib.fastfabric`) and per process start.  It shares the
+    ejection in the flow engines (:mod:`repro.dv.flow`,
+    :mod:`repro.ib.fabric`) and per process start.  It shares the
     heap with regular events (the engine only ever calls ``_process``),
     so ordering between the two kinds is governed by the usual
     ``(time, sequence)`` key.
@@ -61,18 +61,10 @@ class Engine:
     entry carries a monotonically increasing sequence number assigned at
     enqueue time, and no two entries share one, so heap ordering among
     same-time events is exactly insertion order.  This invariant is what
-    the fast/reference bit-identity proofs and the sharded PDES merge
+    the flow-engine/oracle bit-identity proofs and the sharded PDES merge
     ordering (:mod:`repro.sim.pdes`) are built on — see
     ``tests/test_sim_engine.py::test_simultaneous_events_fire_in_insertion_order``.
     """
-
-    # Subclasses that replay events merged from several shards flip this
-    # on so Process resumption re-roots the cascade-origin bookkeeping
-    # (see repro.sim.pdes.engine.ShardEngine).  The serial engine never
-    # reads _origin; keeping the flag a class attribute keeps the serial
-    # hot path untouched.
-    _track_origin = False
-    _origin = -1
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
@@ -132,10 +124,10 @@ class Engine:
         A heap-only alternative to ``event + add_callback + _enqueue``
         for hot paths: no :class:`Event` is allocated and nothing can
         wait on the callback.  The sequence number is assigned *here*,
-        so a ``call_in`` issued at the same instant a reference
-        implementation would enqueue a marker event occupies the exact
-        same position among same-time events — the property the
-        fast/reference bit-identity guarantee rests on.
+        so a ``call_in`` issued at the same instant the scalar test
+        oracles enqueue a marker event occupies the exact same position
+        among same-time events — the property the flow engines'
+        bit-identity with those oracles rests on.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")

@@ -11,16 +11,19 @@ Cross-shard traffic is merged under a deterministic key
 are **bit-identical** to serial — the property the golden harness's
 fifth axis checks on every pinned figure.
 
-Select with ``ClusterSpec(flow_impl="fast", shards=N)`` or, scoped (the
+Select with ``ClusterSpec(shards=N)`` or, scoped (the
 golden-axis / test idiom, mirroring ``faults.session``)::
 
     with pdes.session(2):
         result = run_spmd(spec, program, fabric="dv")
 
 Programs the sharded transports cannot split exactly (rendezvous MPI
-sends, installed fault plans, tracing, the reference flow engine) raise
-:class:`ShardingFallback` internally and are transparently re-run
-serially — correctness first, speed when safe.
+sends, installed fault plans, tracing, same-instant ties whose serial
+order the events' lineages cannot tell) raise
+:class:`ShardingFallback` internally and are re-run serially —
+correctness first, speed when safe.  Each fallback is counted as the
+obs counter ``pdes.fallbacks`` labelled by its short ``reason``, and
+each run that did shard as ``pdes.sharded_runs``.
 """
 
 from __future__ import annotations
@@ -28,18 +31,23 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 
-class ShardingUnsupported(RuntimeError):
-    """A transport operation the sharded engines cannot split exactly
-    (e.g. a rendezvous MPI send, whose handshake couples the two ranks
-    mid-window).  Caught by the runner and converted into a
-    :class:`ShardingFallback`."""
-
-
 class ShardingFallback(RuntimeError):
     """Internal signal: this run must be (re-)executed serially.
 
     Never escapes :func:`repro.core.cluster.run_spmd` — the caller sees
-    the serial result, which the sharded path is defined to match."""
+    the serial result, which the sharded path is defined to match.
+    ``reason`` is a short label for the ``pdes.fallbacks`` counter."""
+
+    def __init__(self, message: str, reason: str = "other") -> None:
+        super().__init__(message)
+        self.reason = reason
+
+
+class ShardingUnsupported(ShardingFallback):
+    """Something the sharded engines cannot split exactly, met inside a
+    shard (a rendezvous MPI send, whose handshake couples the two ranks
+    mid-window; an ambiguous same-instant tie).  The shard reports it
+    and the runner falls back to serial."""
 
 
 # Scoped shard-count override, consulted by run_spmd when the spec says

@@ -1,6 +1,6 @@
 """Deferred global pricing for the sharded flow engines.
 
-Both fast fabrics have exactly one piece of *global* state that couples
+Both fabrics have exactly one piece of *global* state that couples
 shards at transmit time:
 
 * Data Vortex — the busy-port census behind the deflection penalty
@@ -10,45 +10,85 @@ shards at transmit time:
 
 The sharded engines therefore never price a transfer inline.  Each
 transmit logs one *ledger row* and the hub replays the merged rows on a
-persistent replayer at every window barrier, in the deterministic order
-
-    (t_tx, origin, lseq, shard_id)
-
-which reconstructs the serial engine's transmit-call order (serial
-processes same-instant cascades in rank order; ``lseq`` is the shard's
-sequence number burned at the call, monotone within a cascade).  The
-replayers below apply, per row, *exactly* the state updates and float
-operations of the serial engines — same operations, same order, same
-rounding — so the prices they return are bit-identical to serial.
+persistent replayer at every window barrier, in serial order: by the
+merge key of the event that transmitted (:mod:`repro.sim.pdes.engine`),
+then by ``lseq``, the shard's sequence number burned at the call.
+Same-instant rows whose events tie on the key's times are ordered, as
+the engines order ties, within a shard by the shard's own order and
+across shards by :func:`~repro.sim.pdes.engine.ancestry_order`; a pair
+that has no common ancestor in reach makes :func:`merge_rows` raise
+:class:`~repro.sim.pdes.ShardingUnsupported`.  The replayers below
+apply, per row, *exactly* the state updates and float operations of the
+serial engines — same operations, same order, same rounding — so the
+prices they return are bit-identical to serial.
 """
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from heapq import heappop, heappush
 from typing import List, Tuple
 
 from repro.dv.config import DVConfig
 from repro.ib.config import IBConfig
+from repro.sim.pdes import ShardingUnsupported
+from repro.sim.pdes.engine import ancestry_order, entry_id
 
-#: DV ledger row: (t_tx, origin, lseq, src, mark_end)
-DVRow = Tuple[float, int, int, int, float]
-#: IB ledger row: (t_tx, origin, lseq, src, dst, nbytes)
-IBRow = Tuple[float, int, int, int, int, int]
+#: DV ledger row: (t_tx, event key, lseq, src, mark_end, event lineage)
+DVRow = Tuple[float, tuple, int, int, float, tuple]
+#: IB ledger row: (t_tx, event key, lseq, src, dst, nbytes, event lineage)
+IBRow = Tuple[float, tuple, int, int, int, int, tuple]
+
+
+def _row_order(a: tuple, b: tuple) -> int:
+    """Serial order of two same-instant rows whose events tie on the
+    merge key's times; ``a``/``b`` are ``(times, shard, index, row)``."""
+    if a[1] == b[1]:                       # same shard: its own order
+        return -1 if a[2] < b[2] else 1
+    key_a, lin_a = a[3][1], a[3][-1]
+    key_b, lin_b = b[3][1], b[3][-1]
+    order = ancestry_order(lin_a, entry_id(key_a[5], key_a[4], lin_a),
+                           lin_b, entry_id(key_b[5], key_b[4], lin_b))
+    if order == 0:
+        raise ShardingUnsupported(
+            f"same-instant transmits at t={key_a[0]!r} on shards "
+            f"{a[1]} and {b[1]} with no common ancestor in reach",
+            reason="tie-order")
+    return order
 
 
 def merge_rows(rows_by_shard: List[list]) -> List[tuple]:
     """Merge per-shard ledger rows into global replay order.
 
-    Returns ``(t_tx, origin, lseq, shard_id, local_index, row)`` tuples
-    sorted by the deterministic key; ``(shard_id, local_index)`` lets
-    the hub route each row's price back to the shard that logged it.
+    Returns ``(shard_id, local_index, row)`` tuples in serial order;
+    ``(shard_id, local_index)`` lets the hub route each row's price back
+    to the shard that logged it.
     """
-    merged = []
-    for sid, rows in enumerate(rows_by_shard):
-        for k, row in enumerate(rows):
-            merged.append((row[0], row[1], row[2], sid, k, row))
-    merged.sort(key=lambda e: e[:4])
-    return merged
+    merged = [(row[1][:3], sid, k, row)
+              for sid, rows in enumerate(rows_by_shard)
+              for k, row in enumerate(rows)]
+    merged.sort(key=lambda e: e[:3])
+    out = []
+    lo = 0
+    while lo < len(merged):
+        hi = lo + 1
+        while hi < len(merged) and merged[hi][0] == merged[lo][0]:
+            hi += 1
+        group = merged[lo:hi]
+        if group[0][1] != group[-1][1]:    # the tie spans shards
+            group.sort(key=cmp_to_key(_row_order))
+        out.extend(e[1:] for e in group)
+        lo = hi
+    return out
+
+
+def _price_all(price, rows_by_shard: List[list]) -> List[list]:
+    """Price every row in merge order; prices come back per shard, in
+    each shard's local row order."""
+    prices: List[list] = [[None] * len(r) for r in rows_by_shard]
+    for sid, k, row in merge_rows(rows_by_shard):
+        prices[sid][k] = price(row)
+    return prices
 
 
 class DVReplayer:
@@ -85,8 +125,9 @@ class DVReplayer:
                 self._busy_ports -= 1
         return self._defl * (self._busy_ports / self.n_ports)
 
-    def price_rows(self, rows: List[DVRow]) -> List[float]:
-        return [self.price(r[0], r[3], r[4]) for r in rows]
+    def price_merged(self, rows_by_shard: List[list]) -> List[list]:
+        return _price_all(lambda r: self.price(r[0], r[3], r[4]),
+                          rows_by_shard)
 
 
 class _StoppedEngine:
@@ -98,7 +139,7 @@ class _StoppedEngine:
 class IBReplayer:
     """Replays the serial channel-accumulator pricing for IB rows.
 
-    Owns a throwaway :class:`~repro.ib.fastfabric.FastIBFabric` purely
+    Owns a throwaway :class:`~repro.ib.fabric.IBFabric` purely
     as a route oracle (``_cached_path`` / ``hops`` are pure functions of
     the pair) plus its own free-time dict, and accumulates
     ``total_queue_wait_s`` in serial row order — float addition is not
@@ -107,9 +148,9 @@ class IBReplayer:
 
     def __init__(self, config: IBConfig, n_nodes: int,
                  contention: bool = True) -> None:
-        from repro.ib.fastfabric import FastIBFabric
-        self._oracle = FastIBFabric(_StoppedEngine(), config, n_nodes,
-                                    contention=contention)
+        from repro.ib.fabric import IBFabric
+        self._oracle = IBFabric(_StoppedEngine(), config, n_nodes,
+                                contention=contention)
         self._cfg = self._oracle.config
         self._free: dict = {}
         self.total_queue_wait_s = 0.0
@@ -133,5 +174,6 @@ class IBReplayer:
         return (start + occupancy + 0.0 + cfg.wire_latency_s
                 + self._oracle.hops(src, dst) * cfg.hop_latency_s)
 
-    def price_rows(self, rows: List[IBRow]) -> List[float]:
-        return [self.price(r[0], r[3], r[4], r[5]) for r in rows]
+    def price_merged(self, rows_by_shard: List[list]) -> List[list]:
+        return _price_all(lambda r: self.price(r[0], r[3], r[4], r[5]),
+                          rows_by_shard)

@@ -3,11 +3,11 @@
 One :class:`ShardState` is the sharded twin of everything
 :func:`repro.core.cluster.run_spmd` builds — a
 :class:`~repro.sim.pdes.engine.ShardEngine`, the sharded transport
-(:class:`~repro.dv.fastflow.ShardedFlowNetwork` or
-:class:`~repro.ib.fastfabric.ShardedIBFabric` under an
+(:class:`~repro.dv.flow.ShardedFlowNetwork` or
+:class:`~repro.ib.fabric.ShardedIBFabric` under an
 :class:`~repro.ib.mpi.MPIRuntime`), VICs/APIs/contexts for the shard's
 own ranks (foreign slots are ``None``), and one rank process per local
-rank, rooted at its rank as cascade origin.
+rank.
 
 The hub drives all shards through conservative windows::
 
@@ -44,17 +44,15 @@ from repro.core.context import RankContext
 from repro.core.trace import Tracer
 from repro.dv.api import DataVortexAPI
 from repro.dv.barrier import FastBarrier, HardwareBarrier
-from repro.dv.fastflow import ShardedFlowNetwork
-from repro.dv.flow import FlowStats
+from repro.dv.flow import FlowStats, ShardedFlowNetwork
 from repro.dv.vic import VIC
 from repro.faults import injector as fltreg
-from repro.ib.fabric import FabricStats
-from repro.ib.fastfabric import ShardedIBFabric
+from repro.ib.fabric import FabricStats, ShardedIBFabric
 from repro.ib.mpi import MPIRuntime
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.pdes import ShardingFallback
 from repro.sim.pdes.engine import ShardEngine
-from repro.sim.pdes.ledger import DVReplayer, IBReplayer, merge_rows
+from repro.sim.pdes.ledger import DVReplayer, IBReplayer
 
 _INF = float("inf")
 
@@ -129,8 +127,8 @@ class ShardState:
                                             mpi=runtime.endpoint(r)))
             self.net = runtime.fabric
 
-        # Rank order matters: the serial engine spawns rank processes in
-        # rank order, and their start events tie-break by origin.
+        # The serial engine spawns rank processes in rank order, and
+        # their starts order by rank (ShardEngine.process).
         self.procs = {ctx.rank: engine.process(program(ctx),
                                                name=f"rank{ctx.rank}",
                                                origin=ctx.rank)
@@ -197,7 +195,8 @@ class _LocalHandle:
         except ShardingFallback:
             raise
         except BaseException as e:  # noqa: BLE001 - routed to fallback
-            self._reply = ("error", f"{type(e).__name__}: {e}")
+            self._reply = ("error", f"{type(e).__name__}: {e}",
+                           "shard-error")
         finally:
             if op != "finish":
                 self._cpu += time.process_time() - t0
@@ -205,7 +204,7 @@ class _LocalHandle:
     def take(self):
         return self._reply
 
-    def close(self) -> None:
+    def close(self, abort: bool = False) -> None:
         pass
 
 
@@ -214,7 +213,7 @@ def _shard_worker(conn, spec, program, fabric, shard_of,
     """Child-process command loop (fork mode).
 
     State is built *after* the fork from the inherited closure — shards
-    construct their hop tables and pools concurrently, and nothing but
+    construct their hop tables concurrently, and nothing but
     ledger rows, prices, and arrival records ever crosses the pipe.
     """
     try:
@@ -240,7 +239,8 @@ def _shard_worker(conn, spec, program, fabric, shard_of,
                 raise RuntimeError(f"unknown shard command {op!r}")
     except BaseException as e:  # noqa: BLE001 - routed to fallback
         try:
-            conn.send(("error", f"{type(e).__name__}: {e}"))
+            conn.send(("error", f"{type(e).__name__}: {e}",
+                       getattr(e, "reason", "shard-error")))
         except Exception:
             pass
 
@@ -265,12 +265,18 @@ class _ForkHandle:
         try:
             return self.conn.recv()
         except EOFError:
-            return ("error", "shard worker died")
+            return ("error", "shard worker died", "shard-error")
 
-    def close(self) -> None:
+    def close(self, abort: bool = False) -> None:
+        """Reap the child.  On ``abort`` (a mid-run fallback) a child may
+        be blocked writing a reply nobody will read — its sibling shards
+        hold inherited copies of this pipe, so closing our end does not
+        wake it — so it is terminated rather than waited for."""
         try:
             self.conn.close()
         finally:
+            if abort:
+                self.proc.terminate()
             self.proc.join(timeout=5.0)
             if self.proc.is_alive():  # pragma: no cover - hung child
                 self.proc.terminate()
@@ -288,10 +294,11 @@ def _exchange(handles: list, messages: list) -> list:
         h.post(msg)
     replies = []
     for h in handles:
-        status, payload = h.take()
-        if status != "ok":
-            raise ShardingFallback(f"shard error: {payload}")
-        replies.append(payload)
+        reply = h.take()
+        if reply[0] != "ok":
+            raise ShardingFallback(f"shard error: {reply[1]}",
+                                   reason=reply[2])
+        replies.append(reply[1])
     return replies
 
 
@@ -304,19 +311,16 @@ def _broadcast(handles: list, msg: tuple) -> list:
 def _precheck(spec, shards: int) -> None:
     """Raise ShardingFallback for runs the sharded path must not take."""
     if shards < 2:
-        raise ShardingFallback("shards < 2 — serial path")
-    if spec.flow_impl != "fast":
-        raise ShardingFallback(
-            "sharding requires flow_impl='fast' (the reference engines "
-            "price transfers inline against global state)")
+        raise ShardingFallback("shards < 2 — serial path",
+                               reason="single-shard")
     if spec.trace:
         raise ShardingFallback(
             "tracing records a single global event stream; rerunning "
-            "serially")
+            "serially", reason="trace")
     if fltreg.active() is not None:
         raise ShardingFallback(
             "fault injection draws from process-global RNG streams in "
-            "delivery order; rerunning serially")
+            "delivery order; rerunning serially", reason="faults")
 
 
 def run_spmd_sharded(spec, program, fabric: str = "dv",
@@ -339,7 +343,8 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
                                dv=spec.dv, ib=spec.ib)
     n_shards = int(shard_of[-1]) + 1  # trailing shards may be empty
     if n_shards < 2:
-        raise ShardingFallback("partition degenerated to one shard")
+        raise ShardingFallback("partition degenerated to one shard",
+                               reason="single-shard")
 
     if fabric == "dv":
         lookahead = dv_lookahead_s(spec.dv, n)
@@ -363,10 +368,11 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
 
         peeks = []
         for h in handles:
-            status, payload = h.take()
-            if status != "ok":
-                raise ShardingFallback(f"shard build failed: {payload}")
-            peeks.append(payload)
+            reply = h.take()
+            if reply[0] != "ok":
+                raise ShardingFallback(f"shard build failed: {reply[1]}",
+                                       reason=reply[2])
+            peeks.append(reply[1])
 
         total_events = 0
         while True:
@@ -380,7 +386,7 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
             rows_by_shard = []
             for n_ev, rows, unsupported in windows:
                 if unsupported is not None:
-                    raise ShardingFallback(unsupported)
+                    raise ShardingFallback(unsupported, reason="rendezvous")
                 total_events += n_ev
                 rows_by_shard.append(rows)
             if max_events is not None and total_events > max_events:
@@ -391,14 +397,7 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
             # Global pricing in the deterministic serial replay order;
             # each price is routed back to the shard that logged its row,
             # in that shard's local row order.
-            prices: List[list] = [[None] * len(r) for r in rows_by_shard]
-            if fabric == "dv":
-                for t_tx, _o, _q, sid, k, row in merge_rows(rows_by_shard):
-                    prices[sid][k] = replayer.price(t_tx, row[3], row[4])
-            else:
-                for t_tx, _o, _q, sid, k, row in merge_rows(rows_by_shard):
-                    prices[sid][k] = replayer.price(t_tx, row[3], row[4],
-                                                    row[5])
+            prices = replayer.price_merged(rows_by_shard)
 
             records = _exchange(handles,
                                 [("price", p) for p in prices])
@@ -410,9 +409,12 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
                               [("ingest", box) for box in inboxes])
 
         outcomes = _broadcast(handles, ("finish",))
-    finally:
+    except BaseException:
         for h in handles:
-            h.close()
+            h.close(abort=True)
+        raise
+    for h in handles:
+        h.close()
 
     # -- assemble the serial-shaped result ---------------------------------
     values: List[Any] = [None] * n
@@ -422,13 +424,13 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
                 raise ShardingFallback(
                     f"rank{r} never finished under sharding (likely "
                     "waiting on a cross-shard completion event); "
-                    "rerunning serially")
+                    "rerunning serially", reason="deadlock")
             if not ok:
                 # A genuine program error reproduces serially with full
                 # traceback fidelity; a sharded-only failure vanishes.
                 raise ShardingFallback(
                     f"rank{r} failed under sharding: {value!r}; "
-                    "rerunning serially")
+                    "rerunning serially", reason="rank-error")
             values[r] = value
 
     elapsed = max(out.now for out in outcomes)

@@ -220,7 +220,7 @@ def test_run_scaleout_shim_warns_and_matches_run():
         old = api.run_scaleout(workloads=("gups",), nodes=(64,))
     new = api.run(spec=api.ExperimentSpec(
         exp_id="fig_scaleout",
-        params={"seed": 2017, "flow_impl": "fast",
+        params={"seed": 2017,
                 "workloads": ("gups",), "nodes": (64,)}))
     assert _rows(old) == _rows(new)
 

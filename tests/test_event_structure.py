@@ -34,7 +34,7 @@ def _traced(module, monkeypatch, fn):
 
 
 def _spec():
-    return ClusterSpec(n_nodes=16, seed=7, flow_impl="fast")
+    return ClusterSpec(n_nodes=16, seed=7)
 
 
 # name -> (module, run, result keys, events, results, fabric messages)
@@ -53,7 +53,7 @@ PINS = {
     # 4 KiB all-to-all chunks: every exchange takes the rendezvous path
     "fft_rendezvous": (
         fft1d, lambda: fft1d.run_fft1d(
-            ClusterSpec(n_nodes=4, seed=7, flow_impl="fast"), "mpi",
+            ClusterSpec(n_nodes=4, seed=7), "mpi",
             log2_points=14, validate=True),
         ("elapsed_s", "gflops"), 484,
         (3.34373521992581e-05, 34.29936656364336), 52),

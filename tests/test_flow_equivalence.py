@@ -1,12 +1,13 @@
-"""Bit-identity of the pooled fast engines vs the scalar references.
+"""Bit-identity of the flow engines vs the scalar reference oracles.
 
-The ``flow_impl="fast"`` engines (:mod:`repro.dv.fastflow`,
-:mod:`repro.ib.fastfabric`) promise *bit-identical* simulated behaviour
-to the reference models — same delivery times, same receiver call
-sequence, same stats, same end-to-end results — across a grid of port
-counts, traffic loads, and fault plans.  These tests drive both
-implementations through identical seeded scenarios and compare
-everything observable, to the last bit.
+The production engines (:class:`repro.dv.flow.FlowNetwork`,
+:class:`repro.ib.fabric.IBFabric`) promise *bit-identical* simulated
+behaviour to the scalar oracles in ``tests/reference_engines.py`` —
+same delivery times, same receiver call sequence, same stats, same
+end-to-end results — across a grid of port counts, traffic loads, and
+fault plans.  These tests drive both through identical seeded scenarios
+and compare everything observable, to the last bit (and to the type:
+every simulated time must stay a Python float).
 """
 
 import random
@@ -15,18 +16,19 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.core import cluster
 from repro.core.cluster import ClusterSpec
 from repro.dv.config import DVConfig
-from repro.dv.fastflow import FastFlowNetwork, hop_table
-from repro.dv.flow import FlowNetwork
+from repro.dv.flow import FlowNetwork, hop_table
 from repro.dv.topology import DataVortexTopology
 from repro.dv.vic import FifoPush, MemWrite
 from repro.faults.plan import FaultPlan
 from repro.ib.config import IBConfig
+from repro.ib import mpi
 from repro.ib.fabric import IBFabric
-from repro.ib.fastfabric import FastIBFabric
 from repro.kernels.gups import run_gups
 from repro.sim.engine import Engine
+from tests.reference_engines import ReferenceFlowNetwork, ReferenceIBFabric
 
 
 # --------------------------------------------------------- hop table ---
@@ -123,9 +125,9 @@ def test_flow_fast_equals_reference_random_traffic(n_ports, plan_name):
     plan = PLANS[plan_name]
     seed = 1000 * n_ports + len(plan_name)
     with faults.session(plan):
-        ref = _drive_flow(FlowNetwork, n_ports, seed)
+        ref = _drive_flow(ReferenceFlowNetwork, n_ports, seed)
     with faults.session(plan):
-        fast = _drive_flow(FastFlowNetwork, n_ports, seed)
+        fast = _drive_flow(FlowNetwork, n_ports, seed)
     assert ref == fast
 
 
@@ -135,9 +137,30 @@ def test_flow_fast_equals_reference_heavy_load(load):
     n_ports = 8
     rounds = 400 if load == "fine" else 150
     seed = 42 if load == "fine" else 43
-    ref = _drive_flow(FlowNetwork, n_ports, seed, n_rounds=rounds)
-    fast = _drive_flow(FastFlowNetwork, n_ports, seed, n_rounds=rounds)
+    ref = _drive_flow(ReferenceFlowNetwork, n_ports, seed, n_rounds=rounds)
+    fast = _drive_flow(FlowNetwork, n_ports, seed, n_rounds=rounds)
     assert ref == fast
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_simulated_times_stay_python_floats(batch):
+    """numpy scalars must not leak into the clock or the port ledgers:
+    a float64 clock renders differently in tables and cache keys.  A
+    throttled multi-packet stream ejects at its injection floor, the
+    path that once returned a numpy sum."""
+    engine = Engine()
+    net = FlowNetwork(engine, DVConfig(), 8)
+    rate = 0.5 / net.config.hop_time_s
+    if batch:
+        net.transmit_batch(0, [3, 5, 3], [4, 2, 3], [None] * 3,
+                           inject_rate=rate)
+    else:
+        net.transmit(0, 5, 4, inject_rate=rate)
+        net.transmit(1, 5, 3, inject_rate=rate)
+    engine.run()
+    assert type(engine.now) is float
+    assert all(type(t) is float
+               for t in net._eject_free + net._inject_free)
 
 
 # ---------------------------------------------------- IB equivalence ---
@@ -172,53 +195,68 @@ def _drive_ib(fab_cls, n_nodes, seed, contention=True):
 @pytest.mark.parametrize("n_nodes", [2, 6, 16])
 @pytest.mark.parametrize("contention", [True, False])
 def test_ib_fast_equals_reference(n_nodes, contention):
-    ref = _drive_ib(IBFabric, n_nodes, 7 * n_nodes, contention)
-    fast = _drive_ib(FastIBFabric, n_nodes, 7 * n_nodes, contention)
+    ref = _drive_ib(ReferenceIBFabric, n_nodes, 7 * n_nodes, contention)
+    fast = _drive_ib(IBFabric, n_nodes, 7 * n_nodes, contention)
     assert ref == fast
 
 
 def test_ib_fast_under_retry_faults():
     plan = FaultPlan(seed=3, ib_drop_prob=0.3)
     with faults.session(plan):
-        ref = _drive_ib(IBFabric, 8, 99)
+        ref = _drive_ib(ReferenceIBFabric, 8, 99)
     with faults.session(plan):
-        fast = _drive_ib(FastIBFabric, 8, 99)
+        fast = _drive_ib(IBFabric, 8, 99)
     assert ref == fast
 
 
 # ------------------------------------------- end-to-end application ---
 
-def _gups(impl, fabric, plan=None, **kw):
-    spec = ClusterSpec(n_nodes=kw.pop("n_nodes", 8), flow_impl=impl)
+@pytest.fixture
+def oracle_cluster(monkeypatch):
+    """Make the cluster layer build the scalar oracles instead of the
+    production engines."""
+    def use_oracles():
+        monkeypatch.setattr(cluster, "FlowNetwork", ReferenceFlowNetwork)
+        monkeypatch.setattr(mpi, "IBFabric", ReferenceIBFabric)
+    return use_oracles
+
+
+def _gups(fabric, plan=None, **kw):
+    spec = ClusterSpec(n_nodes=kw.pop("n_nodes", 8))
     with faults.session(plan):
         r = run_gups(spec, fabric, **kw)
     return {k: r[k] for k in ("elapsed_s", "mups_total", "mups_per_pe")}
 
 
 @pytest.mark.parametrize("fabric", ["dv", "mpi"])
-def test_gups_fast_equals_reference(fabric):
+def test_gups_fast_equals_reference(fabric, oracle_cluster):
     kw = dict(table_words=1 << 10, n_updates=1 << 9, window=128)
-    assert _gups("reference", fabric, **kw) == _gups("fast", fabric, **kw)
+    fast = _gups(fabric, **kw)
+    oracle_cluster()
+    assert _gups(fabric, **kw) == fast
 
 
 @pytest.mark.parametrize("window", [32, 1024])
-def test_gups_fast_equals_reference_windows(window):
+def test_gups_fast_equals_reference_windows(window, oracle_cluster):
     kw = dict(table_words=1 << 10, n_updates=1 << 9, window=window)
-    assert _gups("reference", "dv", **kw) == _gups("fast", "dv", **kw)
+    fast = _gups("dv", **kw)
+    oracle_cluster()
+    assert _gups("dv", **kw) == fast
 
 
-def test_gups_fast_equals_reference_under_faults():
+def test_gups_fast_equals_reference_under_faults(oracle_cluster):
     # IB drop faults are survivable end-to-end (link-level retry); raw
     # dv data drops would stall GUPS termination in either impl, so
     # flow-level fault parity is covered by the raw-driver grid above.
     plan = FaultPlan(seed=5, ib_drop_prob=0.1)
     kw = dict(table_words=1 << 10, n_updates=1 << 8, window=64)
-    assert (_gups("reference", "mpi", plan=plan, **kw)
-            == _gups("fast", "mpi", plan=plan, **kw))
+    fast = _gups("mpi", plan=plan, **kw)
+    oracle_cluster()
+    assert _gups("mpi", plan=plan, **kw) == fast
 
 
 def test_gups_fast_validates_against_serial_reference():
-    r = run_gups(ClusterSpec(n_nodes=4, flow_impl="fast"), "dv",
+    r = run_gups(ClusterSpec(n_nodes=4), "dv",
                  table_words=1 << 10, n_updates=1 << 8, window=64,
                  validate=True)
     assert r["valid"]

@@ -21,7 +21,6 @@ from repro.sim.pdes.runner import (ShardingFallback, _precheck,
 
 
 def _spec(n, **kw):
-    kw.setdefault("flow_impl", "fast")
     return ClusterSpec(n_nodes=n, seed=2017, **kw)
 
 
@@ -56,6 +55,38 @@ def test_barrier_bench_sharded_bit_identical(impl):
     serial = run_barrier_bench(_spec(16), impl, iters=8)
     sharded = run_barrier_bench(_spec(16, shards=3), impl, iters=8)
     assert sharded == serial
+
+
+@pytest.mark.parametrize("n_nodes", [4, 8])
+def test_fast_barrier_shards_bit_identically(n_nodes):
+    """The all-to-all fast barrier resumes each rank from another rank's
+    counter arrival, so same-instant cascades leave rank order: the
+    merge key must follow their lineages, not their ranks, to return
+    the serial latency — and it must really shard, not fall back."""
+    from repro.obs import registry as obs
+    serial = run_barrier_bench(_spec(n_nodes), "dv_fast", iters=8)
+    with obs.session() as reg:
+        sharded = run_barrier_bench(_spec(n_nodes, shards=2), "dv_fast",
+                                    iters=8)
+    assert sharded == serial
+    assert reg.value("pdes.sharded_runs", fabric="dv") == 1
+    assert reg.total("pdes.fallbacks") == 0
+
+
+def test_fig4_golden_config_shards_its_dv_runs_bit_identically():
+    """The golden shards axis is not vacuous: under a two-shard session
+    the fig4 config's DV runs at 4 and 8 nodes really shard, the
+    2-node ones (one topology group) are counted fallbacks, and the
+    table equals serial."""
+    from repro.golden.harness import run_golden_fig
+    from repro.obs import registry as obs
+    serial = run_golden_fig("fig4")
+    with pdes.session(2), obs.session() as reg:
+        sharded = run_golden_fig("fig4")
+    assert sharded.rows == serial.rows
+    assert reg.value("pdes.sharded_runs", fabric="dv") == 4
+    assert reg.value("pdes.fallbacks", fabric="dv",
+                     reason="single-shard") == 2
 
 
 def test_session_override_matches_explicit_shards():
@@ -113,11 +144,6 @@ def test_in_process_driver_matches_fork_driver(fabric):
 
 # ---------------------------------------------------------- fallback ---
 
-def test_precheck_rejects_reference_impl():
-    with pytest.raises(ShardingFallback):
-        _precheck(ClusterSpec(n_nodes=8, flow_impl="reference"), 2)
-
-
 def test_precheck_rejects_trace():
     with pytest.raises(ShardingFallback):
         _precheck(_spec(8, trace=True), 2)
@@ -136,18 +162,15 @@ def test_precheck_rejects_active_fault_plan():
             _precheck(_spec(8), 2)
 
 
-def test_session_override_on_reference_spec_falls_back_to_serial():
-    """The golden shards axis runs reference-engine figures under
-    session(2); they must take the fallback path and come back
-    identical."""
+def test_session_override_on_default_spec_matches_serial():
+    """The golden shards axis runs every figure under session(2) on
+    plain specs; they must come back identical."""
     serial = _gups(ClusterSpec(n_nodes=8, seed=2017), "dv")
     with pdes.session(2):
         scoped = _gups(ClusterSpec(n_nodes=8, seed=2017), "dv")
     assert scoped == serial
 
 
-def test_spec_validation_rejects_shards_on_reference():
-    with pytest.raises(ValueError, match="fast"):
-        ClusterSpec(n_nodes=8, shards=2)
+def test_spec_validation_rejects_zero_shards():
     with pytest.raises(ValueError, match="shards"):
-        ClusterSpec(n_nodes=8, flow_impl="fast", shards=0)
+        ClusterSpec(n_nodes=8, shards=0)

@@ -52,9 +52,12 @@ def test_scaleout_point_shape_and_determinism():
     assert scaleout_point("gups", "dv", 64) == row
 
 
-def test_scaleout_point_fast_matches_reference():
-    fast = scaleout_point("gups", "dv", 64, flow_impl="fast")
-    ref = scaleout_point("gups", "dv", 64, flow_impl="reference")
+def test_scaleout_point_fast_matches_reference(monkeypatch):
+    from repro.core import cluster
+    from tests.reference_engines import ReferenceFlowNetwork
+    fast = scaleout_point("gups", "dv", 64)
+    monkeypatch.setattr(cluster, "FlowNetwork", ReferenceFlowNetwork)
+    ref = scaleout_point("gups", "dv", 64)
     assert fast == ref
 
 
