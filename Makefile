@@ -17,7 +17,7 @@ FORMATTED = src/repro/golden src/repro/service \
 
 .PHONY: test test-all test-exec test-faults test-traffic test-agg \
         test-service test-tenancy bench obs help lint verify \
-        golden-record ci scaleout skew agg interference serve
+        golden-record ci scaleout skew agg interference
 
 help:
 	@echo "make ci            - what CI runs: lint -> tier-1 tests -> golden gate"
@@ -30,7 +30,6 @@ help:
 	@echo "make test-agg      - aggregation runtime suite only (docs/aggregation.md)"
 	@echo "make test-service  - experiment service suite only (docs/service.md)"
 	@echo "make test-tenancy  - multi-tenant co-scheduling + api 2.0 suites (docs/tenancy.md)"
-	@echo "make serve         - boot the experiment service daemon on :7351"
 	@echo "make skew          - fig_skew: GUPS vs destination skew (docs/traffic.md)"
 	@echo "make agg           - fig_agg: aggregated IB vs DV crossover sweep"
 	@echo "make interference  - fig_interference: co-tenant slowdown matrix (docs/tenancy.md)"
@@ -83,9 +82,6 @@ test-service:
 
 test-tenancy:
 	$(PYTEST) -x -q tests/test_tenancy.py tests/test_api_v2.py
-
-serve:
-	$(REPRO) serve --port 7351 --state-dir .repro-service
 
 skew:
 	$(REPRO) skew --nodes 4

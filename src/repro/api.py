@@ -1,10 +1,11 @@
-"""The stable programmatic facade over the repro stack (api 2.0).
+"""The stable programmatic facade over the repro stack (api 3.0).
 
 One spec, two verbs.  Everything a driver needs — regenerating paper
 figures, named parameter sweeps, 64-1024-node projections, skew /
 aggregation / interference matrices, golden gating, the experiment
 service — is expressed as a versioned :class:`ExperimentSpec` and
-handed to :func:`run` (in-process) or :func:`submit` (service):
+handed to :func:`run` (in-process) or :func:`submit` (a stored,
+golden-gated service job):
 
 >>> import repro.api as api
 >>> t = api.run(spec=api.ExperimentSpec(
@@ -23,30 +24,24 @@ signature accepts the matching keyword (``plan=``, ``shards=``,
 combining them with ``RunOptions(workers>1)`` is an error rather than
 a silent no-op in the pool workers.
 
-The 1.x entry points (``run_figure`` / ``run_sweep`` / ``run_scaleout``
-/ ``run_skew`` / ``run_agg`` / ``submit_experiment``) survive as thin
-shims that emit :class:`DeprecationWarning` and delegate here; they
-will be removed in 3.0.  ``run_figures``, :func:`verify_goldens`,
-:func:`poll`, :func:`collect` and the builders are unchanged and
-undeprecated.
-
 The facade is versioned independently of the package
-(:data:`__api_version__`, semver); 2.0.0 is the spec-surface redesign.
-Only names in :data:`__all__` are covered by the contract.  Every
-public callable takes keyword-only arguments (enforced by
-``tools/check_api_signatures.py`` in ``make lint``).  Heavy imports
-happen inside the functions: ``import repro.api`` is cheap, and the
-lazy imports also break the cycle with the golden harness, which
-routes its figure runs back through :func:`run`.
+(:data:`__api_version__`, semver).  2.0.0 was the spec-surface
+redesign; 3.0.0 removed the six 1.x entry points it had kept as shims
+and the experiment service's daemon options (docs/api.md has the
+migration table).  Only names in :data:`__all__` are covered by the
+contract.  Every public callable takes keyword-only arguments
+(enforced by ``tools/check_api_signatures.py`` in ``make lint``).
+Heavy imports happen inside the functions: ``import repro.api`` is
+cheap, and the lazy imports also break the cycle with the golden
+harness, which routes its figure runs back through :func:`run`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-__api_version__ = "2.0.0"
+__api_version__ = "3.0.0"
 
 __all__ = [
     "__api_version__",
@@ -59,19 +54,14 @@ __all__ = [
     "build_traffic",
     "run",
     "submit",
-    "run_figure",
     "run_figures",
-    "run_sweep",
-    "run_scaleout",
-    "run_skew",
-    "run_agg",
     "verify_goldens",
-    "submit_experiment",
     "poll",
     "collect",
 ]
 
-#: Spec schema version :func:`run` understands (bumped with the major).
+#: Spec schema version :func:`run` understands (bumped when the spec's
+#: fields change; api 3.0 removed functions, not spec fields).
 SPEC_VERSION = 2
 
 
@@ -79,7 +69,7 @@ SPEC_VERSION = 2
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment request, complete (api 2.0).
+    """One experiment request, complete.
 
     ``exp_id`` names a registry experiment
     (:data:`repro.core.experiments.REGISTRY`) or a named sweep
@@ -88,8 +78,8 @@ class ExperimentSpec:
     ``cluster`` is a convenience mapping merged into them (a key in
     both is an error, not a silent override).
 
-    The remaining fields carry what 1.x spread across six entry
-    points: a :class:`~repro.traffic.TrafficModel`, a
+    The remaining fields are optional: a
+    :class:`~repro.traffic.TrafficModel`, a
     :class:`~repro.faults.FaultPlan`, an :class:`~repro.agg.AggSpec`,
     a PDES ``shards`` count, and ``tenants`` — workload names (the
     ``fig_interference`` idiom) or full
@@ -500,31 +490,22 @@ def verify_goldens(*, mode: str = "compare",
 
 # -------------------------------------------------- experiment service ---
 
-def _service_client(endpoint: Optional[str], state_dir: str,
-                    goldens_dir: str):
-    """A ServiceClient for ``endpoint`` ("host:port"), else the
-    socket-free InlineClient on ``state_dir`` (docs/service.md)."""
-    if endpoint:
-        from repro.service import ServiceClient, parse_endpoint
-        return ServiceClient(*parse_endpoint(endpoint))
-    from repro.service import InlineClient
-    return InlineClient(state_dir, goldens_dir=goldens_dir)
+def _service(state_dir: str, goldens_dir: str) -> "ExperimentService":
+    from repro.service import ExperimentService
+    return ExperimentService(state_dir, goldens_dir=goldens_dir)
 
 
-def submit(*, spec: ExperimentSpec, priority: int = 0,
-           endpoint: Optional[str] = None,
+def submit(*, spec: ExperimentSpec,
            state_dir: str = ".repro-service",
            goldens_dir: str = "goldens") -> Dict[str, Any]:
-    """Submit one :class:`ExperimentSpec` to the experiment service.
+    """Run one :class:`ExperimentSpec` as an experiment-service job.
 
-    With ``endpoint="host:port"`` the spec goes to a running ``repro
-    serve`` daemon and this returns as soon as the job is queued (or
-    attached to an identical in-flight job — see the ``attached``
-    flag); without one, the socket-free inline mode runs the job to
-    completion in-process under ``state_dir``.  Returns the job status
-    mapping (``job_id``, ``state``, ``attached``, ...).
+    The job runs to completion in this process under ``state_dir``
+    (result cache, golden-gated store, event log; docs/service.md) and
+    this returns its status mapping (``job_id``, ``state``,
+    ``published``, ...).
 
-    Service jobs serialise to (exp_id, params), so the session-scoped
+    Service jobs are stored as (exp_id, params), so the session-scoped
     spec fields must be expressible as runner keywords: ``tenants``
     threads to runners with a ``tenants=`` keyword (workload names
     only), and ``traffic`` / ``faults`` / ``aggregation`` / ``shards``
@@ -543,7 +524,7 @@ def submit(*, spec: ExperimentSpec, priority: int = 0,
     if blocked:
         raise ValueError(
             f"spec field(s) {', '.join(blocked)} cannot ride a "
-            f"service job (jobs serialise to exp_id + params); "
+            f"service job (jobs are stored as exp_id + params); "
             f"use api.run for those")
     params = _merged_params(spec)
     if spec.tenants:
@@ -562,163 +543,30 @@ def submit(*, spec: ExperimentSpec, priority: int = 0,
                 "spec.tenants conflicts with params['tenants']; "
                 "pick one")
         params["tenants"] = list(spec.tenants)
-    client = _service_client(endpoint, state_dir, goldens_dir)
-    return client.submit(spec.exp_id, params=params, priority=priority)
+    return _service(state_dir, goldens_dir).submit(spec.exp_id, params)
 
 
-def poll(*, job_id: str, endpoint: Optional[str] = None,
-         state_dir: str = ".repro-service",
+def poll(*, job_id: str, state_dir: str = ".repro-service",
          goldens_dir: str = "goldens") -> Dict[str, Any]:
     """The current status mapping of a submitted job."""
-    client = _service_client(endpoint, state_dir, goldens_dir)
-    return client.status(job_id)
+    return _service(state_dir, goldens_dir).status(job_id)
 
 
-def collect(*, job_id: str, endpoint: Optional[str] = None,
-            state_dir: str = ".repro-service",
+def collect(*, job_id: str, state_dir: str = ".repro-service",
             goldens_dir: str = "goldens",
-            timeout: Optional[float] = None,
             require_published: bool = True) -> "Table":
     """The finished job's result table.
 
-    Blocks (daemon mode) until the job is terminal.  A result the
-    golden gate refused to publish raises ``ServiceError`` with the
-    cell diffs unless ``require_published=False``.
+    A result the golden gate refused to publish raises
+    ``ServiceError`` with the cell diffs unless
+    ``require_published=False``.
     """
     from repro.core.report import Table
     from repro.service import ServiceError
-    client = _service_client(endpoint, state_dir, goldens_dir)
-    record = client.collect(job_id, timeout=timeout)
+    record = _service(state_dir, goldens_dir).collect(job_id)
     if require_published and not record.get("published"):
         diffs = record.get("golden", {}).get("diffs", [])
         raise ServiceError(
             f"job {job_id!r} result was not published "
             f"(golden gate refused): " + "; ".join(diffs))
     return Table.from_dict(record["table"])
-
-
-# ------------------------------------------------------ 1.x shims (2.0) ---
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated since api 2.0.0 and will be "
-        f"removed in 3.0; use {new} with an ExperimentSpec instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_figure(*, exp_id: Optional[str] = None,
-               spec: Optional[ExperimentSpec] = None,
-               options: Optional[RunOptions] = None,
-               **params: Any) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run`."""
-    _deprecated("run_figure", "api.run")
-    if (exp_id is None) == (spec is None):
-        raise ValueError("pass exactly one of exp_id= or spec=")
-    if spec is not None:
-        if params:
-            raise ValueError("params go inside ExperimentSpec when "
-                             "spec= is used")
-    else:
-        spec = ExperimentSpec(exp_id=exp_id, params=params)
-    return run(spec=spec, options=options)
-
-
-def run_sweep(*, name: str,
-              axes: Optional[Mapping[str, Sequence[Any]]] = None,
-              fixed: Optional[Mapping[str, Any]] = None,
-              options: Optional[RunOptions] = None) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="sweep:<name>"``."""
-    _deprecated("run_sweep", "api.run")
-    params: Dict[str, Any] = {}
-    if axes is not None:
-        params["axes"] = dict(axes)
-    if fixed is not None:
-        params["fixed"] = dict(fixed)
-    return run(spec=ExperimentSpec(exp_id=f"sweep:{name}",
-                                   params=params), options=options)
-
-
-def run_scaleout(*, workloads: Optional[Sequence[str]] = None,
-                 nodes: Optional[Sequence[int]] = None,
-                 fabrics: Optional[Sequence[str]] = None,
-                 seed: int = 2017,
-                 plan: Optional["FaultPlan"] = None,
-                 shards: int = 1,
-                 options: Optional[RunOptions] = None,
-                 **overrides: Any) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="fig_scaleout"``."""
-    _deprecated("run_scaleout", "api.run")
-    params: Dict[str, Any] = dict(seed=seed, **overrides)
-    if workloads is not None:
-        params["workloads"] = tuple(workloads)
-    if nodes is not None:
-        params["nodes"] = tuple(nodes)
-    if fabrics is not None:
-        params["fabrics"] = tuple(fabrics)
-    return run(spec=ExperimentSpec(exp_id="fig_scaleout",
-                                   params=params, faults=plan,
-                                   shards=shards), options=options)
-
-
-def run_skew(*, nodes: int = 4, seed: int = 2017,
-             exponents: Optional[Sequence[float]] = None,
-             include_hotset: bool = True,
-             table_words: int = 1 << 12, n_updates: int = 1 << 9,
-             window: int = 256,
-             options: Optional[RunOptions] = None) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="fig_skew"``."""
-    _deprecated("run_skew", "api.run")
-    params: Dict[str, Any] = dict(
-        nodes=nodes, seed=seed, include_hotset=include_hotset,
-        table_words=table_words, n_updates=n_updates, window=window)
-    if exponents is not None:
-        params["exponents"] = tuple(exponents)
-    return run(spec=ExperimentSpec(exp_id="fig_skew", params=params),
-               options=options)
-
-
-def run_agg(*, nodes: int = 8, seed: int = 2017,
-            exponents: Optional[Sequence[float]] = None,
-            include_hotset: bool = True,
-            watermarks: Optional[Sequence[int]] = None,
-            routing: str = "direct",
-            table_words: int = 1 << 10, n_updates: int = 1 << 12,
-            window: int = 64,
-            options: Optional[RunOptions] = None) -> "Table":
-    """Deprecated 1.x entry point: use :func:`run` with
-    ``exp_id="fig_agg"``."""
-    _deprecated("run_agg", "api.run")
-    params: Dict[str, Any] = dict(
-        nodes=nodes, seed=seed, include_hotset=include_hotset,
-        routing=routing, table_words=table_words, n_updates=n_updates,
-        window=window)
-    if exponents is not None:
-        params["exponents"] = tuple(exponents)
-    if watermarks is not None:
-        params["watermarks"] = tuple(watermarks)
-    return run(spec=ExperimentSpec(exp_id="fig_agg", params=params),
-               options=options)
-
-
-def submit_experiment(*, exp_id: Optional[str] = None,
-                      params: Optional[Mapping[str, Any]] = None,
-                      spec: Optional[ExperimentSpec] = None,
-                      priority: int = 0,
-                      endpoint: Optional[str] = None,
-                      state_dir: str = ".repro-service",
-                      goldens_dir: str = "goldens") -> Dict[str, Any]:
-    """Deprecated 1.x entry point: use :func:`submit`."""
-    _deprecated("submit_experiment", "api.submit")
-    if (exp_id is None) == (spec is None):
-        raise ValueError("pass exactly one of exp_id= or spec=")
-    if spec is not None:
-        if params:
-            raise ValueError("params go inside ExperimentSpec when "
-                             "spec= is used")
-    else:
-        spec = ExperimentSpec(exp_id=exp_id, params=dict(params or {}))
-    return submit(spec=spec, priority=priority, endpoint=endpoint,
-                  state_dir=state_dir, goldens_dir=goldens_dir)

@@ -21,17 +21,16 @@ Usage::
     python -m repro.cli interference --tenants gups,fft,scan
     python -m repro.cli verify --compare             # golden gate (CI)
     python -m repro.cli verify --record              # refresh goldens
-    python -m repro.cli serve --port 7351            # experiment daemon
-    python -m repro.cli submit --exp fig4 --golden-config --port 7351
-    python -m repro.cli submit --spec-file spec.json  # api 2.0 spec
-    python -m repro.cli watch --job JOB --port 7351  # stream progress
-    python -m repro.cli collect --job JOB --port 7351 --verify-golden
+    python -m repro.cli submit --exp fig4 --golden-config  # service job
+    python -m repro.cli submit --spec-file spec.json  # ExperimentSpec
+    python -m repro.cli watch --job JOB              # replay progress
+    python -m repro.cli collect --job JOB --verify-golden
     python -m repro.cli list
 
-The service subcommands (``serve``, ``submit``, ``status``, ``watch``,
-``collect``) talk to a running daemon when ``--port`` is given and
-fall back to the hermetic socket-free inline mode on ``--state-dir``
-otherwise — see docs/service.md.
+The service subcommands (``submit``, ``status``, ``watch``,
+``collect``) work on the state dir named by ``--state-dir``:
+``submit`` runs the job to completion in-process, the others read what
+it stored — see docs/service.md.
 
 Each subcommand prints the figure's data as an aligned table (the same
 rendering the benchmark harness emits).  ``--workers N`` fans
@@ -431,57 +430,22 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _svc_client(args):
-    """ServiceClient when --port names a daemon, InlineClient (the
-    socket-free state-dir mode) otherwise — see docs/service.md."""
-    from repro.service import InlineClient, ServiceClient
-    if args.port:
-        return ServiceClient(args.host, args.port)
-    return InlineClient(args.state_dir, goldens_dir=args.goldens)
-
-
-def cmd_serve(args) -> int:
-    """Boot the experiment service daemon: a priority job queue over
-    the shared cached executor, progress streaming, and the
-    golden-gated result store, served over the JSON-lines protocol on
-    a localhost socket.  SIGTERM/Ctrl-C shut down gracefully,
-    persisting still-queued jobs for the next daemon to resume."""
-    import signal
-    from repro.service import ExperimentService, ServiceServer
-    service = ExperimentService(args.state_dir,
-                                goldens_dir=args.goldens,
-                                exec_workers=args.workers)
-    server = ServiceServer(service, host=args.host,
-                           port=args.port or 7351)
-    host, port = server.address
-    print(f"serving on {host}:{port} (state: {args.state_dir})",
-          flush=True)
-
-    def _term(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _term)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("serve: shutting down (persisting queued jobs)",
-              flush=True)
-    finally:
-        server.stop(drain=False)
-    return 0
+def _service(args):
+    """The experiment service on --state-dir (docs/service.md)."""
+    from repro.service import ExperimentService
+    return ExperimentService(args.state_dir, goldens_dir=args.goldens)
 
 
 def cmd_submit(args) -> int:
     """Submit one experiment; prints the job id (and nothing else, so
-    shells can capture it).  --spec-file takes a unified api 2.0
-    ExperimentSpec JSON document (see docs/api.md); otherwise --exp
-    names the experiment, --golden-config merges the figure's pinned
-    golden params, and --params adds/overrides JSON keyword arguments
-    for the experiment runner."""
+    shells can capture it).  --spec-file takes an ExperimentSpec JSON
+    document (see docs/api.md); otherwise --exp names the experiment,
+    --golden-config merges the figure's pinned golden params, and
+    --params adds/overrides JSON keyword arguments for the experiment
+    runner."""
     import json
     import repro.api as api
     from repro.service import ServiceError
-    endpoint = f"{args.host}:{args.port}" if args.port else None
     if args.spec_file:
         if args.exp or args.params or args.golden_config:
             print("submit: --spec-file already carries the experiment; "
@@ -512,8 +476,7 @@ def cmd_submit(args) -> int:
             params.update(json.loads(args.params))
         spec = api.ExperimentSpec(exp_id=args.exp, params=params)
     try:
-        job = api.submit(spec=spec, priority=args.priority,
-                         endpoint=endpoint, state_dir=args.state_dir,
+        job = api.submit(spec=spec, state_dir=args.state_dir,
                          goldens_dir=args.goldens)
     except (ServiceError, ValueError, KeyError) as err:
         print(f"submit: {err}", file=sys.stderr)
@@ -530,7 +493,7 @@ def cmd_status(args) -> int:
         print("status: pass --job JOB_ID", file=sys.stderr)
         return 2
     try:
-        status = _svc_client(args).status(args.job)
+        status = _service(args).status(args.job)
     except ServiceError as err:
         print(f"status: {err}", file=sys.stderr)
         return 1
@@ -539,17 +502,16 @@ def cmd_status(args) -> int:
 
 
 def cmd_watch(args) -> int:
-    """Stream a job's progress events (one JSON line each) until it
-    reaches a terminal state; replays from --from-seq."""
+    """Print a job's progress events (one JSON line each), replaying
+    from --from-seq."""
     import json
     from repro.service import ServiceError
     if not args.job:
         print("watch: pass --job JOB_ID", file=sys.stderr)
         return 2
     try:
-        for event in _svc_client(args).watch(args.job,
-                                             from_seq=args.from_seq,
-                                             timeout=args.timeout):
+        for event in _service(args).watch(args.job,
+                                          from_seq=args.from_seq):
             print(json.dumps(event, sort_keys=True), flush=True)
     except ServiceError as err:
         print(f"watch: {err}", file=sys.stderr)
@@ -560,16 +522,14 @@ def cmd_watch(args) -> int:
 def cmd_collect(args) -> int:
     """Fetch a finished job's result from the store.  --out writes the
     full record JSON; --verify-golden additionally demands the result
-    was golden-gated and published (exit 1 on divergence — the CI
-    service-smoke contract)."""
+    was golden-gated and published (exit 1 on divergence)."""
     import json
     from repro.service import ServiceError
     if not args.job:
         print("collect: pass --job JOB_ID", file=sys.stderr)
         return 2
     try:
-        record = _svc_client(args).collect(args.job,
-                                           timeout=args.timeout)
+        record = _service(args).collect(args.job)
     except ServiceError as err:
         print(f"collect: {err}", file=sys.stderr)
         return 1
@@ -631,7 +591,6 @@ COMMANDS = {
     "agg": cmd_agg,
     "interference": cmd_interference,
     "verify": cmd_verify,
-    "serve": cmd_serve,
     "submit": cmd_submit,
     "status": cmd_status,
     "watch": cmd_watch,
@@ -725,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "2x this; default 4)")
     p.add_argument("--spec-file", default=None, metavar="SPEC.json",
                    dest="spec_file",
-                   help="submit: unified api 2.0 ExperimentSpec JSON "
-                        "document (replaces --exp/--params)")
+                   help="submit: ExperimentSpec JSON document "
+                        "(replaces --exp/--params)")
     p.add_argument("--routing", choices=["direct", "tree"],
                    default="direct",
                    help="agg: software routing for coalesced frames "
@@ -749,16 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify: determinism axes to check "
                         "(comma list of workers,cache,obs,faults; "
                         "'all' = every axis, 'none' = skip)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="service: daemon host (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=None,
-                   help="service: daemon port (serve defaults to 7351;"
-                        " client subcommands use the socket-free "
-                        "--state-dir mode when omitted)")
     p.add_argument("--state-dir", default=".repro-service",
                    metavar="DIR", dest="state_dir",
-                   help="service: daemon state root (result cache, "
-                        "store, event logs, shutdown journal)")
+                   help="service: state root (result cache, store, "
+                        "event logs)")
     p.add_argument("--exp", default=None, metavar="ID",
                    help="submit: experiment id (see 'repro list' and "
                         "the registry)")
@@ -768,16 +721,11 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="golden_config",
                    help="submit: start from the figure's pinned "
                         "golden-config params")
-    p.add_argument("--priority", type=int, default=0,
-                   help="submit: higher runs earlier (ties are FIFO)")
     p.add_argument("--job", default=None, metavar="JOB_ID",
                    help="status/watch/collect: the job to query")
     p.add_argument("--from-seq", type=int, default=0, dest="from_seq",
                    help="watch: replay events after this sequence "
                         "number")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="watch/collect: give up after this many "
-                        "seconds")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="collect: also write the full result record "
                         "JSON here")

@@ -351,8 +351,9 @@ def run_experiment(exp_id: str, executor=None, **kwargs) -> Table:
 
     With an :class:`~repro.exec.Executor` carrying a cache, the whole
     figure table is memoised under (experiment id, kwargs, repro
-    version): a re-run of an already-computed figure performs zero
-    simulation work.
+    version, source digest, active aggregation and fault sessions): a
+    re-run of an already-computed figure performs zero simulation
+    work.
     """
     exp = REGISTRY.get(exp_id)
     if exp is None:

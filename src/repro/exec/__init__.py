@@ -10,7 +10,8 @@ bit-identical to a serial run:
   ``ProcessPoolExecutor`` with ordered result reassembly and a serial
   fallback (``workers=1``, unpicklable runner, or no pool available);
 * :mod:`repro.exec.cache` — content-addressed on-disk JSON cache keyed
-  by a stable hash of (runner name, params, repro version), with
+  by a stable hash of (runner name, params, repro version, source
+  digest, active aggregation and fault sessions), with
   ``invalidate``/``stats`` APIs; a corrupted entry is recomputed, never
   a crash;
 * :mod:`repro.exec.runner` — the :class:`Executor` glue that

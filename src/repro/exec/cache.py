@@ -3,10 +3,13 @@
 Every finished point (or whole figure table) is stored as one JSON file
 named by the SHA-256 of its canonicalised identity::
 
-    {"runner": "<module.qualname>", "params": {...}, "version": "1.0.0"}
+    {"runner": "<module.qualname>", "params": {...}, "version": "1.0.0",
+     "context": {"source": "<digest>", "agg": ..., "faults": ...}}
 
 so a cache entry is invalidated automatically when the runner, any
-parameter, or the repro package version changes.  Values must be
+parameter, the repro package version, or the package's source code
+changes, and a run under an aggregation or fault session never reads
+the entry of a run outside one (:func:`run_context`).  Values must be
 JSON-serialisable; callers skip caching for points whose results are
 not (e.g. a result carrying a live tracer object).
 
@@ -25,6 +28,7 @@ recomputed and the entry rewritten — never a crash.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -34,7 +38,7 @@ import numpy as np
 
 from repro import __version__
 
-__all__ = ["ResultCache", "cache_key"]
+__all__ = ["ResultCache", "cache_key", "run_context", "source_digest"]
 
 _MISS = object()
 
@@ -75,12 +79,49 @@ def _canonical(obj: Any) -> str:
                       default=_json_default)
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package's Python sources.
+
+    ``__version__`` is not bumped for every change that moves a
+    result, so a warm cache keyed on it alone would serve tables
+    computed by older code.  Computed once per process, on first use.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            digest.update(os.path.relpath(path, root).encode("utf-8"))
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def run_context() -> Dict[str, Any]:
+    """What decides a result besides (runner, params, version): the
+    package sources and the two result-changing scoped sessions
+    (:func:`repro.agg.session`, :func:`repro.faults.session`).  The
+    PDES and tenancy sessions are bit-identical by contract and stay
+    out of the key."""
+    from repro import agg, faults
+    return {"source": source_digest(), "agg": agg.session_spec(),
+            "faults": faults.active()}
+
+
 def cache_key(runner_name: str, params: Mapping[str, Any],
-              version: str = __version__) -> str:
-    """SHA-256 identity of one (runner, params, version) point."""
-    ident = _canonical({"runner": runner_name, "params": dict(params),
-                        "version": version})
-    return hashlib.sha256(ident.encode("utf-8")).hexdigest()
+              version: str = __version__,
+              context: Optional[Mapping[str, Any]] = None) -> str:
+    """SHA-256 identity of one (runner, params, version) point, plus
+    the :func:`run_context` when one is given."""
+    ident: Dict[str, Any] = {"runner": runner_name,
+                             "params": dict(params), "version": version}
+    if context is not None:
+        ident["context"] = dict(context)
+    return hashlib.sha256(_canonical(ident).encode("utf-8")).hexdigest()
 
 
 class ResultCache:
@@ -97,8 +138,9 @@ class ResultCache:
         return os.path.join(self.root, f"{key}.json")
 
     def key(self, runner_name: str, params: Mapping[str, Any],
-            version: str = __version__) -> str:
-        return cache_key(runner_name, params, version)
+            version: str = __version__,
+            context: Optional[Mapping[str, Any]] = None) -> str:
+        return cache_key(runner_name, params, version, context)
 
     # -- storage ---------------------------------------------------------
     def get(self, key: str) -> Tuple[bool, Any]:

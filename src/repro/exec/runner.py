@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, run_context
 from repro.exec.pool import run_points
 from repro.obs import registry as obsreg
 
@@ -82,12 +82,12 @@ class Executor:
         self._obs_points = obsreg.counter("exec.points")
         self._obs_seconds = obsreg.histogram("exec.point.seconds")
 
-    def _key_for(self, name: str, params: Mapping[str, Any]
-                 ) -> Optional[str]:
+    def _key_for(self, name: str, params: Mapping[str, Any],
+                 context: Mapping[str, Any]) -> Optional[str]:
         """Cache key, or None for a point with no canonical identity
         (such a point runs uncached — never under a repr-derived key)."""
         try:
-            return self.cache.key(name, params)
+            return self.cache.key(name, params, context=context)
         except TypeError:
             self._obs_uncacheable.inc()
             return None
@@ -107,7 +107,8 @@ class Executor:
         out: List[Any] = [None] * len(points)
         missing: List[int] = []
         if self.cache is not None:
-            keys = [self._key_for(name, p) for p in points]
+            context = run_context()
+            keys = [self._key_for(name, p, context) for p in points]
             for i, key in enumerate(keys):
                 if key is None:
                     missing.append(i)
@@ -145,7 +146,7 @@ class Executor:
         name = name or runner_name(fn)
         key = None
         if self.cache is not None:
-            key = self._key_for(name, params)
+            key = self._key_for(name, params, run_context())
             if key is not None:
                 hit, value = self.cache.get(key)
                 if hit:

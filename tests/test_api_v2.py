@@ -1,11 +1,11 @@
-"""The api 2.0 contract: one spec, two verbs, warning 1.x shims.
+"""The api contract: one spec, two verbs.
 
-Everything the redesign promises (docs/api.md): :class:`ExperimentSpec`
-carries the whole request; :func:`api.run` threads each field to the
-runner's keyword or a scoped session; :func:`api.submit` takes the same
-spec over the service wire; the six 1.x entry points keep working but
-emit ``DeprecationWarning``; and the spec has an exact JSON round-trip
-(the ``repro submit --spec-file`` format).
+Everything the 2.0 redesign promised (docs/api.md), as kept by 3.0:
+:class:`ExperimentSpec` carries the whole request; :func:`api.run`
+threads each field to the runner's keyword or a scoped session;
+:func:`api.submit` runs the same spec as a stored service job; and the
+spec has an exact JSON round-trip (the ``repro submit --spec-file``
+format).
 """
 
 import json
@@ -193,69 +193,9 @@ def test_submit_rejects_tenants_on_non_tenant_experiment(tmp_path):
         api.submit(spec=spec, state_dir=str(tmp_path))
 
 
-# ---------------------------------------------------------- 1.x shims ---
+# ------------------------------------------------------------ version ---
 
-def test_run_figure_shim_warns_and_matches_run():
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              params={"seed": 1, "nodes": (2,)})
-    new = api.run(spec=spec)
-    with pytest.warns(DeprecationWarning, match="run_figure"):
-        old = api.run_figure(exp_id="fig4", seed=1, nodes=(2,))
-    assert _rows(old) == _rows(new)
-    with pytest.warns(DeprecationWarning):
-        via_spec = api.run_figure(spec=spec)
-    assert _rows(via_spec) == _rows(new)
-
-
-def test_run_sweep_shim_warns_and_matches_run():
-    with pytest.warns(DeprecationWarning, match="run_sweep"):
-        old = api.run_sweep(name="barrier", axes={"nodes": [2]})
-    new = api.run(spec=api.ExperimentSpec(
-        exp_id="sweep:barrier", params={"axes": {"nodes": [2]}}))
-    assert _rows(old) == _rows(new)
-
-
-def test_run_scaleout_shim_warns_and_matches_run():
-    with pytest.warns(DeprecationWarning, match="run_scaleout"):
-        old = api.run_scaleout(workloads=("gups",), nodes=(64,))
-    new = api.run(spec=api.ExperimentSpec(
-        exp_id="fig_scaleout",
-        params={"seed": 2017,
-                "workloads": ("gups",), "nodes": (64,)}))
-    assert _rows(old) == _rows(new)
-
-
-def test_run_skew_shim_warns():
-    with pytest.warns(DeprecationWarning, match="run_skew"):
-        t = api.run_skew(nodes=2, exponents=(0.0,))
-    assert len(t.rows) >= 1
-
-
-def test_run_agg_shim_warns():
-    with pytest.warns(DeprecationWarning, match="run_agg"):
-        t = api.run_agg(nodes=2, exponents=(0.0,), watermarks=(1, 64))
-    assert len(t.rows) >= 1
-
-
-def test_submit_experiment_shim_warns_and_delegates(tmp_path):
-    with pytest.warns(DeprecationWarning, match="submit_experiment"):
-        status = api.submit_experiment(
-            exp_id="fig4", params={"seed": 1, "nodes": [2]},
-            state_dir=str(tmp_path / "svc"))
-    assert status["state"] == "done"
-
-
-def test_shims_reject_ambiguous_arguments():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="exactly one"):
-            api.run_figure()
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="exactly one"):
-            api.submit_experiment(
-                exp_id="fig4",
-                spec=api.ExperimentSpec(exp_id="fig4"))
-
-
-def test_api_version_is_two():
-    assert api.__api_version__.split(".")[0] == "2"
+def test_api_version_is_three():
+    assert api.__api_version__.split(".")[0] == "3"
+    # 3.0 removed functions, not spec fields: 2.x spec files still load
     assert api.SPEC_VERSION == 2

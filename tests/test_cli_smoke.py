@@ -6,6 +6,7 @@ smallest sensible configuration.  Rides in tier-1 CI.
 """
 
 import json
+import os
 
 import pytest
 
@@ -42,7 +43,7 @@ def test_smoke_table_covers_every_subcommand():
     list is trivial)."""
     assert sorted(cli.COMMANDS) == sorted(
         [*TINY, "bench", "cache", "verify",
-         "serve", "submit", "status", "watch", "collect"])
+         "submit", "status", "watch", "collect"])
 
 
 def test_bench_prints_performance_trajectory(tmp_path, capsys):
@@ -178,9 +179,9 @@ def test_verify_record_and_compare_mutually_exclusive(tmp_path):
 
 
 # ------------------------------------------------------------ service ---
-# Inline (socket-free) mode: --state-dir with no --port runs the job
-# in-process and later subcommands read the persisted state dir, which
-# is exactly how the nightly workflow drives it.  docs/service.md.
+# `submit --state-dir` runs the job in-process and later subcommands
+# read the persisted state dir, which is exactly how the nightly
+# workflow drives it.  docs/service.md.
 
 def _submit_tiny(tmp_path, capsys):
     state = str(tmp_path / "svc")
@@ -225,6 +226,31 @@ def test_collect_renders_table_inline(tmp_path, capsys):
     assert job_id in record["job_ids"]
 
 
+def test_pinned_figure_submit_watch_collect_verifies_golden(
+    tmp_path, capsys
+):
+    """The service's end-to-end contract: submit fig4 at its pinned
+    golden config, replay >= 3 events ending in "finished", and collect
+    with --verify-golden, which exits 1 unless the stored result is
+    published and matches the committed golden snapshot."""
+    goldens = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "goldens",
+    )
+    state = str(tmp_path / "svc")
+    common = ["--state-dir", state, "--goldens", goldens]
+    assert cli.main(["submit", "--exp", "fig4", "--golden-config",
+                     *common]) == 0
+    job_id = capsys.readouterr().out.strip()
+    assert cli.main(["watch", "--job", job_id, *common]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) >= 3
+    assert json.loads(lines[-1])["kind"] == "finished"
+    assert cli.main(["collect", "--job", job_id, "--verify-golden",
+                     *common]) == 0
+    assert "matches committed golden" in capsys.readouterr().out
+
+
 def test_submit_requires_exp(capsys):
     assert cli.main(["submit"]) == 2
     assert "--exp" in capsys.readouterr().err
@@ -242,8 +268,8 @@ def test_interference_tenants_expand_to_ordered_pairs(capsys):
 
 
 def test_submit_spec_file_inline(tmp_path, capsys):
-    """The api 2.0 wire format: a unified ExperimentSpec JSON document
-    through `repro submit --spec-file` in the socket-free mode."""
+    """The spec wire format: an ExperimentSpec JSON document through
+    `repro submit --spec-file`."""
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({
         "exp_id": "fig4", "version": 2,

@@ -233,3 +233,78 @@ def test_uncacheable_point_still_runs(tmp_path):
     assert ex.cache.entries() == 0             # nothing was stored
     assert ex.call(lambda _opaque=None: {"v": 1},
                    name="opaque-call", _opaque=Opaque()) == {"v": 1}
+
+
+# --------------------------------------------- what else keys a result ---
+
+def test_aggregation_session_is_part_of_the_cache_identity(tmp_path):
+    """Regression: fig_skew's runner has no ``aggregation=`` keyword,
+    so ``api.run`` applies the spec's AggSpec through ``agg.session``.
+    A cached un-aggregated table must not answer the aggregated run."""
+    import repro.api as api
+    from repro.agg import AggSpec
+    params = {"seed": 2017, "nodes": 2, "exponents": (0.0,),
+              "include_hotset": False, "table_words": 1024,
+              "n_updates": 256}
+    plain = api.ExperimentSpec(exp_id="fig_skew", params=params)
+    aggregated = api.ExperimentSpec(exp_id="fig_skew", params=params,
+                                    aggregation=AggSpec(watermark=64))
+    cached = api.RunOptions(cache_dir=str(tmp_path))
+    api.run(spec=plain, options=cached)
+    warm = api.run(spec=aggregated, options=cached)
+    fresh = api.run(spec=aggregated)
+    assert warm.rows == fresh.rows
+    assert fresh.rows != api.run(spec=plain).rows
+
+
+def test_fault_session_is_part_of_the_cache_identity(tmp_path):
+    from repro import faults
+    calls = []
+
+    def build(n):
+        calls.append(n)
+        return {"v": n}
+
+    ex = Executor(cache_dir=str(tmp_path))
+    ex.call(build, name="demo", n=1)
+    with faults.session(faults.FaultPlan(seed=3, drop_prob=0.1)):
+        ex.call(build, name="demo", n=1)
+        ex.call(build, name="demo", n=1)
+    ex.call(build, name="demo", n=1)
+    assert calls == [1, 1]                     # one miss per context
+    assert ex.cache.hits == 2
+
+
+def test_source_digest_change_misses_the_cache(tmp_path, monkeypatch):
+    """A code change must not warm-hit tables computed by older code."""
+    import repro.exec.cache as cache_mod
+    calls = []
+
+    def build(n):
+        calls.append(n)
+        return {"v": n}
+
+    Executor(cache_dir=str(tmp_path)).call(build, name="demo", n=1)
+    monkeypatch.setattr(cache_mod, "source_digest", lambda: "edited")
+    ex = Executor(cache_dir=str(tmp_path))
+    ex.call(build, name="demo", n=1)
+    assert calls == [1, 1]
+    assert ex.cache.hits == 0
+
+
+def test_unchanged_source_digest_hits_the_cache(tmp_path):
+    from repro.exec.cache import source_digest
+    calls = []
+
+    def build(n):
+        calls.append(n)
+        return {"v": n}
+
+    Executor(cache_dir=str(tmp_path)).call(build, name="demo", n=1)
+    ex = Executor(cache_dir=str(tmp_path))
+    ex.call(build, name="demo", n=1)
+    assert calls == [1]
+    assert ex.cache.hits == 1
+    assert source_digest() == source_digest()
+    assert len(source_digest()) == 64
+

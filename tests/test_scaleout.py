@@ -1,6 +1,6 @@
 """Cluster-projection sweeps (repro.core.scaling scale-out section,
-the ``fig_scaleout`` experiment, and the ``repro.api.run_scaleout``
-facade entry).
+the ``fig_scaleout`` experiment, and its ``repro.api.run`` facade
+entry).
 
 The heavy 64-to-1024-node grid is exercised elsewhere by hand; these
 tests pin the cheap invariants tier-1 can afford: parameter laws,
@@ -72,8 +72,12 @@ def test_scaleout_sweep_grid_order():
 
 # ----------------------------------------------------------- facade ------
 
+def _scaleout_spec(**params):
+    return api.ExperimentSpec(exp_id="fig_scaleout", params=params)
+
+
 def test_run_scaleout_table_shape():
-    table = api.run_scaleout(workloads=("gups",), nodes=(64,))
+    table = api.run(spec=_scaleout_spec(workloads=("gups",), nodes=(64,)))
     assert table.columns == ["workload", "nodes", "dv_per_pe",
                              "mpi_per_pe", "dv_total", "mpi_total"]
     (row,) = table.rows
@@ -83,7 +87,7 @@ def test_run_scaleout_table_shape():
 
 def test_run_scaleout_is_keyword_only():
     with pytest.raises(TypeError):
-        api.run_scaleout(("gups",), (64,))
+        api.run(_scaleout_spec(workloads=("gups",), nodes=(64,)))
 
 
 def test_facade_public_callables_are_keyword_only():

@@ -1,20 +1,18 @@
 #!/usr/bin/env python
-"""Lint gate: the ``repro.api`` facade honours the 2.0 contract.
+"""Lint gate: the ``repro.api`` facade honours the 3.0 contract.
 
 Ruff has no rule for "public signatures must be keyword-only", so
 ``make lint`` runs this instead (see the per-file-ignores note in
 pyproject.toml).  The check is pure AST — no imports of the package —
-and enforces four things on ``src/repro/api.py``:
+and enforces three things on ``src/repro/api.py``:
 
 * **keyword-only**: no public (non-underscore) module-level function
   or public method accepts positional arguments beyond ``self`` — no
   positional-only params, no positional-or-keyword params, no
   ``*args``;
-* **surface**: every name the 2.0 contract promises
-  (:data:`REQUIRED_SURFACE`) is defined;
-* **deprecation**: every 1.x shim (:data:`DEPRECATED`) contains a
-  ``warnings.warn(..., DeprecationWarning)`` call — old names must
-  keep working but must say so;
+* **surface**: every name the 3.0 contract promises
+  (:data:`REQUIRED_SURFACE`) is defined, and ``__all__`` lists exactly
+  those names plus ``__api_version__`` — no extra public names;
 * **version**: ``__api_version__`` has major version
   :data:`EXPECTED_MAJOR`.
 
@@ -29,7 +27,7 @@ import sys
 
 API_FILE = pathlib.Path(__file__).resolve().parents[1] / "src/repro/api.py"
 
-#: Names the api 2.0 contract promises (functions and classes).
+#: Names the api 3.0 contract promises (functions and classes).
 REQUIRED_SURFACE = {
     "ExperimentSpec", "RunOptions", "GoldenVerdict",
     "spec_to_dict", "spec_from_dict",
@@ -38,31 +36,22 @@ REQUIRED_SURFACE = {
     "poll", "collect",
 }
 
-#: 1.x shims that must warn before delegating.
-DEPRECATED = {
-    "run_figure", "run_sweep", "run_scaleout", "run_skew", "run_agg",
-    "submit_experiment",
-}
-
 #: Required major version of ``__api_version__``.
-EXPECTED_MAJOR = 2
+EXPECTED_MAJOR = 3
 
 
-def _warns_deprecation(fn: ast.FunctionDef) -> bool:
-    """True when the function body (or a helper it calls by the
-    conventional ``_deprecated`` name) issues a DeprecationWarning."""
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if isinstance(callee, ast.Name) and callee.id == "_deprecated":
-            return True
-        if (isinstance(callee, ast.Attribute) and callee.attr == "warn"
-                and any(isinstance(a, ast.Name)
-                        and a.id == "DeprecationWarning"
-                        for a in node.args)):
-            return True
-    return False
+def _literal_strings(node: ast.expr) -> list[str] | None:
+    """The strings of a literal list/tuple, or None for anything
+    else."""
+    if not isinstance(node, (ast.List, ast.Tuple)):
+        return None
+    out = []
+    for elt in node.elts:
+        if not (isinstance(elt, ast.Constant)
+                and isinstance(elt.value, str)):
+            return None
+        out.append(elt.value)
+    return out
 
 
 def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
@@ -87,15 +76,11 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
 
     defined = set()
     version = None
+    exported = None
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             defined.add(node.name)
             check(node)
-            if node.name in DEPRECATED and not _warns_deprecation(node):
-                out.append(
-                    f"{path}:{node.lineno}: {node.name}: deprecated "
-                    f"1.x shim must warnings.warn(..., "
-                    f"DeprecationWarning)")
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             defined.add(node.name)
             for item in node.body:
@@ -107,13 +92,23 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
                         and tgt.id == "__api_version__"
                         and isinstance(node.value, ast.Constant)):
                     version = node.value.value
+                if isinstance(tgt, ast.Name) and tgt.id == "__all__":
+                    exported = _literal_strings(node.value)
 
     for name in sorted(REQUIRED_SURFACE - defined):
-        out.append(f"{path}:1: required api 2.0 name {name!r} is not "
+        out.append(f"{path}:1: required api 3.0 name {name!r} is not "
                    f"defined")
-    for name in sorted(DEPRECATED - defined):
-        out.append(f"{path}:1: deprecated 1.x name {name!r} must stay "
-                   f"defined (as a warning shim) until 3.0")
+    if exported is None:
+        out.append(f"{path}:1: __all__ is not a literal list of "
+                   f"strings")
+    else:
+        public = set(exported) - {"__api_version__"}
+        for name in sorted(public - REQUIRED_SURFACE):
+            out.append(f"{path}:1: __all__ exports {name!r}, which is "
+                       f"not in the api 3.0 surface")
+        for name in sorted(REQUIRED_SURFACE - public):
+            out.append(f"{path}:1: __all__ is missing api 3.0 name "
+                       f"{name!r}")
     if version is None:
         out.append(f"{path}:1: __api_version__ is not a literal "
                    f"assignment")
@@ -131,7 +126,7 @@ def main(argv: list[str]) -> int:
         print(line)
     if offences:
         print(f"check_api_signatures: {len(offences)} offence(s) — "
-              f"the repro.api contract is keyword-only", file=sys.stderr)
+              f"repro.api breaks its 3.0 contract", file=sys.stderr)
         return 1
     print(f"check_api_signatures: {path.name} ok")
     return 0
