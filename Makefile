@@ -84,19 +84,19 @@ test-tenancy:
 	$(PYTEST) -x -q tests/test_tenancy.py tests/test_api_v2.py
 
 skew:
-	$(REPRO) skew --nodes 4
+	$(REPRO) run fig_skew
 
 agg:
-	$(REPRO) agg --nodes 8
+	$(REPRO) run fig_agg
 
 interference:
-	$(REPRO) interference
+	$(REPRO) run fig_interference
 
 bench:
 	$(PYTEST) -q -m slow benchmarks/test_perf_regression.py
 
 scaleout:
-	$(REPRO) scaleout --workers 4 --cache .repro-cache
+	$(REPRO) run fig_scaleout --workers 4 --cache .repro-cache
 
 obs:
 	PYTHONPATH=src $(PYTHON) -m repro.cli obs --nodes 4

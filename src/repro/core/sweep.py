@@ -1,6 +1,6 @@
 """Parameter-sweep helper for experiments.
 
-A tiny declarative layer used by the CLI (and available to users) to run
+A tiny declarative layer used by ``api.run`` (and available to users) to run
 a benchmark function over a grid of parameters and collect rows into a
 :class:`~repro.core.report.Table`.  Execution streams through
 :class:`repro.exec.Executor`, so every sweep gains parallel fan-out and
@@ -81,7 +81,7 @@ class Sweep:
         return self.run_table(title, columns, executor=executor)
 
 
-# -- named sweeps (CLI: ``repro sweep --name gups``) -------------------------
+# -- named sweeps (CLI: ``repro run sweep:gups``) ----------------------------
 #
 # Module-level runners so they pickle into pool workers and carry stable
 # cache identities.
@@ -125,7 +125,7 @@ NAMED_SWEEPS: Dict[str, Dict[str, Any]] = {
 
 def named_sweep(name: str, axes: Optional[Dict[str, Sequence[Any]]] = None,
                 fixed: Optional[Dict[str, Any]] = None) -> Sweep:
-    """Build one of the :data:`NAMED_SWEEPS` (CLI entry point)."""
+    """Build one of the :data:`NAMED_SWEEPS` (``api.run``'s sweep arm)."""
     try:
         spec = NAMED_SWEEPS[name]
     except KeyError:

@@ -2,7 +2,7 @@
 
 Everything that executes a grid of experiment points —
 ``Sweep.run``, ``switch_scaling``/``cluster_scaling``,
-``run_experiment`` and the CLI subcommands — routes through one
+``run_experiment`` and ``repro run`` — routes through one
 :class:`Executor`, so parallelism, caching and per-point metrics live
 in exactly one place:
 

@@ -3,7 +3,7 @@
 This module generalises the per-feature differential tests that grew up
 with the obs, exec, and faults layers (obs on/off bit-identity, serial
 vs parallel pools, warm-cache equivalence, all-zero fault plans) into
-**one driver**: every golden figure is re-run along six axes —
+**one driver**: every golden figure is re-run along seven axes —
 
 * ``workers`` — serial in-process vs a two-worker process pool,
 * ``cache``  — cold run vs a warm re-run through a result cache,

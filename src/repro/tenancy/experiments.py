@@ -62,7 +62,8 @@ WORKLOAD_PARAMS: Dict[str, Dict[str, Any]] = {
 def default_pairs(tenants: Optional[Sequence[str]] = None
                   ) -> Tuple[Tuple[str, str], ...]:
     """The pair list: all ordered pairs over ``tenants`` when given
-    (the CLI ``--tenants`` idiom), else :data:`DEFAULT_PAIRS`."""
+    (the ``fig_interference`` ``tenants`` param), else
+    :data:`DEFAULT_PAIRS`."""
     if tenants is None:
         return DEFAULT_PAIRS
     names = list(tenants)

@@ -1,8 +1,10 @@
-"""Every CLI subcommand runs end-to-end with tiny params and exits 0.
+"""Every CLI verb runs end-to-end with tiny params and exits 0.
 
 The per-command tests elsewhere check *content*; this module is the
-breadth gate: no subcommand may crash, hang, or return nonzero at its
-smallest sensible configuration.  Rides in tier-1 CI.
+breadth gate: every id ``repro run`` accepts (each registry experiment
+with a runner, each named sweep) must run at its smallest sensible
+configuration and exit 0, and ``--golden-config`` must reproduce the
+committed goldens.  Rides in tier-1 CI.
 """
 
 import json
@@ -11,39 +13,144 @@ import os
 import pytest
 
 from repro import __version__, cli
+from repro.core.experiments import REGISTRY
+from repro.core.report import Table
+from repro.core.sweep import NAMED_SWEEPS
+from repro.golden import AXES, GOLDEN_CONFIGS, GoldenStore
+
+REPO_GOLDENS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "goldens")
+
+#: Every id ``repro run`` can execute.
+RUNNABLE = sorted([e for e, x in REGISTRY.items() if x.runner is not None]
+                  + [f"sweep:{name}" for name in NAMED_SWEEPS])
 
 TINY = {
-    "fig3": ["--max-log2-words", "3", "--iters", "1"],
-    "fig4": ["--nodes", "2", "--iters", "1"],
-    "fig5": ["--nodes", "2"],
-    "fig6": ["--nodes", "2"],
-    "fig7": ["--nodes", "2", "--log2-points", "10"],
-    "fig8": ["--nodes", "2", "--scale", "7", "--roots", "1"],
-    "fig9": ["--nodes", "2"],
-    "chase": ["--nodes", "2", "--hops", "8"],
-    "spmv": ["--nodes", "2", "--scale", "6"],
-    "scaling": ["--workers", "2"],
-    "scaleout": ["--nodes", "64", "--workloads", "gups"],
-    "skew": ["--nodes", "2", "--exponents", "0,1.2"],
-    "agg": ["--nodes", "2", "--exponents", "0", "--watermarks",
-            "1,64"],
-    "interference": ["--pairs", "gups:fft", "--fabrics", "mpi",
-                     "--tenant-nodes", "4"],
-    "sweep": ["--name", "barrier", "--nodes", "2"],
-    "figures": ["--figs", "fig4"],
-    "obs": ["--nodes", "2"],
-    "faults": ["--drops", "0,0.02", "--workloads", "gups",
-               "--nodes", "2"],
+    "fig3a": {"sizes": [1, 8]},
+    "fig3b": {"sizes": [1]},
+    "fig4": {"nodes": [2]},
+    "fig6a": {"nodes": [2]},
+    "fig6b": {"nodes": [2]},
+    "fig7": {"nodes": [2]},
+    "fig8": {"nodes": [2]},
+    "fig9": {"n_nodes": 2},
+    "fig_scaleout": {"nodes": [64], "workloads": ["gups"]},
+    "fig_skew": {"nodes": 2, "exponents": [0, 1.2]},
+    "fig_agg": {"nodes": 2, "exponents": [0], "watermarks": [1, 64]},
+    "fig_interference": {"pairs": [["gups", "fft"]],
+                         "fabrics": ["mpi"]},
+    "fig_faults": {"drops": [0, 0.02], "workloads": ["gups"],
+                   "nodes": 2},
+    "fig_switch_scaling": {"heights": [4, 8], "per_port": 8},
+    "sweep:barrier": {"axes": {"nodes": [2]}},
+    "sweep:gups": {"axes": {"nodes": [2]}},
 }
 
 
 def test_smoke_table_covers_every_subcommand():
-    """If a new subcommand appears it must get a smoke entry (bench,
-    cache, verify and the service family have dedicated tests below;
-    list is trivial)."""
-    assert sorted(cli.COMMANDS) == sorted(
-        [*TINY, "bench", "cache", "verify",
-         "submit", "status", "watch", "collect"])
+    """Every runnable registry id and named sweep needs a tiny entry, so
+    a new experiment cannot join the registry without a smoke run."""
+    assert sorted(TINY) == RUNNABLE
+
+
+@pytest.mark.parametrize("exp_id", RUNNABLE)
+def test_subcommand_exits_zero(exp_id, capsys):
+    assert cli.main(["run", exp_id,
+                     "--params", json.dumps(TINY[exp_id])]) == 0
+    assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("exp_id", RUNNABLE)
+def test_run_without_params_uses_registry_defaults(exp_id, monkeypatch):
+    """No spec flag means no params: the runner's own defaults apply,
+    never a CLI-side default grid.  api.run is spied, so nothing
+    simulates."""
+    import repro.api as api
+
+    specs = []
+
+    def spy(*, spec, options=None):
+        specs.append(spec)
+        return Table("spy", ["x"])
+
+    monkeypatch.setattr(api, "run", spy)
+    assert cli.main(["run", exp_id]) == 0
+    assert [(s.exp_id, dict(s.params)) for s in specs] == [(exp_id, {})]
+
+
+@pytest.mark.parametrize("fig", sorted(GOLDEN_CONFIGS))
+def test_run_golden_config_prints_committed_golden(fig, capsys):
+    assert cli.main(["run", fig, "--golden-config", "--csv"]) == 0
+    golden, _entry = GoldenStore(REPO_GOLDENS).load(fig,
+                                                    GOLDEN_CONFIGS[fig])
+    assert golden is not None
+    assert capsys.readouterr().out.strip() == golden.to_csv()
+
+
+def test_run_several_ids_share_params(capsys):
+    assert cli.main(["run", "fig4", "fig6a",
+                     "--params", '{"nodes": [2]}']) == 0
+    out = capsys.readouterr().out
+    assert "fig4: barrier latency" in out and "fig6: GUPS" in out
+
+
+def test_run_trace_figure_has_no_runner(capsys):
+    assert cli.main(["run", "fig5"]) == 2
+    err = capsys.readouterr().err
+    assert "no table runner (see benchmarks/test_fig5_trace.py)" in err
+
+
+def test_run_unknown_id_exits_two(capsys):
+    assert cli.main(["run", "fig99"]) == 2
+    assert "unknown experiment 'fig99'" in capsys.readouterr().err
+
+
+def test_run_rejects_bad_params_json(capsys):
+    assert cli.main(["run", "fig4", "--params", "[2, 4]"]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_run_spec_file(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 2,
+                                     "params": {"nodes": [2]}}))
+    assert cli.main(["run", "--spec-file", str(spec_file),
+                     "--csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["nodes,dv,dv_fast,mpi", lines[1]]
+    assert lines[1].startswith("2,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--watermarks", "1"],
+    ["run", "fig4", "--job", "x"],
+    ["submit", "fig4", "--workers", "2"],
+    ["list", "--csv"],
+    ["status", "--job", "x", "--goldens", "goldens"],
+])
+def test_foreign_flag_exits_two(argv, capsys):
+    """Each verb accepts only its own flags (the old parser took all 39
+    on every command and ignored the ones it did not use)."""
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["status", "watch", "collect"])
+def test_job_is_required(verb, capsys):
+    assert cli.main([verb]) == 2
+    assert "--job" in capsys.readouterr().err
+
+
+def test_verify_axes_help_names_every_axis(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert ",".join(AXES) in " ".join(capsys.readouterr().out.split())
+
+
+def test_obs_exits_zero(capsys):
+    assert cli.main(["obs", "--nodes", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 def test_bench_prints_performance_trajectory(tmp_path, capsys):
@@ -76,12 +183,6 @@ def test_bench_reads_repo_bench_file(capsys):
     assert "benchmark" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", sorted(TINY))
-def test_subcommand_exits_zero(command, capsys):
-    assert cli.main([command, *TINY[command]]) == 0
-    assert capsys.readouterr().out.strip()
-
-
 def test_list_exits_zero(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
@@ -90,7 +191,7 @@ def test_list_exits_zero(capsys):
 
 def test_cache_subcommand_exits_zero(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    assert cli.main(["fig4", "--nodes", "2", "--iters", "1",
+    assert cli.main(["run", "fig4", "--params", '{"nodes": [2]}',
                      "--cache", cache]) == 0
     capsys.readouterr()
     assert cli.main(["cache", "--cache", cache]) == 0
@@ -186,7 +287,7 @@ def test_verify_record_and_compare_mutually_exclusive(tmp_path):
 def _submit_tiny(tmp_path, capsys):
     state = str(tmp_path / "svc")
     assert cli.main([
-        "submit", "--exp", "fig4",
+        "submit", "fig4",
         "--params", '{"seed": 1, "nodes": [2]}',
         "--state-dir", state,
     ]) == 0
@@ -233,14 +334,10 @@ def test_pinned_figure_submit_watch_collect_verifies_golden(
     golden config, replay >= 3 events ending in "finished", and collect
     with --verify-golden, which exits 1 unless the stored result is
     published and matches the committed golden snapshot."""
-    goldens = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "goldens",
-    )
     state = str(tmp_path / "svc")
-    common = ["--state-dir", state, "--goldens", goldens]
-    assert cli.main(["submit", "--exp", "fig4", "--golden-config",
-                     *common]) == 0
+    common = ["--state-dir", state]
+    assert cli.main(["submit", "fig4", "--golden-config",
+                     "--goldens", REPO_GOLDENS, *common]) == 0
     job_id = capsys.readouterr().out.strip()
     assert cli.main(["watch", "--job", job_id, *common]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -257,8 +354,9 @@ def test_submit_requires_exp(capsys):
 
 
 def test_interference_tenants_expand_to_ordered_pairs(capsys):
-    assert cli.main(["interference", "--tenants", "gups,fft", "--csv",
-                     "--fabrics", "mpi"]) == 0
+    params = '{"tenants": ["gups", "fft"], "fabrics": ["mpi"]}'
+    assert cli.main(["run", "fig_interference", "--params", params,
+                     "--csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("victim,aggressor")
     assert "mpi_slowdown" in lines[0]
@@ -288,8 +386,8 @@ def test_submit_spec_file_inline(tmp_path, capsys):
 def test_submit_spec_file_conflicts_with_exp(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 2}))
-    assert cli.main(["submit", "--spec-file", str(spec_file),
-                     "--exp", "fig4"]) == 2
+    assert cli.main(["submit", "fig4", "--spec-file",
+                     str(spec_file)]) == 2
     assert "--spec-file" in capsys.readouterr().err
 
 
@@ -309,6 +407,6 @@ def test_status_unknown_job_exits_one(tmp_path, capsys):
 
 
 def test_submit_rejects_unknown_golden_config(tmp_path, capsys):
-    assert cli.main(["submit", "--exp", "chase", "--golden-config",
+    assert cli.main(["submit", "fig_faults", "--golden-config",
                      "--state-dir", str(tmp_path / "svc")]) == 2
     assert "no golden config" in capsys.readouterr().err

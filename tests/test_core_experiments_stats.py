@@ -14,7 +14,8 @@ def test_registry_covers_every_figure():
     assert set(REGISTRY) == {"fig3a", "fig3b", "fig4", "fig5", "fig6a",
                              "fig6b", "fig7", "fig8", "fig9",
                              "fig_scaleout", "fig_skew", "fig_agg",
-                             "fig_interference"}
+                             "fig_interference", "fig_faults",
+                             "fig_switch_scaling"}
 
 
 def test_registry_entries_complete():
@@ -53,6 +54,21 @@ def test_run_experiment_fig4_small():
 def test_run_experiment_fig6_small():
     t = run_experiment("fig6a", nodes=(4,))
     assert t.column("dv_per_pe")[0] > t.column("mpi_per_pe")[0]
+
+
+def test_run_experiment_hands_its_executor_to_the_runner(tmp_path):
+    """A runner with an ``executor=`` keyword fans its own points
+    through the caller's executor: with a cache, every switch size is
+    stored beside the whole-figure entry, and the table matches the
+    executor-free run."""
+    from repro.exec import Executor
+    executor = Executor(cache_dir=str(tmp_path))
+    kw = dict(heights=(4, 8), per_port=8)
+    t = run_experiment("fig_switch_scaling", executor=executor, **kw)
+    assert executor.cache.stats()["entries"] == 3   # 2 points + figure
+    assert t.to_dict() == run_experiment("fig_switch_scaling",
+                                         **kw).to_dict()
+    assert t.column("ports") == [8, 16]
 
 
 # ----------------------------------------------------------------- stats ---

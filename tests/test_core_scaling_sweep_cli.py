@@ -87,78 +87,72 @@ def test_sweep_table():
 def test_cli_list(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in ("fig3", "fig4", "fig9", "chase"):
+    for name in ("run", "fig3a", "fig4", "fig9", "fig_faults",
+                 "fig_switch_scaling", "sweep:gups"):
         assert name in out
 
 
 def test_cli_fig4_small(capsys):
-    assert cli.main(["fig4", "--nodes", "2,4", "--iters", "2"]) == 0
+    assert cli.main(["run", "fig4", "--params", '{"nodes": [2, 4]}']) == 0
     out = capsys.readouterr().out
     assert "barrier latency" in out
     assert "mpi" in out
 
 
 def test_cli_csv_mode(capsys):
-    assert cli.main(["fig4", "--nodes", "2", "--iters", "2",
+    assert cli.main(["run", "fig4", "--params", '{"nodes": [2]}',
                      "--csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].startswith("nodes,")
 
 
-def test_cli_rejects_unknown_command():
-    with pytest.raises(SystemExit):
-        cli.main(["fig99"])
-
-
-def test_cli_nodes_parser():
-    assert cli._nodes_list("2,4,8") == [2, 4, 8]
-    assert cli._nodes_list("16") == [16]
-
-
-def test_cli_spmv_command(capsys):
-    assert cli.main(["spmv", "--nodes", "2", "--scale", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "SpMV" in out and "dv" in out
+def test_cli_rejects_unknown_command(capsys):
+    assert cli.main(["fig99"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_plot_flag(capsys):
-    assert cli.main(["fig4", "--nodes", "2,4", "--iters", "2",
+    assert cli.main(["run", "fig4", "--params", '{"nodes": [2, 4]}',
                      "--plot"]) == 0
     out = capsys.readouterr().out
     assert "o=dv" in out            # chart legend rendered
 
 
 def test_cli_sweep_command(capsys):
-    assert cli.main(["sweep", "--name", "barrier",
-                     "--nodes", "2,4"]) == 0
+    assert cli.main(["run", "sweep:barrier",
+                     "--params", '{"axes": {"nodes": [2, 4]}}']) == 0
     out = capsys.readouterr().out
     assert "barrier latency" in out and "latency_us" in out
 
 
 def test_cli_sweep_unknown_name_rejected(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["sweep", "--name", "nope"])
+    assert cli.main(["run", "sweep:nope"]) == 2
+    assert "unknown sweep 'nope'" in capsys.readouterr().err
 
 
 def test_cli_figures_selected(capsys):
-    assert cli.main(["figures", "--figs", "fig4"]) == 0
+    assert cli.main(["run", "fig4", "fig6a",
+                     "--params", '{"nodes": [2]}']) == 0
     out = capsys.readouterr().out
-    assert "fig4" in out
+    assert "fig4" in out and "fig6" in out
 
 
 def test_cli_scaling_with_workers_and_cache(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    assert cli.main(["scaling", "--workers", "2", "--cache",
-                     cache]) == 0
+    assert cli.main(["run", "fig_switch_scaling", "--workers", "2",
+                     "--cache", cache]) == 0
     first = capsys.readouterr().out
-    assert cli.main(["scaling", "--cache", cache]) == 0
+    assert cli.main(["run", "fig_switch_scaling", "--cache", cache]) == 0
     second = capsys.readouterr().out
     assert second == first          # warm cache, identical table
+    assert cli.main(["run", "fig_switch_scaling"]) == 0
+    assert capsys.readouterr().out == first     # and equal to uncached
 
 
 def test_cli_cache_stats_and_clear(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    assert cli.main(["sweep", "--name", "barrier", "--nodes", "2",
+    assert cli.main(["run", "sweep:barrier",
+                     "--params", '{"axes": {"nodes": [2]}}',
                      "--cache", cache]) == 0
     capsys.readouterr()
     assert cli.main(["cache", "--cache", cache]) == 0
@@ -169,14 +163,15 @@ def test_cli_cache_stats_and_clear(tmp_path, capsys):
     assert "cleared 1" in out
 
 
-def test_cli_cache_requires_dir():
-    with pytest.raises(SystemExit):
-        cli.main(["cache"])
+def test_cli_cache_requires_dir(capsys):
+    assert cli.main(["cache"]) == 2
+    assert "--cache" in capsys.readouterr().err
 
 
 def test_cli_plot_non_numeric_x_graceful(capsys):
     # fig9's x column is the application name: not plottable, but the
     # CLI must not crash
-    assert cli.main(["fig9", "--nodes", "2", "--plot"]) == 0
+    assert cli.main(["run", "fig9", "--params", '{"n_nodes": 2}',
+                     "--plot"]) == 0
     out = capsys.readouterr().out
     assert "not plottable" in out or "o=" in out

@@ -260,7 +260,8 @@ def test_api_surface():
 
 def test_cli_skew_smoke(capsys):
     from repro.cli import main
-    rc = main(["skew", "--nodes", "2", "--exponents", "0,1.2"])
+    rc = main(["run", "fig_skew",
+               "--params", '{"nodes": 2, "exponents": [0, 1.2]}'])
     out = capsys.readouterr().out
     assert rc == 0
     assert "fig_skew" in out and "dv_over_mpi" in out
