@@ -194,9 +194,8 @@ def alltoall(ep: "MPIEndpoint", chunks: List[Any]) -> Generator:
     order = [(rank + i) % p for i in range(1, p)]
     recvs = {src: ep.irecv(src, tag=tag) for src in order}
     sends = [ep.isend(dst, chunks[dst], tag=tag) for dst in order]
+    if order:
+        yield ep.waitall(list(recvs.values()) + sends)
     for src, req in recvs.items():
-        got, _, _ = yield req
-        out[src] = got
-    for req in sends:
-        yield req
+        out[src] = req.value[0]
     return out

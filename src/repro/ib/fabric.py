@@ -183,7 +183,7 @@ class IBFabric:
         receiver = self._receivers[dst]
         if receiver is not None:
             receiver(src, kind, payload, nbytes)
-        done.succeed(payload)
+        done._succeed_soon(payload)
 
 
 class ShardedIBFabric(IBFabric):

@@ -2,7 +2,8 @@
 
 Each rank holds an :class:`MPIEndpoint` with blocking ``send``/``recv``
 (generator methods driven from the rank process), non-blocking
-``isend``/``irecv`` (returning joinable processes), and the usual
+``isend``/``irecv`` (returning joinable :class:`Request` events driven
+by callbacks, no process per message), ``waitall``, and the usual
 collectives.  The eager/rendezvous protocol switch, receive-side copies,
 unexpected-message queueing, and per-message software overheads follow
 how a real MPI-over-IB stack behaves — these are precisely the costs the
@@ -14,9 +15,11 @@ moves actual data, so benchmark results can be validated numerically.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from repro.ib.fabric import IBFabric
 from repro.obs import registry as obsreg
 from repro.sim.engine import Engine
 from repro.sim.events import CompletionEvent, Event
-from repro.sim.resources import Resource
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -70,10 +72,62 @@ class _Arrival:
     stamp: int = 0       # matching order among unexpected arrivals
 
 
-class _PostedRecv(Event):
-    """A blocked receive's event, stamped with its post order."""
+class Request(Event):
+    """Handle of one non-blocking operation (:meth:`MPIEndpoint.isend`,
+    :meth:`MPIEndpoint.irecv`).
 
-    __slots__ = ("stamp",)
+    No process drives it: the protocol steps are plain callbacks, and
+    the last one succeeds the request with the operation's value.
+    ``tests/test_mpi_requests.py`` holds the schedule to a
+    process-per-request oracle, entry for entry.
+    """
+
+    __slots__ = ()
+
+
+class _Wait(Event):
+    """What a blocking call's rank process waits on.
+
+    The protocol step that completes the call fires it in place, so the
+    process resumes inside that step's entry, not one queue pass later.
+    """
+
+    __slots__ = ()
+
+    def _fire(self, value: Any) -> None:
+        self._ok = True
+        self._value = value
+        self._process()
+
+
+class _Join(_Wait):
+    """:meth:`MPIEndpoint.waitall`: joins its requests one at a time,
+    in list order, as a process yielding each in turn would — waiting
+    for a request still in flight, re-delivering one already processed
+    on a fresh queue pass — but as callbacks, so the waiting process
+    resumes once, when the last join step fires this event in place.
+    """
+
+    __slots__ = ("_requests", "_next")
+
+    def __init__(self, engine: Engine, requests: List[Event],
+                 name: str) -> None:
+        super().__init__(engine, name=name)
+        self._requests = requests
+        self._next = 0
+        self._step()
+
+    def _step(self, _ev: Any = None) -> None:
+        i = self._next
+        if i == len(self._requests):
+            self._fire(None)
+            return
+        self._next = i + 1
+        callbacks = self._requests[i].callbacks
+        if callbacks is None:
+            self.engine.call_soon(self._step)
+        else:
+            callbacks.append(self._step)
 
 
 class MPIEndpoint:
@@ -86,9 +140,11 @@ class MPIEndpoint:
         self.config = runtime.config
         self.fabric = runtime.fabric
         #: host CPU serialising per-message software overheads — two
-        #: concurrent isends cannot both burn the core at once
-        self._cpu = Resource(runtime.engine, capacity=1,
-                             name=f"mpi{rank}:cpu")
+        #: concurrent isends cannot both burn the core at once; later
+        #: claims wait here, FIFO, as ``(step, args)`` (see _cpu)
+        self._cpu_busy = False
+        self._cpu_queue: Deque[Tuple[Callable, tuple]] = (
+            collections.deque())
         # Matching queues, bucketed by (src, tag) so an arrival or a
         # specific receive looks at O(1) entries, not O(P).  Buckets hold
         # stamped items in stamp order; the per-endpoint stamp orders
@@ -97,13 +153,16 @@ class MPIEndpoint:
         # match in post (or arrival) order".  Empty buckets are deleted:
         # every collective uses a fresh tag.
         self._stamp = 0
-        #: posted receives, keyed by their (src, tag) pattern (wildcards
-        #: included)
-        self._recv_waiters: Dict[Tuple[int, int], List[_PostedRecv]] = {}
+        #: posted receives as ``(stamp, finish)``, keyed by their
+        #: (src, tag) pattern (wildcards included)
+        self._recv_waiters: Dict[Tuple[int, int],
+                                 List[Tuple[int, Callable]]] = {}
         #: unexpected arrivals, keyed by their actual (src, tag)
         self._unexpected: Dict[Tuple[int, int], List[_Arrival]] = {}
-        self._cts_waiters: Dict[int, Event] = {}
-        self._data_waiters: Dict[int, Event] = {}
+        #: rendezvous sends waiting for their CTS, by RTS id
+        self._cts_waiters: Dict[int, tuple] = {}
+        #: rendezvous receives waiting for their data, by RTS id
+        self._data_waiters: Dict[int, tuple] = {}
         # MPI non-overtaking: every eager/RTS envelope carries a
         # per-(src, dst) sequence number stamped at send time; the
         # receiver releases arrivals to matching strictly in that
@@ -115,8 +174,9 @@ class MPIEndpoint:
         self._recv_held: Dict[int, Dict[int, _Arrival]] = {}
         self._collective_seq = itertools.count()
         self._verbs = None
-        # hot-path event and process labels, formatted once per rank
+        # hot-path event labels, formatted once per rank
         self._recv_name = f"recv@{rank}"
+        self._send_name = f"send@{rank}"
         self._isend_name = f"isend @{rank}"
         self._irecv_name = f"irecv @{rank}"
         # shared series across endpoints; label picks apart the protocol
@@ -148,12 +208,13 @@ class MPIEndpoint:
             self.verbs._serve(kind, envelope)
             return
         if kind == "cts":
-            rts_id = envelope
-            self._cts_waiters.pop(rts_id).succeed(None)
+            self.engine.call_soon(self._handshake,
+                                  *self._cts_waiters.pop(envelope))
             return
         if kind == "rdata":
             rts_id, data = envelope
-            self._data_waiters.pop(rts_id).succeed(data)
+            finish, src, tag = self._data_waiters.pop(rts_id)
+            self.engine.call_soon(finish, (data, src, tag))
             return
         tag, rts_id, data, seq = envelope
         arrival = _Arrival(src, tag, kind, data, nbytes, rts_id)
@@ -183,10 +244,11 @@ class MPIEndpoint:
                     (ANY_SOURCE, ANY_TAG)):
             bucket = waiters.get(key)
             if bucket is not None and (best is None
-                                       or bucket[0].stamp < best[0].stamp):
+                                       or bucket[0][0] < best[0][0]):
                 best, best_key = bucket, key
         if best is not None:
-            _take(waiters, best_key).succeed(arrival)
+            _stamp, finish = _take(waiters, best_key)
+            self.engine.call_soon(self._arrived, arrival, finish)
             return
         self._stamp += 1
         arrival.stamp = self._stamp
@@ -197,47 +259,62 @@ class MPIEndpoint:
         self._send_seq[dest] = seq + 1
         return seq
 
-    def _overhead(self):
-        """Serialised per-message software cost (o in LogGP terms)."""
-        yield self._cpu.acquire()
-        try:
-            yield self.engine.timeout(self.config.sw_overhead_s)
-        finally:
-            self._cpu.release()
+    # -- host CPU --------------------------------------------------------------
+    def _cpu(self, step: Callable, *args) -> None:
+        """Run ``step(*args)`` once the host CPU has spent one software
+        overhead (o in LogGP terms) on it, FIFO behind earlier claims.
 
-    # -- point to point -----------------------------------------------------
-    def send(self, dest: int, payload: Any, *, tag: int = 0,
-             nbytes: Optional[int] = None) -> Generator:
-        """Blocking send (eager: returns after local handoff; rendezvous:
-        returns once the data transfer completes).
-
-        The generator's value is the fabric-level
-        :class:`~repro.sim.events.CompletionEvent` for the message —
-        the same completion vocabulary :meth:`DataVortexAPI.send_words
-        <repro.dv.api.DataVortexAPI.send_words>` returns on the DV side.
+        A claim is granted at once on an idle CPU, else when the
+        previous holder's overhead ends.  Each grant is a zero-delay
+        wakeup, and the overhead ends ``o`` after the grant runs, not
+        after the claim: claims and grants on different ranks can come
+        in different orders within one instant.
         """
-        return self._send(dest, payload, tag, nbytes)
+        if self._cpu_busy:
+            self._cpu_queue.append((step, args))
+            return
+        self._cpu_busy = True
+        self.engine.call_soon(self._cpu_grant, step, args)
 
-    def _send(self, dest: int, payload: Any, tag: int,
-              nbytes: Optional[int]) -> Generator:
+    def _cpu_grant(self, step: Callable, args: tuple) -> None:
+        self.engine.call_in(self.config.sw_overhead_s, self._cpu_end,
+                            step, args)
+
+    def _cpu_end(self, step: Callable, args: tuple) -> None:
+        queue = self._cpu_queue
+        if queue:
+            self.engine.call_soon(self._cpu_grant, *queue.popleft())
+        else:
+            self._cpu_busy = False
+        step(*args)
+
+    # -- protocol steps (shared by the blocking and non-blocking calls) -----
+    def _start_send(self, dest: int, payload: Any, tag: int,
+                    nbytes: Optional[int], finish: Callable) -> None:
         if dest == self.rank:
             # self-sends short-circuit through the unexpected queue
             if self._obs_on:
                 self._m_sends["self"].inc()
             n = (nbytes if nbytes is not None
                  else payload_nbytes(payload))
-            yield from self._overhead()
-            self._on_fabric(self.rank, "eager",
-                            (tag, -1, payload,
-                             self._next_send_seq(self.rank)), n)
-            done = CompletionEvent(self.engine, fabric="ib", op="self",
-                                   src=self.rank, dest=dest, tag=tag,
-                                   nbytes=n,
-                                   name=f"ib:self @{self.rank}")
-            done.succeed(None)
-            return done
+            self._cpu(self._send_self, payload, tag, n, finish)
+            return
         n = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        yield from self._overhead()
+        self._cpu(self._send_wire, dest, payload, tag, n, finish)
+
+    def _send_self(self, payload: Any, tag: int, n: int,
+                   finish: Callable) -> None:
+        self._on_fabric(self.rank, "eager",
+                        (tag, -1, payload, self._next_send_seq(self.rank)),
+                        n)
+        done = CompletionEvent(self.engine, fabric="ib", op="self",
+                               src=self.rank, dest=self.rank, tag=tag,
+                               nbytes=n, name=f"ib:self @{self.rank}")
+        done._succeed_soon(None)
+        finish(done)
+
+    def _send_wire(self, dest: int, payload: Any, tag: int, n: int,
+                   finish: Callable) -> None:
         if n <= self.config.eager_threshold_bytes:
             if self._obs_on:
                 self._m_sends["eager"].inc()
@@ -245,47 +322,38 @@ class MPIEndpoint:
                 self.rank, dest, n + _CONTROL_BYTES, kind="eager",
                 payload=(tag, -1, payload, self._next_send_seq(dest)))
             done.tag = tag      # fabric knows bytes; MPI supplies tags
-            return done
-        # rendezvous
+            finish(done)
+            return
+        # rendezvous: RTS now, the data once the receiver's CTS is back
         if self._obs_on:
             self._m_sends["rendezvous"].inc()
         rts_id = self.runtime.next_rts_id()
-        cts = self.engine.event(name=f"cts:{rts_id}")
-        self._cts_waiters[rts_id] = cts
+        self._cts_waiters[rts_id] = (dest, payload, tag, n, rts_id,
+                                     finish)
         self.fabric.transfer(
             self.rank, dest, _CONTROL_BYTES, kind="rts",
             payload=(tag, rts_id, None, self._next_send_seq(dest)))
-        yield cts
-        yield self.engine.timeout(self.config.rendezvous_handshake_s)
+
+    def _handshake(self, dest: int, payload: Any, tag: int, n: int,
+                   rts_id: int, finish: Callable) -> None:
+        self.engine.call_in(self.config.rendezvous_handshake_s,
+                            self._send_data, dest, payload, tag, n,
+                            rts_id, finish)
+
+    def _send_data(self, dest: int, payload: Any, tag: int, n: int,
+                   rts_id: int, finish: Callable) -> None:
         done = self.fabric.transfer(self.rank, dest, n, kind="rdata",
                                     payload=(rts_id, payload))
         done.tag = tag
-        yield done
-        return done
+        done.callbacks.append(finish)
 
-    def recv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG
-             ) -> Generator:
-        """Blocking receive; generator value is ``(data, src, tag)``."""
+    def _start_recv(self, src: int, tag: int, finish: Callable) -> None:
         if self._obs_on:
             self._m_recvs.inc()
-        yield from self._overhead()
-        arrival = self._match_or_wait(src, tag)
-        if isinstance(arrival, Event):
-            arrival = yield arrival
-        if arrival.kind == "eager":
-            if arrival.nbytes:
-                yield self.engine.timeout(
-                    arrival.nbytes / self.config.memcpy_bw)
-            return arrival.payload, arrival.src, arrival.tag
-        # rendezvous: grant the sender and wait for the bulk data
-        data_ev = self.engine.event(name=f"rdata:{arrival.rts_id}")
-        self._data_waiters[arrival.rts_id] = data_ev
-        self.fabric.transfer(self.rank, arrival.src, _CONTROL_BYTES,
-                             kind="cts", payload=arrival.rts_id)
-        data = yield data_ev
-        return data, arrival.src, arrival.tag
+        self._cpu(self._post_recv, src, tag, finish)
 
-    def _match_or_wait(self, src: int, tag: int):
+    def _post_recv(self, src: int, tag: int, finish: Callable) -> None:
+        """Match a receive against the unexpected queue, else post it."""
         unexpected = self._unexpected
         if src != ANY_SOURCE and tag != ANY_TAG:
             key = (src, tag)
@@ -298,12 +366,49 @@ class MPIEndpoint:
                         and (oldest is None or bucket[0].stamp < oldest)):
                     key, oldest = k, bucket[0].stamp
         if key in unexpected:
-            return _take(unexpected, key)
-        ev = _PostedRecv(self.engine, self._recv_name)
+            self._arrived(_take(unexpected, key), finish)
+            return
         self._stamp += 1
-        ev.stamp = self._stamp
-        self._recv_waiters.setdefault((src, tag), []).append(ev)
-        return ev
+        self._recv_waiters.setdefault((src, tag), []).append(
+            (self._stamp, finish))
+
+    def _arrived(self, arrival: _Arrival, finish: Callable) -> None:
+        """A receive met its message: copy an eager payload out, or
+        grant a rendezvous sender and wait for its data."""
+        if arrival.kind == "eager":
+            value = (arrival.payload, arrival.src, arrival.tag)
+            if arrival.nbytes:
+                self.engine.call_in(arrival.nbytes / self.config.memcpy_bw,
+                                    finish, value)
+            else:
+                finish(value)
+            return
+        self._data_waiters[arrival.rts_id] = (finish, arrival.src,
+                                              arrival.tag)
+        self.fabric.transfer(self.rank, arrival.src, _CONTROL_BYTES,
+                             kind="cts", payload=arrival.rts_id)
+
+    # -- point to point -----------------------------------------------------
+    def send(self, dest: int, payload: Any, *, tag: int = 0,
+             nbytes: Optional[int] = None) -> Generator:
+        """Blocking send (eager: returns after local handoff; rendezvous:
+        returns once the data transfer completes).
+
+        The generator's value is the fabric-level
+        :class:`~repro.sim.events.CompletionEvent` for the message —
+        the same completion vocabulary :meth:`DataVortexAPI.send_words
+        <repro.dv.api.DataVortexAPI.send_words>` returns on the DV side.
+        """
+        wait = _Wait(self.engine, self._send_name)
+        self._start_send(dest, payload, tag, nbytes, wait._fire)
+        return (yield wait)
+
+    def recv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG
+             ) -> Generator:
+        """Blocking receive; generator value is ``(data, src, tag)``."""
+        wait = _Wait(self.engine, self._recv_name)
+        self._start_recv(src, tag, wait._fire)
+        return (yield wait)
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check for a matching pending message."""
@@ -314,15 +419,27 @@ class MPIEndpoint:
                    for s, t in self._unexpected)
 
     def isend(self, dest: int, payload: Any, *, tag: int = 0,
-              nbytes: Optional[int] = None):
-        """Non-blocking send; returns a joinable process event."""
-        return self.engine.process(
-            self._send(dest, payload, tag, nbytes), name=self._isend_name)
+              nbytes: Optional[int] = None) -> Request:
+        """Non-blocking send; returns a joinable :class:`Request`."""
+        req = Request(self.engine, self._isend_name)
+        self.engine.call_soon(self._start_send, dest, payload, tag,
+                              nbytes, req._succeed_soon)
+        return req
 
-    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG):
+    def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG
+              ) -> Request:
         """Non-blocking receive; join it to obtain ``(data, src, tag)``."""
-        return self.engine.process(self.recv(src, tag=tag),
-                                   name=self._irecv_name)
+        req = Request(self.engine, self._irecv_name)
+        self.engine.call_soon(self._start_recv, src, tag,
+                              req._succeed_soon)
+        return req
+
+    def waitall(self, requests) -> Event:
+        """One event that fires once every request has completed (read
+        each result from its request's ``value``); yield it straight
+        away.  The requests are joined in list order."""
+        return _Join(self.engine, list(requests),
+                     name=f"waitall@{self.rank}")
 
     def sendrecv(self, dest: int, payload: Any,
                  src: int = ANY_SOURCE, *, sendtag: int = 0,
@@ -336,9 +453,8 @@ class MPIEndpoint:
                   recvtag: int, nbytes: Optional[int]) -> Generator:
         s = self.isend(dest, payload, tag=sendtag, nbytes=nbytes)
         r = self.irecv(src, tag=recvtag)
-        got = yield r
-        yield s
-        return got
+        yield self.waitall((r, s))
+        return r.value
 
     # -- collectives ---------------------------------------------------------
     def _ctag(self) -> int:

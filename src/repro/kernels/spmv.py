@@ -27,15 +27,17 @@ iteration on the full matrix to round-off.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.cluster import ClusterSpec, run_spmd
 from repro.core.context import RankContext
 from repro.kernels.kronecker import kronecker_edges
 from repro.sim.rng import rng_for
+
+if TYPE_CHECKING:  # pragma: no cover - scipy loads on first use
+    import scipy.sparse as sp
 
 _CTR_X_EVEN = 36
 _CTR_X_ODD = 37
@@ -45,6 +47,8 @@ _CTR_NORM_ODD = 39
 
 def build_matrix(scale: int, edgefactor: int, seed: int) -> sp.csr_matrix:
     """Symmetric adjacency matrix of a Kronecker graph (float64)."""
+    import scipy.sparse as sp
+
     rng = rng_for(seed, "spmv", scale)
     edges = kronecker_edges(scale, edgefactor, rng)
     n = 1 << scale

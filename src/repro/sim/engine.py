@@ -8,6 +8,7 @@ same-time events, which is what makes runs bit-reproducible.
 
 from __future__ import annotations
 
+import collections
 import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
@@ -60,7 +61,9 @@ class Engine:
     simulated instant fire in the order they were enqueued: every heap
     entry carries a monotonically increasing sequence number assigned at
     enqueue time, and no two entries share one, so heap ordering among
-    same-time events is exactly insertion order.  This invariant is what
+    same-time events is exactly insertion order.  Wakeups parked in the
+    :meth:`call_soon` lane take a sequence number the same way and run
+    in their place in that order.  This invariant is what
     the flow-engine/oracle bit-identity proofs and the sharded PDES merge
     ordering (:mod:`repro.sim.pdes`) are built on — see
     ``tests/test_sim_engine.py::test_simultaneous_events_fire_in_insertion_order``.
@@ -71,6 +74,9 @@ class Engine:
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._processed_count = 0
+        #: call_soon's lane: ``(sequence, fn, args)`` due at ``_now``
+        self._soon: collections.deque = collections.deque()
+        self._running = False
         # observability handles, resolved once; hot paths guard on the bool
         self._obs_on = obsreg.enabled()
         if self._obs_on:
@@ -135,8 +141,40 @@ class Engine:
         heapq.heappush(self._queue,
                        (self._now + delay, self._seq, _Wakeup(fn, args)))
 
+    def call_soon(self, fn, *args) -> None:
+        """``call_in(0.0, fn, *args)`` without a heap entry.
+
+        While :meth:`run` is processing, the wakeup takes the next
+        sequence number, exactly as ``call_in`` would, but waits in a
+        FIFO lane instead of the heap.  The run loop takes the lane's
+        head whenever no heap entry precedes it in ``(time, sequence)``
+        order — the lane only ever holds the current instant, in
+        sequence order — so every wakeup runs at the position its heap
+        entry would have popped at.  :attr:`events_processed` counts
+        heap entries only.
+        """
+        if self._running:
+            self._seq += 1
+            self._soon.append((self._seq, fn, args))
+        else:
+            self.call_in(0.0, fn, *args)
+
+    def _soon_first(self) -> bool:
+        """True when the lane's head precedes every heap entry."""
+        if not self._soon:
+            return False
+        queue = self._queue
+        return (not queue or queue[0][0] > self._now
+                or queue[0][1] > self._soon[0][0])
+
+    def _run_soon(self) -> None:
+        _seq, fn, args = self._soon.popleft()
+        fn(*args)
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._soon:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -170,21 +208,40 @@ class Engine:
             Safety valve for runaway simulations; raises
             :class:`SimulationError` when exhausted.
         """
+        self._running = True
+        try:
+            self._run(until, max_events)
+        finally:
+            self._running = False
+
+    def _run(self, until: Optional[float],
+             max_events: Optional[int]) -> None:
         if (until is None and max_events is None and not self._obs_on
                 and type(self).step is Engine.step):
             # the common case, with step() inlined
             queue = self._queue
+            soon = self._soon
             pop = heapq.heappop
-            while queue:
+            popleft = soon.popleft
+            while True:
+                if soon and (not queue or queue[0][0] > self._now
+                             or queue[0][1] > soon[0][0]):
+                    _seq, fn, args = popleft()
+                    fn(*args)
+                    continue
+                if not queue:
+                    return
                 t, _seq, event = pop(queue)
                 if t < self._now:  # pragma: no cover - heap invariant guard
                     raise SimulationError("event scheduled in the past")
                 self._now = t
                 self._processed_count += 1
                 event._process()
-            return
         n = 0
-        while self._queue:
+        while self._queue or self._soon:
+            if self._soon_first():
+                self._run_soon()
+                continue
             if until is not None and self.peek() > until:
                 self._now = until
                 return

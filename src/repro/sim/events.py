@@ -89,6 +89,17 @@ class Event:
         self.engine._enqueue(self, delay=0.0)
         return self
 
+    def _succeed_soon(self, value: Any = None) -> None:
+        """:meth:`succeed`, processed through :meth:`Engine.call_soon
+        <repro.sim.engine.Engine.call_soon>`: callbacks run at the
+        position the queued event would pop at, without the heap trip
+        when none is needed."""
+        if self._value is not _PENDING:
+            raise RuntimeError(f"event {self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.engine.call_soon(self._process)
+
     # -- callback plumbing -------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Register ``fn`` to run when the event is processed.
@@ -201,9 +212,6 @@ class _Condition(Event):
 
     def _on_child(self, ev: Event) -> None:
         raise NotImplementedError
-
-    def _collect(self) -> List[Any]:
-        return [ev.value for ev in self.events if ev.triggered and ev.ok]
 
 
 class AllOf(_Condition):

@@ -159,6 +159,11 @@ class ShardEngine(Engine):
     def call_in(self, delay: float, fn, *args) -> None:
         self._enqueue(_Wakeup(fn, args), delay)
 
+    def call_soon(self, fn, *args) -> None:
+        # always through the heap: an entry's merge key and lineage are
+        # what order it against other shards' entries
+        self._enqueue(_Wakeup(fn, args), 0.0)
+
     def stamp(self) -> tuple:
         """``(ancestry, lineage)`` an entry scheduled now would carry."""
         return (self._anc, self._lin)

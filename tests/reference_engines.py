@@ -1,13 +1,19 @@
-"""Scalar reference engines: test oracles for the production flow models.
+"""Scalar reference engines: test oracles for the production models.
 
 :class:`ReferenceFlowNetwork` and :class:`ReferenceIBFabric` re-express
 :class:`~repro.dv.flow.FlowNetwork` and :class:`~repro.ib.fabric.IBFabric`
 the slow, obvious way — one marker :class:`~repro.sim.events.Event` plus
 a closure per arrival and per delivery, ``topology.min_hops`` walked per
 transmit, a blake2b route hash per IB message, and a transmit-at-a-time
-loop for batches.  They are the models the suite was first written
-against; ``tests/test_flow_equivalence.py`` holds the production engines
-to them bit for bit.  Nothing under ``src/`` uses them.
+loop for batches.  :class:`ReferenceMPIEndpoint` is the MPI layer as it
+was first written: one generator process per ``isend``/``irecv``, the
+host CPU as a counted :class:`~repro.sim.resources.Resource` plus a
+:class:`~repro.sim.events.Timeout` per overhead, one event per blocked
+receive, and collectives that join their requests one at a time.  They
+are the models the suite was first written against;
+``tests/test_flow_equivalence.py`` and ``tests/test_mpi_requests.py``
+hold the production code to them bit for bit.  Nothing under ``src/``
+uses them.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from typing import Any, List, Optional, Sequence
 
 from repro.dv.flow import FlowNetwork, apply_flow_faults
 from repro.dv.vic import FifoPush, MemWrite
+from repro.ib import mpi
 from repro.ib.fabric import IBFabric
 from repro.sim.events import CompletionEvent, Event
+from repro.sim.resources import Resource
 
 
 def _marker(engine, name: str, callback, delay: float) -> None:
@@ -173,3 +181,204 @@ class ReferenceIBFabric(IBFabric):
 
         _marker(engine, "ib:arrive", _deliver, arrival - now)
         return done
+
+
+class _PostedRecv(Event):
+    """A blocked receive's event, stamped with its post order."""
+
+    __slots__ = ("stamp",)
+
+
+class ReferenceMPIEndpoint(mpi.MPIEndpoint):
+    """MPI endpoint with a generator process per non-blocking call."""
+
+    def __init__(self, runtime, rank: int) -> None:
+        super().__init__(runtime, rank)
+        self._cpu = Resource(runtime.engine, capacity=1,
+                             name=f"mpi{rank}:cpu")
+
+    # -- fabric receive path -----------------------------------------------
+    def _on_fabric(self, src: int, kind: str, envelope: Any,
+                   nbytes: int) -> None:
+        if kind.startswith("rdma_"):
+            self.verbs._serve(kind, envelope)
+            return
+        if kind == "cts":
+            self._cts_waiters.pop(envelope).succeed(None)
+            return
+        if kind == "rdata":
+            rts_id, data = envelope
+            self._data_waiters.pop(rts_id).succeed(data)
+            return
+        tag, rts_id, data, seq = envelope
+        arrival = mpi._Arrival(src, tag, kind, data, nbytes, rts_id)
+        expected = self._recv_next_seq.get(src, 0)
+        if seq != expected:
+            self._recv_held.setdefault(src, {})[seq] = arrival
+            return
+        self._deliver(arrival)
+        expected += 1
+        held = self._recv_held.get(src)
+        while held:
+            nxt = held.pop(expected, None)
+            if nxt is None:
+                break
+            self._deliver(nxt)
+            expected += 1
+        self._recv_next_seq[src] = expected
+
+    def _deliver(self, arrival) -> None:
+        src, tag = arrival.src, arrival.tag
+        waiters = self._recv_waiters
+        best = None
+        for key in ((src, tag), (src, mpi.ANY_TAG), (mpi.ANY_SOURCE, tag),
+                    (mpi.ANY_SOURCE, mpi.ANY_TAG)):
+            bucket = waiters.get(key)
+            if bucket is not None and (best is None
+                                       or bucket[0].stamp < best[0].stamp):
+                best, best_key = bucket, key
+        if best is not None:
+            mpi._take(waiters, best_key).succeed(arrival)
+            return
+        self._stamp += 1
+        arrival.stamp = self._stamp
+        self._unexpected.setdefault((src, tag), []).append(arrival)
+
+    def _overhead(self):
+        yield self._cpu.acquire()
+        try:
+            yield self.engine.timeout(self.config.sw_overhead_s)
+        finally:
+            self._cpu.release()
+
+    # -- point to point -----------------------------------------------------
+    def send(self, dest: int, payload: Any, *, tag: int = 0,
+             nbytes: Optional[int] = None):
+        return self._send(dest, payload, tag, nbytes)
+
+    def _send(self, dest, payload, tag, nbytes):
+        cfg = self.config
+        if dest == self.rank:
+            if self._obs_on:
+                self._m_sends["self"].inc()
+            n = (nbytes if nbytes is not None
+                 else mpi.payload_nbytes(payload))
+            yield from self._overhead()
+            self._on_fabric(self.rank, "eager",
+                            (tag, -1, payload,
+                             self._next_send_seq(self.rank)), n)
+            done = CompletionEvent(self.engine, fabric="ib", op="self",
+                                   src=self.rank, dest=dest, tag=tag,
+                                   nbytes=n, name=f"ib:self @{self.rank}")
+            done.succeed(None)
+            return done
+        n = mpi.payload_nbytes(payload) if nbytes is None else int(nbytes)
+        yield from self._overhead()
+        if n <= cfg.eager_threshold_bytes:
+            if self._obs_on:
+                self._m_sends["eager"].inc()
+            done = self.fabric.transfer(
+                self.rank, dest, n + mpi._CONTROL_BYTES, kind="eager",
+                payload=(tag, -1, payload, self._next_send_seq(dest)))
+            done.tag = tag
+            return done
+        if self._obs_on:
+            self._m_sends["rendezvous"].inc()
+        rts_id = self.runtime.next_rts_id()
+        cts = self.engine.event(name=f"cts:{rts_id}")
+        self._cts_waiters[rts_id] = cts
+        self.fabric.transfer(
+            self.rank, dest, mpi._CONTROL_BYTES, kind="rts",
+            payload=(tag, rts_id, None, self._next_send_seq(dest)))
+        yield cts
+        yield self.engine.timeout(cfg.rendezvous_handshake_s)
+        done = self.fabric.transfer(self.rank, dest, n, kind="rdata",
+                                    payload=(rts_id, payload))
+        done.tag = tag
+        yield done
+        return done
+
+    def recv(self, src: int = mpi.ANY_SOURCE, *, tag: int = mpi.ANY_TAG):
+        if self._obs_on:
+            self._m_recvs.inc()
+        yield from self._overhead()
+        arrival = self._match_or_wait(src, tag)
+        if isinstance(arrival, Event):
+            arrival = yield arrival
+        if arrival.kind == "eager":
+            if arrival.nbytes:
+                yield self.engine.timeout(
+                    arrival.nbytes / self.config.memcpy_bw)
+            return arrival.payload, arrival.src, arrival.tag
+        data_ev = self.engine.event(name=f"rdata:{arrival.rts_id}")
+        self._data_waiters[arrival.rts_id] = data_ev
+        self.fabric.transfer(self.rank, arrival.src, mpi._CONTROL_BYTES,
+                             kind="cts", payload=arrival.rts_id)
+        data = yield data_ev
+        return data, arrival.src, arrival.tag
+
+    def _match_or_wait(self, src: int, tag: int):
+        unexpected = self._unexpected
+        if src != mpi.ANY_SOURCE and tag != mpi.ANY_TAG:
+            key = (src, tag)
+        else:
+            key, oldest = None, None
+            for k, bucket in unexpected.items():
+                if ((src == mpi.ANY_SOURCE or k[0] == src)
+                        and (tag == mpi.ANY_TAG or k[1] == tag)
+                        and (oldest is None or bucket[0].stamp < oldest)):
+                    key, oldest = k, bucket[0].stamp
+        if key in unexpected:
+            return mpi._take(unexpected, key)
+        ev = _PostedRecv(self.engine, self._recv_name)
+        self._stamp += 1
+        ev.stamp = self._stamp
+        self._recv_waiters.setdefault((src, tag), []).append(ev)
+        return ev
+
+    def isend(self, dest: int, payload: Any, *, tag: int = 0,
+              nbytes: Optional[int] = None):
+        return self.engine.process(
+            self._send(dest, payload, tag, nbytes), name=self._isend_name)
+
+    def irecv(self, src: int = mpi.ANY_SOURCE, *, tag: int = mpi.ANY_TAG):
+        return self.engine.process(self.recv(src, tag=tag),
+                                   name=self._irecv_name)
+
+    def waitall(self, requests):
+        raise NotImplementedError("the reference joins one at a time")
+
+    def _sendrecv(self, dest, payload, src, sendtag, recvtag, nbytes):
+        s = self.isend(dest, payload, tag=sendtag, nbytes=nbytes)
+        r = self.irecv(src, tag=recvtag)
+        got = yield r
+        yield s
+        return got
+
+    # -- collectives ---------------------------------------------------------
+    def _alltoall(self, chunks: List[Any]):
+        from repro.ib.collectives import _stage
+        p, rank = self.size, self.rank
+        if len(chunks) != p:
+            raise ValueError("need one chunk per rank")
+        out: List[Any] = [None] * p
+        out[rank] = chunks[rank]
+        tag = self._ctag()
+        yield from _stage(self)
+        order = [(rank + i) % p for i in range(1, p)]
+        recvs = {src: self.irecv(src, tag=tag) for src in order}
+        sends = [self.isend(dst, chunks[dst], tag=tag) for dst in order]
+        for src, req in recvs.items():
+            got, _, _ = yield req
+            out[src] = got
+        for req in sends:
+            yield req
+        return out
+
+    def alltoall(self, chunks: List[Any]):
+        return (yield from self._timed_collective(
+            "alltoall", self._alltoall(chunks)))
+
+    def alltoallv(self, chunks: List[Any]):
+        return (yield from self._timed_collective(
+            "alltoallv", self._alltoall(chunks)))

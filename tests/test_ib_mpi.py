@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ib import ANY_SOURCE, ANY_TAG, IBConfig, MPIRuntime
-from repro.sim import Engine, Event
+from repro.sim import Engine
 
 
 def run_ranks(n, fn, config=None, until=None):
@@ -339,7 +339,7 @@ def test_deadlock_error_names_the_stuck_rank(shadow):
 def test_blocked_receive_event_is_labelled_with_its_rank():
     eng = Engine()
     ep = MPIRuntime(eng, IBConfig(), 2).endpoint(1)
-    assert "recv@1 pending" in repr(ep._match_or_wait(0, 0))
+    assert "recv@1 pending" in repr(next(ep.recv(0, tag=0)))
     assert "irecv @1" in repr(ep.irecv(0))
     assert "isend @1" in repr(ep.isend(0, None))
 
@@ -461,7 +461,6 @@ class _MatchHarness:
         self.seq = {}
         self.n_msgs = 0
         self.n_recvs = 0
-        self.waiting = {}       # recv_id -> Event of the endpoint
         self.got = {}           # recv_id -> msg_id, from the endpoint
         self.want = {}          # recv_id -> msg_id, from the oracle
 
@@ -479,22 +478,17 @@ class _MatchHarness:
     def post(self, src, tag):
         rid = self.n_recvs
         self.n_recvs += 1
-        res = self.ep._match_or_wait(src, tag)
-        if isinstance(res, Event):
-            self.waiting[rid] = res
-        else:
-            self.got[rid] = res.payload
+        self.ep._post_recv(src, tag,
+                           lambda value, rid=rid: self.got.__setitem__(
+                               rid, value[0]))
         mid = self.oracle.post(src, tag, rid)
         if mid is not None:
             self.want[rid] = mid
         return rid
 
     def results(self):
-        got = dict(self.got)
-        for rid, ev in self.waiting.items():
-            if ev.triggered:
-                got[rid] = ev.value.payload
-        return got
+        self.ep.engine.run()    # the matched receives' payload copies
+        return dict(self.got)
 
 
 def test_indexed_matching_equals_linear_scan_oracle():

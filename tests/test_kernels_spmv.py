@@ -1,9 +1,15 @@
 """Tests for the distributed SpMV / power-iteration kernel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro
 from repro.core import ClusterSpec
 from repro.kernels import run_spmv
 from repro.kernels.spmv import (_exchange_plan, build_matrix,
@@ -68,3 +74,18 @@ def test_spmv_deterministic():
     a = run_spmv(spec, "dv", scale=8, iters=3)
     b = run_spmv(spec, "dv", scale=8, iters=3)
     assert a["elapsed_s"] == b["elapsed_s"]
+
+
+def test_importing_kernels_leaves_scipy_unloaded():
+    """scipy.sparse is a third of ``import repro.kernels``; only the
+    spmv matrix builder needs it, so it loads on first use."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, repro.kernels; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -210,3 +210,44 @@ def test_simultaneous_events_fire_in_insertion_order():
                           key=lambda ti: (ti[0], ti[1]))
         eng.run()
         assert fired == expected, f"tie order broken at seed={seed}"
+
+
+@pytest.mark.parametrize("until", [None, 3.0])
+def test_call_soon_keeps_call_in_order(until):
+    """call_soon is call_in(0.0) without the heap trip: any mix of the
+    two with same-instant heap entries and timed wakeups runs in one
+    and the same order, and takes the same sequence numbers."""
+    import random
+
+    def trace(use_soon):
+        eng = Engine()
+        rng = random.Random(11)
+        log = []
+
+        def act(tag, depth):
+            log.append((eng.now, tag))
+            for k in range(rng.randrange(4) if depth < 5 else 0):
+                delay = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0])
+                soon = rng.random() < 0.7
+                if use_soon and soon and delay == 0.0:
+                    eng.call_soon(act, (tag, k), depth + 1)
+                else:
+                    eng.call_in(delay, act, (tag, k), depth + 1)
+
+        for root in range(6):
+            eng.call_in(float(root % 3), act, root, 0)
+        eng.run(until=until)
+        return log, eng.now, eng._seq, eng.events_processed
+
+    heap_only, with_soon = trace(False), trace(True)
+    assert with_soon[:3] == heap_only[:3]
+    assert with_soon[3] < heap_only[3]
+
+
+def test_call_soon_outside_run_uses_the_heap():
+    eng = Engine()
+    seen = []
+    eng.call_soon(seen.append, 1)
+    assert eng.peek() == 0.0
+    eng.run()
+    assert seen == [1] and eng.events_processed == 1
