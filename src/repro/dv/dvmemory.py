@@ -72,6 +72,11 @@ class DVMemory:
         values = np.asarray(values, dtype=np.uint64)
         if addrs.shape != values.shape:
             raise ValueError("addrs and values must have identical shapes")
+        if addrs.size == 1:
+            # one word (count exchanges, query replies): skip the
+            # reductions and fancy indexing
+            self._put(addrs.item(), values.item())
+            return
         if addrs.ndim == 0:
             addrs = addrs.reshape(1)
             values = values.reshape(1)
@@ -120,14 +125,55 @@ class DVMemory:
             flat_o[mask] = chunk[flat_a[mask] % _CHUNK_WORDS]
         return out
 
+    def _put(self, addr: int, value: int) -> None:
+        if not 0 <= addr < self.n_words:
+            raise IndexError(
+                f"DV memory address out of range: [{addr}, {addr}] "
+                f"vs capacity {self.n_words} words")
+        cidx = addr // _CHUNK_WORDS
+        chunk = self._chunks.get(cidx)
+        if chunk is None:
+            chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS, np.uint64)
+        chunk[addr % _CHUNK_WORDS] = value
+
+    def _spans(self, start: int, n: int):
+        """Bounds-check ``[start, start + n)`` and split it into
+        ``(chunk index, offset in chunk, offset in range, length)``."""
+        end = start + n
+        if start < 0 or end > self.n_words:
+            raise IndexError(
+                f"DV memory address out of range: [{start}, {end - 1}] "
+                f"vs capacity {self.n_words} words")
+        pos = start
+        while pos < end:
+            cidx, off = divmod(pos, _CHUNK_WORDS)
+            take = min(_CHUNK_WORDS - off, end - pos)
+            yield cidx, off, pos - start, take
+            pos += take
+
     def write_range(self, start: int, values: np.ndarray) -> None:
         """Contiguous block write starting at ``start``."""
         values = np.asarray(values, dtype=np.uint64)
-        self.scatter(np.arange(start, start + values.size), values)
+        if values.ndim != 1:
+            raise ValueError("addrs and values must have identical shapes")
+        if values.size == 0:
+            return
+        for cidx, off, at, take in self._spans(int(start), values.size):
+            chunk = self._chunks.get(cidx)
+            if chunk is None:
+                chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS,
+                                                      np.uint64)
+            chunk[off:off + take] = values[at:at + take]
 
     def read_range(self, start: int, n: int) -> np.ndarray:
-        """Contiguous block read of ``n`` words."""
-        return self.gather(np.arange(start, start + n))
+        """Contiguous block read of ``n`` words (zeros where untouched)."""
+        out = np.zeros(max(int(n), 0), np.uint64)
+        if out.size:
+            for cidx, off, at, take in self._spans(int(start), out.size):
+                chunk = self._chunks.get(cidx)
+                if chunk is not None:
+                    out[at:at + take] = chunk[off:off + take]
+        return out
 
     @property
     def touched_bytes(self) -> int:

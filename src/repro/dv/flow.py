@@ -32,7 +32,7 @@ from repro.dv.topology import DataVortexTopology
 from repro.dv.vic import FifoPush, MemWrite
 from repro.faults import injector as fltreg
 from repro.obs import registry as obsreg
-from repro.sim.engine import Engine, _Wakeup
+from repro.sim.engine import Engine
 from repro.sim.events import CompletionEvent, Event
 
 #: Signature of a port receiver: ``(src_port, payload, n_packets)``.
@@ -106,6 +106,83 @@ def hop_table(topo: DataVortexTopology, n_ports: int) -> np.ndarray:
     return hops.astype(np.int32)
 
 
+class FanOut(CompletionEvent):
+    """One completion for a whole :meth:`FlowNetwork.transmit_batch`
+    fan-out, counting down its groups' deliveries.
+
+    It replaces a :class:`CompletionEvent` per group plus the
+    :class:`~repro.sim.events.AllOf` a waiter built over them at
+    :meth:`join`, and fires where that ``AllOf``'s last ``_on_child``
+    ran.  A group's completion entry used to run right after its
+    delivery; the AllOf reached a group either there (joined before
+    that entry ran) or through a zero-delay re-delivery enqueued at the
+    join (joined after).  So:
+
+    * at the last delivery one zero-delay entry stands in for that
+      group's completion entry, and fires the fan-out if it is joined
+      by then and no re-delivery comes after it;
+    * a join made once every group is delivered and some group's
+      completion entry has already run (the first group's is the
+      earliest, :meth:`Engine.mark <repro.sim.engine.Engine.mark>`)
+      enqueues one zero-delay entry instead, which stands in for the
+      re-deliveries (consecutive entries, so the last one's position is
+      the block's).
+
+    That is at most three zero-delay entries per fan-out (the stand-in,
+    a late join's entry and the event's own) where there were
+    ``2m + 1``.  The value is the list of payloads, as the AllOf's was.
+    """
+
+    __slots__ = ("_payloads", "_left", "_first", "_state")
+
+    def __init__(self, engine: Engine, src: int, payloads: list,
+                 words: int = 0) -> None:
+        super().__init__(engine, fabric="dv", op="fanout", src=src,
+                         words=words)
+        self._payloads = payloads
+        self._left = len(payloads)
+        #: engine mark where the first group's completion entry would be
+        self._first: Optional[tuple] = None
+        self._state = _OPEN
+
+    def _delivered(self, _payload: Any) -> None:
+        """One group delivered: where its CompletionEvent succeeded."""
+        if self._first is None:
+            self._first = self.engine.mark()
+        self._left -= 1
+        if not self._left:
+            self.engine.call_soon(self._last_done)
+
+    def _last_done(self) -> None:
+        if self._state is _JOINED:
+            self._fire()
+
+    def _fire(self) -> None:
+        self._succeed_soon(list(self._payloads))
+
+    def join(self) -> "FanOut":
+        """Mark where a waiter joins the fan-out (where the AllOf over
+        per-group events used to be built); returns the event."""
+        if self._state is not _OPEN:
+            return self
+        if self._left:
+            self._state = _JOINED
+        elif self._first is None:  # empty: AllOf([]) succeeded on creation
+            self._state = _LATE
+            self._fire()
+        elif self.engine.passed(self._first):
+            self._state = _LATE
+            self.engine.call_soon(self._fire)
+        else:
+            self._state = _JOINED
+        return self
+
+
+#: FanOut states: not joined; joined, fires at the last-delivery entry;
+#: joined late, fires at the join's own entry
+_OPEN, _JOINED, _LATE = "open", "joined", "late"
+
+
 @dataclass
 class FlowStats:
     """Aggregate accounting for a :class:`FlowNetwork`."""
@@ -126,8 +203,8 @@ class FlowNetwork:
     whole one-source/many-destination fan-out (a GUPS epoch, a counter
     exchange) in a handful of numpy operations whose rounding matches
     the scalar :meth:`transmit` recurrence exactly
-    (``np.add.accumulate`` is sequential).  All times it hands the
-    engine are Python floats.
+    (``np.add.accumulate`` is sequential), and completes it with one
+    :class:`FanOut`.  All times it hands the engine are Python floats.
 
     Parameters
     ----------
@@ -310,13 +387,13 @@ class FlowNetwork:
         done = CompletionEvent(self.engine, fabric="dv", op="transmit",
                                src=src, dest=dest, words=n_packets)
         self.engine.call_in(first_arrival - now, self._arrive, src, dest,
-                            n_packets, inj_end + tof, now, payload, done)
+                            n_packets, inj_end + tof, now, payload,
+                            done.succeed)
         return done
 
     def transmit_batch(self, src: int, dests: Sequence[int],
                        counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       collect: bool = True) -> List[Event]:
+                       inject_rate: Optional[float] = None) -> FanOut:
         """Send per-destination packet groups back to back from ``src``.
 
         Semantically identical to calling :meth:`transmit` once per
@@ -325,16 +402,14 @@ class FlowNetwork:
         destinations (GUPS epochs, counter exchanges) should call this
         instead of looping.
 
-        Returns the per-group completion events when ``collect`` is
-        true.  ``collect=False`` declares the caller fire-and-forget
-        (nothing will ever wait on the per-group events) and returns
-        ``[]`` without creating them; the completion enqueues it skips
-        carry no callbacks, so every remaining event keeps its relative
-        order and every simulated timestamp is unchanged.
+        Returns one :class:`FanOut` for the whole batch.  A caller that
+        waits on it calls :meth:`FanOut.join` first, at the point it
+        would have built an ``AllOf`` over per-group events; a
+        fire-and-forget caller drops it.
         """
         checked = self._check_batch(src, dests, counts, payloads)
         if checked is None:
-            return []
+            return FanOut(self.engine, src, [])
         d, c = checked
         m = d.size
         engine = self.engine
@@ -352,22 +427,18 @@ class FlowNetwork:
         dl = d.tolist()
         cl = c.tolist()
 
-        dones: List[Event] = []
+        fan = FanOut(engine, src, payloads, sum(cl))
+        delivered = fan._delivered
         arrive = self._arrive
         # inlined Engine.call_in (same arithmetic: _now + delay)
         queue = engine._queue
         eng_now = engine._now
         for k in range(m):
-            done = None
-            if collect:
-                done = CompletionEvent(engine, fabric="dv", op="transmit",
-                                       src=src, dest=dl[k], words=cl[k])
-                dones.append(done)
             engine._seq += 1
-            heappush(queue, (eng_now + delays[k], engine._seq,
-                             _Wakeup(arrive, (src, dl[k], cl[k], floors[k],
-                                              now, payloads[k], done))))
-        return dones
+            heappush(queue, (eng_now + delays[k], engine._seq, arrive,
+                             (src, dl[k], cl[k], floors[k], now,
+                              payloads[k], delivered)))
+        return fan
 
     def scatter(self, src: int, dests: Sequence[int],
                 counts: Sequence[int], payloads: Sequence[Any],
@@ -378,16 +449,16 @@ class FlowNetwork:
         packets bound for *many* destinations into one PCIe transfer; the
         VIC then streams them into the switch back to back.  Injection is
         serialised across the whole batch; ejection is serialised per
-        destination.  Returns an event firing when every group has been
-        delivered.
+        destination.  Returns the joined :class:`FanOut`, firing when
+        every group has been delivered.
         """
-        events = self.transmit_batch(src, dests, counts, payloads,
-                                     inject_rate=inject_rate)
-        return self.engine.all_of(events)
+        return self.transmit_batch(src, dests, counts, payloads,
+                                   inject_rate=inject_rate).join()
 
     # -- arrival / ejection ---------------------------------------------------
     def _arrive(self, src: int, dest: int, n: int, floor: float,
-                sent_at: float, payload: Any, done: Optional[Event]) -> None:
+                sent_at: float, payload: Any,
+                done: Optional[Callable[[Any], Any]]) -> None:
         """First packet reaches ``dest``: reserve its ejection port.
 
         The port is reserved at *arrival* time — not at call time — so
@@ -413,7 +484,10 @@ class FlowNetwork:
                        payload, done)
 
     def _deliver(self, src: int, dest: int, n: int, sent_at: float,
-                 payload: Any, done: Optional[Event]) -> None:
+                 payload: Any, done: Optional[Callable[[Any], Any]]) -> None:
+        """Eject the last packet: hand the effect to the receiver, then
+        report completion through ``done(payload)`` (a transfer's
+        ``CompletionEvent.succeed`` or a fan-out's ``_delivered``)."""
         eff = payload
         fsite = self._faults
         if fsite is not None and isinstance(eff, (MemWrite, FifoPush)):
@@ -425,13 +499,13 @@ class FlowNetwork:
                 # are one-sided and fire-and-forget) — recovering lost
                 # data is the reliable transport's job, not the network's
                 if done is not None:
-                    done.succeed(payload)
+                    done(payload)
                 return
         receiver = self._receivers[dest]
         if receiver is not None:
             receiver(src, eff, n)
         if done is not None:
-            done.succeed(payload)
+            done(payload)
 
 
 class ShardedFlowNetwork(FlowNetwork):
@@ -456,8 +530,9 @@ class ShardedFlowNetwork(FlowNetwork):
     window end — never in the shard's past.
 
     Completion events for cross-shard transfers are created (API
-    parity) but never fire; the runner detects programs that wait on
-    them as a sharded-only deadlock and falls back to serial.
+    parity) but never fire, and neither does a fan-out with a
+    cross-shard group; the runner detects programs that wait on them as
+    a sharded-only deadlock and falls back to serial.
     """
 
     def __init__(self, engine: Engine, config: DVConfig, n_ports: int,
@@ -489,16 +564,15 @@ class ShardedFlowNetwork(FlowNetwork):
                            engine._last_lin))
         self._pending_px.append(
             (False, now, engine.stamp(), seq0, src, gap,
-             inj_start, inj_end, dest, n_packets, payload, done))
+             inj_start, inj_end, dest, n_packets, payload, done.succeed))
         return done
 
     def transmit_batch(self, src: int, dests: Sequence[int],
                        counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       collect: bool = True) -> List[Event]:
+                       inject_rate: Optional[float] = None) -> FanOut:
         checked = self._check_batch(src, dests, counts, payloads)
         if checked is None:
-            return []
+            return FanOut(self.engine, src, [])
         d, c = checked
         m = d.size
         engine = self.engine
@@ -507,20 +581,14 @@ class ShardedFlowNetwork(FlowNetwork):
         gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
         seq = self._inject_batch(src, c, gap, now)
 
-        dones: List[Event] = []
-        if collect:
-            dl = d.tolist()
-            cl = c.tolist()
-            dones = [CompletionEvent(engine, fabric="dv", op="transmit",
-                                     src=src, dest=dl[k], words=cl[k])
-                     for k in range(m)]
+        fan = FanOut(engine, src, payloads, int(c.sum()))
         seq0 = engine.burn_seq(m)
         self._rows.append((now, engine._last, seq0, src, float(seq[m]),
                            engine._last_lin))
         self._pending_px.append(
             (True, now, engine.stamp(), seq0, src, gap,
-             seq[:m], seq[1:].copy(), d, c, list(payloads), dones or None))
-        return dones
+             seq[:m], seq[1:].copy(), d, c, list(payloads), fan._delivered))
+        return fan
 
     # -- window barrier ----------------------------------------------------
     def take_rows(self) -> list:
@@ -570,7 +638,7 @@ class ShardedFlowNetwork(FlowNetwork):
                                 int(shard_of[dest])])
                 continue
             (_, now, stamp, seq0, src, gap, inj_start, inj_end,
-             d, c, payloads, dones) = p
+             d, c, payloads, delivered) = p
             tof = (self._hops[src, d] + penalty) * hop
             first_arrival = (inj_start + gap) + tof
             floor = inj_end + tof
@@ -585,7 +653,7 @@ class ShardedFlowNetwork(FlowNetwork):
                     engine.schedule_key(
                         fa_l[k], now, seq0 + k, self._arrive,
                         (src, dl[k], cl[k], fl_l[k], now, payloads[k],
-                         dones[k] if dones else None),
+                         delivered),
                         stamp=stamp)
             if not local.all():
                 for sid in np.unique(owner[~local]).tolist():

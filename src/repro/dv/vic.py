@@ -14,7 +14,6 @@ events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
@@ -33,70 +32,97 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 # --------------------------------------------------------------- effects ---
+#
+# Effects are built once per transfer (tens of thousands per GUPS run),
+# so they are plain slotted classes: a frozen dataclass pays an
+# ``object.__setattr__`` per field on every construction.  Treat them as
+# immutable all the same.
 
-@dataclass(frozen=True)
-class MemWrite:
+class _Effect:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class MemWrite(_Effect):
     """Write ``values[i]`` to DV memory ``addrs[i]``; optionally decrement
     a group counter by the number of words delivered."""
 
-    addrs: np.ndarray
-    values: np.ndarray
-    counter: Optional[int] = None
+    __slots__ = ("addrs", "values", "counter")
+
+    def __init__(self, addrs: np.ndarray, values: np.ndarray,
+                 counter: Optional[int] = None) -> None:
+        self.addrs = addrs
+        self.values = values
+        self.counter = counter
 
     @property
     def n_packets(self) -> int:
         return int(np.asarray(self.addrs).size)
 
 
-@dataclass(frozen=True)
-class FifoPush:
+class FifoPush(_Effect):
     """Append payload words to the surprise FIFO."""
 
-    values: np.ndarray
-    counter: Optional[int] = None
+    __slots__ = ("values", "counter")
+
+    def __init__(self, values: np.ndarray,
+                 counter: Optional[int] = None) -> None:
+        self.values = values
+        self.counter = counter
 
     @property
     def n_packets(self) -> int:
         return int(np.asarray(self.values).size)
 
 
-@dataclass(frozen=True)
-class CounterSet:
+class CounterSet(_Effect):
     """Remote set of a group counter (group counters are globally
     accessible, §III)."""
 
-    index: int
-    value: int
+    __slots__ = ("index", "value", "n_packets")
 
-    n_packets: int = 1
+    def __init__(self, index: int, value: int, n_packets: int = 1) -> None:
+        self.index = index
+        self.value = value
+        self.n_packets = n_packets
 
 
-@dataclass(frozen=True)
-class CounterDec:
+class CounterDec(_Effect):
     """Bare counter-decrement packets (barrier building block)."""
 
-    index: int
-    count: int = 1
+    __slots__ = ("index", "count")
+
+    def __init__(self, index: int, count: int = 1) -> None:
+        self.index = index
+        self.count = count
 
     @property
     def n_packets(self) -> int:
         return self.count
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Effect):
     """Read ``addr`` at the destination VIC and send the value to
     ``reply_vic``/``reply_addr`` (which need not be the querying VIC)."""
 
-    addr: int
-    reply_vic: int
-    reply_addr: int
-    reply_counter: Optional[int] = None
+    __slots__ = ("addr", "reply_vic", "reply_addr", "reply_counter",
+                 "n_packets")
 
-    n_packets: int = 1
+    def __init__(self, addr: int, reply_vic: int, reply_addr: int,
+                 reply_counter: Optional[int] = None,
+                 n_packets: int = 1) -> None:
+        self.addr = addr
+        self.reply_vic = reply_vic
+        self.reply_addr = reply_addr
+        self.reply_counter = reply_counter
+        self.n_packets = n_packets
 
 
-Effect = object  # union of the dataclasses above; kept loose for speed
+Effect = object  # union of the classes above; kept loose for speed
 
 
 # ------------------------------------------------------------------- VIC ---
@@ -141,27 +167,28 @@ class VIC:
         self.packets_received += n_packets
         if self._obs_on:
             self._m_packets.inc(n_packets)
+        kind = type(effect)
         if (self._faults is not None
-                and isinstance(effect, (MemWrite, FifoPush))
+                and (kind is MemWrite or kind is FifoPush)
                 and self._faults.node_down(self.vic_id, self.engine.now)):
             return  # VIC dark for data during a node-outage window
-        if isinstance(effect, FifoPush):
+        if kind is FifoPush:
             self.fifo.push(effect.values, src=src)
             if self._obs_on:
                 self._m_fifo_words.inc(effect.n_packets)
             if effect.counter is not None:
                 self.counters.decrement(effect.counter, effect.n_packets)
-        elif isinstance(effect, MemWrite):
+        elif kind is MemWrite:
             self.memory.scatter(effect.addrs, effect.values)
             if self._obs_on:
                 self._m_mem_words.inc(effect.n_packets)
             if effect.counter is not None:
                 self.counters.decrement(effect.counter, effect.n_packets)
-        elif isinstance(effect, CounterSet):
+        elif kind is CounterSet:
             self.counters.set(effect.index, effect.value)
-        elif isinstance(effect, CounterDec):
+        elif kind is CounterDec:
             self.counters.decrement(effect.index, effect.count)
-        elif isinstance(effect, Query):
+        elif kind is Query:
             self._serve_query(effect)
         elif effect is None:
             pass  # timing-only packets (micro-benchmarks)

@@ -12,12 +12,14 @@ Channels are modelled as next-free-time accumulators (cut-through: a
 message's serialisation time is charged once, concurrently on every
 channel along its path).  Per-message state rides in the arguments of
 one :meth:`Engine.call_in` wakeup, and each flow's route — a blake2b
-hash per (src, dst) pair — is computed once and memoised, which is exact
-because the hash is a pure function of the pair.
+hash per (src, dst) pair — is memoised per fabric, and the hash itself
+once per process, which is exact because it is a pure function of
+``(src, dst, n)``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -44,8 +46,12 @@ class FabricStats:
     total_queue_wait_s: float = 0.0
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _route_hash(src: int, dst: int, n: int) -> int:
-    """Deterministic static-routing uplink choice for the (src, dst) flow."""
+    """Deterministic static-routing uplink choice for the (src, dst) flow.
+
+    Memoised across fabrics: every run of the same cluster size asks for
+    the same pairs, and a fabric's own path cache dies with it."""
     h = hashlib.blake2b(f"{src}->{dst}".encode(), digest_size=4)
     return int.from_bytes(h.digest(), "little") % n
 

@@ -135,8 +135,7 @@ def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
             # one batched fan-out: reference impl loops transmit() with
             # identical arguments; the fast impl vectorises the pricing
             api.network.transmit_batch(ctx.rank, uniq, group_counts,
-                                       group_payloads, inject_rate=rate,
-                                       collect=False)
+                                       group_payloads, inject_rate=rate)
             if aggregate:
                 yield from api._charge_tx("dma", int(remote.sum()), True)
             else:

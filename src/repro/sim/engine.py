@@ -1,9 +1,11 @@
 """The discrete-event engine: an event heap and a run loop.
 
 The engine owns simulated time.  Everything that happens in a simulation is
-an :class:`~repro.sim.events.Event` popped off a priority heap keyed by
-``(time, sequence)``; the sequence number guarantees FIFO ordering among
-same-time events, which is what makes runs bit-reproducible.
+a callback popped off a priority heap of ``(time, sequence, fn, args)``
+entries; the sequence number guarantees FIFO ordering among same-time
+entries, which is what makes runs bit-reproducible.  A triggered
+:class:`~repro.sim.events.Event` is one such entry whose ``fn`` is its
+bound ``_process``.
 """
 
 from __future__ import annotations
@@ -19,28 +21,6 @@ from repro.sim.process import Process
 
 class SimulationError(RuntimeError):
     """Raised for engine misuse (e.g. running a finished simulation)."""
-
-
-class _Wakeup:
-    """Zero-payload heap entry invoking a bare callback when popped.
-
-    :meth:`Engine.call_in` schedules one of these where a marker
-    :class:`Event` + closure pair would otherwise go: per arrival or
-    ejection in the flow engines (:mod:`repro.dv.flow`,
-    :mod:`repro.ib.fabric`) and per process start.  It shares the
-    heap with regular events (the engine only ever calls ``_process``),
-    so ordering between the two kinds is governed by the usual
-    ``(time, sequence)`` key.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn, args) -> None:
-        self.fn = fn
-        self.args = args
-
-    def _process(self) -> None:
-        self.fn(*self.args)
 
 
 class Engine:
@@ -71,8 +51,10 @@ class Engine:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Any, tuple]] = []
         self._seq = 0
+        #: sequence number of the entry being processed (:meth:`passed`)
+        self._cur = 0
         self._processed_count = 0
         #: call_soon's lane: ``(sequence, fn, args)`` due at ``_now``
         self._soon: collections.deque = collections.deque()
@@ -122,7 +104,8 @@ class Engine:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heapq.heappush(self._queue,
+                       (self._now + delay, self._seq, event._process, ()))
 
     def call_in(self, delay: float, fn, *args) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
@@ -138,8 +121,7 @@ class Engine:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay, self._seq, _Wakeup(fn, args)))
+        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
 
     def call_soon(self, fn, *args) -> None:
         """``call_in(0.0, fn, *args)`` without a heap entry.
@@ -168,8 +150,18 @@ class Engine:
                 or queue[0][1] > self._soon[0][0])
 
     def _run_soon(self) -> None:
-        _seq, fn, args = self._soon.popleft()
+        self._cur, fn, args = self._soon.popleft()
         fn(*args)
+
+    def mark(self) -> tuple:
+        """The position a zero-delay entry enqueued now would take,
+        without taking it (no sequence number is consumed)."""
+        return (self._now, self._seq + 0.5)
+
+    def passed(self, mark: tuple) -> bool:
+        """True once the entry being processed comes after ``mark``:
+        an entry enqueued at the mark would already have run."""
+        return (self._now, self._cur) > mark
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -181,10 +173,11 @@ class Engine:
         """Process exactly one event."""
         if not self._queue:
             raise SimulationError("no scheduled events")
-        t, _seq, event = heapq.heappop(self._queue)
+        t, seq, fn, args = heapq.heappop(self._queue)
         if t < self._now:  # pragma: no cover - heap invariant guard
             raise SimulationError("event scheduled in the past")
         self._now = t
+        self._cur = seq
         self._processed_count += 1
         if self._obs_on:
             self._m_events.inc()
@@ -192,7 +185,7 @@ class Engine:
             # the live simulation clock: progress streams (repro.service)
             # read the peak as "how far has simulated time advanced"
             self._m_clock.set_max(t)
-        event._process()
+        fn(*args)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -226,17 +219,18 @@ class Engine:
             while True:
                 if soon and (not queue or queue[0][0] > self._now
                              or queue[0][1] > soon[0][0]):
-                    _seq, fn, args = popleft()
+                    self._cur, fn, args = popleft()
                     fn(*args)
                     continue
                 if not queue:
                     return
-                t, _seq, event = pop(queue)
+                t, seq, fn, args = pop(queue)
                 if t < self._now:  # pragma: no cover - heap invariant guard
                     raise SimulationError("event scheduled in the past")
                 self._now = t
+                self._cur = seq
                 self._processed_count += 1
-                event._process()
+                fn(*args)
         n = 0
         while self._queue or self._soon:
             if self._soon_first():

@@ -142,7 +142,11 @@ class CompletionEvent(Event):
     barrier paths, so callers can introspect what finished without
     caring which fabric ran it.  The success value remains the
     operation's payload, exactly as with a plain :class:`Event` —
-    the metadata rides alongside and costs nothing to ignore.
+    the metadata rides alongside and costs nothing to ignore.  A DV
+    fan-out (``send_batch``, ``transmit_batch``) completes with one
+    :class:`repro.dv.flow.FanOut` for the whole batch (``op="fanout"``,
+    ``dest=-1``, ``words`` the total), whose value is the list of the
+    groups' payloads.
 
     Attributes
     ----------

@@ -6,6 +6,9 @@ bare sequence number::
 
     (fire_t, sched_t, ancestry, rank, seq, source, push)
 
+followed, as in the serial engine, by the lineage and the entry's
+``fn, args``.
+
 The serial engine processes same-``fire_t`` events in enqueue order:
 by the instant each was scheduled at, then by the order the events
 that scheduled them were processed in at that instant, then by enqueue
@@ -23,7 +26,7 @@ each shard can see:
   the one *burned on the sending shard* at transmit time);
 * ``source``   — the shard whose counter issued ``seq``;
 * ``push``     — local push counter; pure anti-crash tiebreak so tuple
-  comparison never reaches the event object.
+  comparison never reaches the lineage or the callback.
 
 Orders decided by the times are exact.  Zero-delay entries tie only
 with zero-delay entries of their own shard, and ``seq`` is their
@@ -46,7 +49,7 @@ import heapq
 from functools import cmp_to_key
 from typing import Generator, Optional
 
-from repro.sim.engine import Engine, SimulationError, _Wakeup
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.pdes import ShardingUnsupported
 from repro.sim.process import Process
 
@@ -147,6 +150,9 @@ class ShardEngine(Engine):
 
     # -- scheduling ---------------------------------------------------------
     def _enqueue(self, event, delay: float) -> None:
+        self.call_in(delay, event._process)
+
+    def call_in(self, delay: float, fn, *args) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
@@ -154,15 +160,19 @@ class ShardEngine(Engine):
         heapq.heappush(self._queue,
                        (self._now + delay, self._now, self._anc, 0,
                         self._seq, self.shard_id, self._push, self._lin,
-                        event))
-
-    def call_in(self, delay: float, fn, *args) -> None:
-        self._enqueue(_Wakeup(fn, args), delay)
+                        fn, args))
 
     def call_soon(self, fn, *args) -> None:
         # always through the heap: an entry's merge key and lineage are
         # what order it against other shards' entries
-        self._enqueue(_Wakeup(fn, args), 0.0)
+        self.call_in(0.0, fn, *args)
+
+    def mark(self) -> tuple:
+        # the merge key (up to ``seq``) of a zero-delay entry enqueued now
+        return (self._now, self._now, self._anc, 0, self._seq + 0.5)
+
+    def passed(self, mark: tuple) -> bool:
+        return self._last[:5] > mark
 
     def stamp(self) -> tuple:
         """``(ancestry, lineage)`` an entry scheduled now would carry."""
@@ -183,7 +193,7 @@ class ShardEngine(Engine):
         heapq.heappush(self._queue,
                        (fire_t, sched_t, stamp[0], 0, seq,
                         self.shard_id if source is None else source,
-                        self._push, stamp[1], _Wakeup(fn, args)))
+                        self._push, stamp[1], fn, args))
 
     def burn_seq(self, n: int = 1) -> int:
         """Consume ``n`` sequence numbers; return the first one.
@@ -234,7 +244,7 @@ class ShardEngine(Engine):
                 and queue[0][0] == entry[0] and queue[0][1] == entry[1]
                 and queue[0][2] == entry[2]):
             entry = self._take_tie(entry)
-        t, sched, anc, _rank, seq, source, _push, lin, event = entry
+        t, sched, anc, _rank, seq, source, _push, lin, fn, args = entry
         if t < self._now:  # pragma: no cover - heap invariant guard
             raise SimulationError("event scheduled in the past")
         self._last = entry[:6]
@@ -248,7 +258,7 @@ class ShardEngine(Engine):
         if self._obs_on:
             self._m_events.inc()
             self._m_qdepth.set_max(len(queue) + 1)
-        event._process()
+        fn(*args)
 
     def run_window(self, end: float) -> int:
         """Process every event with ``fire_t`` strictly below ``end``.

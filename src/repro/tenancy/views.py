@@ -23,7 +23,7 @@ determinism axis pins on every golden figure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -252,8 +252,7 @@ class TenantNetworkView:
 
     def transmit_batch(self, src: int, dests: Sequence[int],
                        counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       collect: bool = True) -> List[Event]:
+                       inject_rate: Optional[float] = None) -> Event:
         gsrc = self._xlate(src, "source")
         d = np.asarray(dests, dtype=np.int64)
         if d.size and (d.min() < 0 or d.max() >= self._n):
@@ -266,15 +265,13 @@ class TenantNetworkView:
             self._m_transfers.inc(len(payloads))
             self._m_packets.inc(int(np.asarray(counts).sum()))
         return self._net.transmit_batch(gsrc, d + self._base, counts,
-                                        payloads, inject_rate=inject_rate,
-                                        collect=collect)
+                                        payloads, inject_rate=inject_rate)
 
     def scatter(self, src: int, dests: Sequence[int],
                 counts: Sequence[int], payloads: Sequence[Any],
                 inject_rate: Optional[float] = None) -> Event:
-        events = self.transmit_batch(src, dests, counts, payloads,
-                                     inject_rate=inject_rate)
-        return self._net.engine.all_of(events)
+        return self.transmit_batch(src, dests, counts, payloads,
+                                   inject_rate=inject_rate).join()
 
     def time_of_flight(self, src: int, dest: int, now: float) -> float:
         return self._net.time_of_flight(src + self._base,

@@ -5,14 +5,19 @@
 the slow, obvious way — one marker :class:`~repro.sim.events.Event` plus
 a closure per arrival and per delivery, ``topology.min_hops`` walked per
 transmit, a blake2b route hash per IB message, and a transmit-at-a-time
-loop for batches.  :class:`ReferenceMPIEndpoint` is the MPI layer as it
+loop for batches.  :class:`PerGroupFlowNetwork` and
+:class:`ReferenceDataVortexAPI` complete a DV fan-out as it was first
+written: one :class:`~repro.sim.events.CompletionEvent` per destination
+group, joined by an :class:`~repro.sim.events.AllOf` built after the
+host's PCIe share.  :class:`ReferenceMPIEndpoint` is the MPI layer as it
 was first written: one generator process per ``isend``/``irecv``, the
 host CPU as a counted :class:`~repro.sim.resources.Resource` plus a
 :class:`~repro.sim.events.Timeout` per overhead, one event per blocked
 receive, and collectives that join their requests one at a time.  They
 are the models the suite was first written against;
-``tests/test_flow_equivalence.py`` and ``tests/test_mpi_requests.py``
-hold the production code to them bit for bit.  Nothing under ``src/``
+``tests/test_flow_equivalence.py``, ``tests/test_dv_fanout.py`` and
+``tests/test_mpi_requests.py`` hold the production code to them bit for
+bit.  Nothing under ``src/``
 uses them.
 """
 
@@ -21,6 +26,9 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, List, Optional, Sequence
 
+import numpy as np
+
+from repro.dv.api import DataVortexAPI
 from repro.dv.flow import FlowNetwork, apply_flow_faults
 from repro.dv.vic import FifoPush, MemWrite
 from repro.ib import mpi
@@ -118,13 +126,106 @@ class ReferenceFlowNetwork(FlowNetwork):
     def transmit_batch(self, src: int, dests: Sequence[int],
                        counts: Sequence[int], payloads: Sequence[Any],
                        inject_rate: Optional[float] = None,
-                       collect: bool = True) -> List[Event]:
+                       ) -> "GroupCompletions":
         if not (len(dests) == len(counts) == len(payloads)):
             raise ValueError("dests, counts, payloads must align")
-        events = [self.transmit(src, int(d), int(c), payload=p,
-                                inject_rate=inject_rate)
-                  for d, c, p in zip(dests, counts, payloads)]
-        return events if collect else []
+        return GroupCompletions(
+            self.engine, [self.transmit(src, int(d), int(c), payload=p,
+                                        inject_rate=inject_rate)
+                          for d, c, p in zip(dests, counts, payloads)])
+
+
+class GroupCompletions(list):
+    """A fan-out's per-group completion events; :meth:`join` builds the
+    ``AllOf`` over them, where a production fan-out's ``join`` stands."""
+
+    def __init__(self, engine, events: List[Event]) -> None:
+        super().__init__(events)
+        self.engine = engine
+
+    def join(self) -> Event:
+        return self.engine.all_of(self)
+
+
+class PerGroupFlowNetwork(FlowNetwork):
+    """The production flow model with the fan-out completion it first
+    had: one :class:`CompletionEvent` per destination group."""
+
+    def transmit_batch(self, src: int, dests: Sequence[int],
+                       counts: Sequence[int], payloads: Sequence[Any],
+                       inject_rate: Optional[float] = None,
+                       ) -> GroupCompletions:
+        checked = self._check_batch(src, dests, counts, payloads)
+        if checked is None:
+            return GroupCompletions(self.engine, [])
+        d, c = checked
+        m = d.size
+        engine = self.engine
+        now = engine.now
+        hop = self._hop
+        gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
+
+        seq = self._inject_batch(src, c, gap, now)
+        self._mark_busy(src, float(seq[m]))
+
+        penalty = self.config.deflection_hops_per_load * self._load(now)
+        tof = (self._hops[src, d] + penalty) * hop
+        delays = ((seq[:m] + gap) + tof - now).tolist()
+        floors = (seq[1:] + tof).tolist()
+        dl = d.tolist()
+        cl = c.tolist()
+        dones = GroupCompletions(engine, [])
+        for k in range(m):
+            done = CompletionEvent(engine, fabric="dv", op="transmit",
+                                   src=src, dest=dl[k], words=cl[k])
+            dones.append(done)
+            engine.call_in(delays[k], self._arrive, src, dl[k], cl[k],
+                           floors[k], now, payloads[k], done.succeed)
+        return dones
+
+
+class ReferenceDataVortexAPI(DataVortexAPI):
+    """``send_batch`` as first written: the per-group events of the
+    fan-out joined by an ``AllOf`` once the PCIe share is charged."""
+
+    def send_batch(self, dests, addrs, values, *, counter=None,
+                   cached_headers=True, via="dma", aggregate_source=True):
+        dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
+        addrs = np.atleast_1d(np.asarray(addrs, dtype=np.int64))
+        values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
+        if not (dests.size == addrs.size == values.size):
+            raise ValueError("dests, addrs, values must align")
+        if dests.size == 0:
+            raise ValueError("empty batch")
+        yield from self._overhead()
+
+        order = np.argsort(dests, kind="stable")
+        dests_s, addrs_s, values_s = dests[order], addrs[order], values[order]
+        uniq, starts = np.unique(dests_s, return_index=True)
+        bounds = list(starts[1:]) + [dests_s.size]
+        rate = self._inject_rate(via, cached_headers)
+
+        events = []
+        if aggregate_source:
+            group_counts = np.diff(np.append(starts, dests_s.size))
+            group_payloads = [MemWrite(addrs=addrs_s[lo:hi],
+                                       values=values_s[lo:hi],
+                                       counter=counter)
+                              for lo, hi in zip(starts, bounds)]
+            events = self.network.transmit_batch(
+                self.rank, uniq, group_counts, group_payloads,
+                inject_rate=rate)
+            yield from self._charge_tx(via, dests.size, cached_headers)
+        else:
+            for d, lo, hi in zip(uniq, starts, bounds):
+                events.append(self.network.transmit(
+                    self.rank, int(d), int(hi - lo),
+                    payload=MemWrite(addrs=addrs_s[lo:hi],
+                                     values=values_s[lo:hi],
+                                     counter=counter),
+                    inject_rate=rate))
+                yield from self._charge_tx(via, int(hi - lo), cached_headers)
+        return self.engine.all_of(events)
 
 
 class ReferenceIBFabric(IBFabric):

@@ -65,6 +65,74 @@ def test_memory_range_ops():
     assert np.array_equal(m.read_range(0, 10), np.zeros(10, np.uint64))
 
 
+CHUNK = 1 << 16  # DVMemory's chunk size in words
+
+
+def test_memory_ranges_straddle_chunks():
+    """Contiguous ranges cut at the chunk boundaries: the slices of a
+    read or write across two or three chunks line up with a word-at-a-
+    time model, and untouched chunks in the middle read as zeros."""
+    m = DVMemory(4 * CHUNK)
+    lo = CHUNK - 3
+    vals = np.arange(1, 8, dtype=np.uint64)  # words CHUNK-3 .. CHUNK+3
+    m.write_range(lo, vals)
+    assert np.array_equal(m.read_range(lo, 7), vals)
+    assert [m.read_word(a) for a in range(lo, lo + 7)] == vals.tolist()
+    assert m.read_word(lo - 1) == 0 and m.read_word(lo + 7) == 0
+    # a range spanning three chunks, of which chunk 2 was never touched
+    m.write_word(3 * CHUNK, 99)
+    got = m.read_range(CHUNK - 2, 2 * CHUNK + 3)
+    want = np.zeros(2 * CHUNK + 3, np.uint64)
+    want[:6] = vals[1:]
+    want[-1] = 99
+    assert np.array_equal(got, want)
+    assert m.touched_bytes == 3 * CHUNK * 8
+    # overwrites: the last write to a word wins
+    m.write_range(CHUNK - 1, np.array([7, 8], np.uint64))
+    m.write_range(CHUNK, np.array([9], np.uint64))
+    assert m.read_range(CHUNK - 1, 2).tolist() == [7, 9]
+
+
+def test_memory_range_reads_of_untouched_memory_are_fresh_zeros():
+    m = DVMemory(3 * CHUNK)
+    out = m.read_range(CHUNK - 4, CHUNK + 8)
+    assert out.dtype == np.uint64 and not out.any()
+    assert m.touched_bytes == 0
+    out[:] = 5  # a copy, never a view of the memory
+    m.write_range(0, np.ones(4, np.uint64))
+    view = m.read_range(0, 4)
+    view[:] = 0
+    assert m.read_range(0, 4).tolist() == [1, 1, 1, 1]
+    assert m.read_range(CHUNK, 0).size == 0
+
+
+def test_memory_range_bounds_and_shapes():
+    m = DVMemory(CHUNK + 10)
+    with pytest.raises(IndexError, match=r"\[65530, 65546\]"):
+        m.write_range(CHUNK - 6, np.zeros(17, np.uint64))
+    with pytest.raises(IndexError, match=r"\[-1, 2\]"):
+        m.read_range(-1, 4)
+    with pytest.raises(IndexError):
+        m.read_range(CHUNK, 11)
+    with pytest.raises(ValueError):
+        m.write_range(0, np.zeros((2, 2), np.uint64))
+    assert m.touched_bytes == 0
+    m.write_range(CHUNK + 10, np.zeros(0, np.uint64))  # empty: no check
+    assert m.read_range(CHUNK + 10, 0).size == 0
+
+
+def test_memory_one_word_scatter_matches_vector_path():
+    m = DVMemory(2 * CHUNK)
+    m.scatter(np.array([CHUNK + 1]), np.array([2**64 - 1], np.uint64))
+    m.scatter(np.array(5), np.array(6, np.uint64))  # 0-d
+    assert m.read_word(CHUNK + 1) == 2**64 - 1
+    assert m.read_word(5) == 6
+    with pytest.raises(IndexError, match=r"\[131072, 131072\]"):
+        m.scatter(np.array([2 * CHUNK]), np.array([1], np.uint64))
+    with pytest.raises(IndexError, match=r"\[-1, -1\]"):
+        m.scatter(np.array([-1]), np.array([1], np.uint64))
+
+
 def test_memory_lazy_allocation():
     m = DVMemory(4 * 1024 * 1024)  # 32 MB worth of words
     assert m.touched_bytes == 0

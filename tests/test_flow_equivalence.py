@@ -95,8 +95,8 @@ def _drive_flow(net_cls, n_ports, seed, n_rounds=120):
                 counts = [rng.randrange(1, 4) for _ in range(m)]
                 payloads = [FifoPush(np.arange(c, dtype=np.uint64))
                             for c in counts]
-                net.transmit_batch(src, dests, counts, payloads,
-                                   collect=rng.random() < 0.5)
+                rng.random()  # keeps the traffic stream of the seeds
+                net.transmit_batch(src, dests, counts, payloads)
             else:
                 dest = rng.randrange(n_ports)
                 ev = net.transmit(src, dest, 1)

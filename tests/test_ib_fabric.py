@@ -84,6 +84,20 @@ def test_static_route_hash_deterministic():
     assert len(vals) > 1
 
 
+def test_memoised_route_hash_equals_blake2b_formula():
+    import hashlib
+
+    def formula(src, dst, n):
+        h = hashlib.blake2b(f"{src}->{dst}".encode(), digest_size=4)
+        return int.from_bytes(h.digest(), "little") % n
+
+    pairs = [(s, d, n) for s in range(0, 300, 7) for d in range(0, 300, 11)
+             for n in (1, 4, 12)]
+    for _ in range(2):  # computed, then served from the memo
+        assert [_route_hash(*p) for p in pairs] == [formula(*p)
+                                                    for p in pairs]
+
+
 def test_stats_accumulate():
     eng, fab = make(n=16, leaf_size=8)
     fab.attach(1, lambda s, k, p, n: None)

@@ -16,7 +16,7 @@ def test_heap_entries_carry_merge_keys():
     eng.call_in(2.0, lambda: None)
     eng.timeout(1.0)
     for entry in eng._queue:
-        fire_t, sched_t, anc, rank, seq, source, push, lin, _item = entry
+        fire_t, sched_t, anc, rank, seq, source, push, lin, _fn, _args = entry
         assert fire_t >= sched_t == 0.0
         assert rank == 0 and anc == ROOT_ANCESTRY
         assert source == 3 and lin is ROOT_LINEAGE
@@ -186,6 +186,35 @@ def test_schedule_key_does_not_advance_local_seq():
     before = eng._seq
     eng.schedule_key(1.0, 0.0, 7, lambda: None, ())
     assert eng._seq == before
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, ShardEngine])
+def test_mark_is_passed_exactly_when_the_serial_order_says(engine_cls):
+    """``passed(mark)`` is false in the marking entry and in entries
+    queued before the mark (same instant included), and true in entries
+    queued after it, through the heap or the ``call_soon`` lane."""
+    eng = engine_cls()
+    marks = []
+    seen = []
+
+    def look(tag):
+        seen.append((tag, eng.passed(marks[0])))
+
+    def first():
+        marks.append(eng.mark())
+        look("marking entry")
+        eng.call_soon(look, "zero-delay after the mark")
+        eng.call_in(0.0, look, "heap entry after the mark")
+        eng.call_in(1.0, look, "a later instant")
+
+    eng.call_in(1.0, first)
+    eng.call_in(1.0, look, "same instant, queued before the mark")
+    eng.run()
+    assert seen == [("marking entry", False),
+                    ("same instant, queued before the mark", False),
+                    ("zero-delay after the mark", True),
+                    ("heap entry after the mark", True),
+                    ("a later instant", True)]
 
 
 def test_burn_seq_returns_first_and_advances():
