@@ -130,7 +130,9 @@ def cmd_bench(args) -> int:
     per recorded benchmark with its baseline and best wall-clock
     seconds and the speedup ratio.  The file is maintained by the perf
     PRs (see benchmarks/test_perf_regression.py, which guards these
-    floors nightly)."""
+    floors nightly).  Sections in the shared schema carry
+    ``wall_s.parent_median``/``change_median``; older sections name
+    their seconds ad hoc."""
     from pathlib import Path
     path = Path(args.bench_file)
     if not path.exists():
@@ -147,8 +149,13 @@ def cmd_bench(args) -> int:
     for name, entry in data.items():
         if name == "meta" or not isinstance(entry, dict):
             continue
-        base = next((entry[k] for k in base_keys if k in entry), None)
-        best = next((entry[k] for k in best_keys if k in entry), None)
+        wall = entry.get("wall_s")
+        if isinstance(wall, dict):
+            base = wall.get("parent_median")
+            best = wall.get("change_median")
+        else:
+            base = next((entry[k] for k in base_keys if k in entry), None)
+            best = next((entry[k] for k in best_keys if k in entry), None)
         if base is None:
             base = next((v for k, v in entry.items()
                          if k.endswith("seconds")

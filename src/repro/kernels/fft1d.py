@@ -9,8 +9,12 @@ N = n1 * n2 points, viewed as an n1 x n2 matrix A with
 4. FFT of length n1 along each column (local after the transpose).
 
 The output element ``X[k2 + n2*k1]`` is then found at ``C[k1, k2]`` with
-columns k2 block-distributed — verified against ``numpy.fft.fft`` of the
-gathered input.
+columns k2 block-distributed — verified, one rank's columns at a time,
+against ``numpy.fft.fft`` of the input.
+
+The rank blocks are cut once by :func:`_prepare` and are read-only: the
+PDES fallback and the tenancy shadow rerun the rank program in the same
+process (docs/architecture.md, "FFT memory").
 
 Communication:
 
@@ -26,13 +30,14 @@ Communication:
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cluster import ClusterSpec, run_spmd
 from repro.core.context import RankContext
 from repro.core.metrics import fft1d_flops, gflops_fft1d
+from repro.sim.rng import complex_normal
 
 _CTR_FFT = 40
 
@@ -52,9 +57,57 @@ def serial_fft_reference(x: np.ndarray) -> np.ndarray:
 
 def make_input(seed: int, n_points: int) -> np.ndarray:
     """The benchmark's random complex input vector."""
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal(n_points)
-            + 1j * rng.standard_normal(n_points))
+    return complex_normal(np.random.default_rng(seed), n_points)
+
+
+def _prepare(seed: int, log2_points: int, P: int, *, validate: bool
+             ) -> Tuple[int, int, List[np.ndarray], Optional[np.ndarray]]:
+    """Factor N = 2**log2_points = n1 * n2 and stage the input for P
+    ranks: ``(n1, n2, blocks, ref)``.
+
+    ``blocks[r]`` is rank r's read-only row block ``A[r*rows:(r+1)*rows]``
+    (``A[j1, j2] = x[j1 + n1*j2]``); ``ref`` is ``numpy.fft.fft(x)`` when
+    validating, else ``None``.  The reference is computed first, while
+    ``x`` is the only other full-size array alive, and ``x`` is dropped
+    once the blocks are cut.
+    """
+    half = log2_points // 2
+    n1, n2 = 1 << half, 1 << (log2_points - half)
+    if n1 % P or n2 % P:
+        raise ValueError(
+            f"2^{half} and 2^{log2_points - half} must both be divisible "
+            f"by {P} ranks (power-of-two rank counts only)")
+    x = make_input(seed, 1 << log2_points)
+    ref = serial_fft_reference(x) if validate else None
+    rows = n1 // P
+    A = x.reshape(n2, n1).T
+    blocks = [A[r0:r0 + rows].copy() for r0 in range(0, n1, rows)]
+    for block in blocks:
+        block.flags.writeable = False
+    return n1, n2, blocks, ref
+
+
+def _check(outs: Sequence[np.ndarray], ref: np.ndarray, n1: int,
+           n2: int) -> Tuple[float, bool]:
+    """``(max_error, valid)`` of the per-rank ``(n1, cols)`` outputs
+    against the reference, one rank's columns at a time.
+
+    Row-major C is exactly X, so rank r's output is the view
+    ``ref.reshape(n1, n2)[:, r*cols:(r+1)*cols]``.  ``max_error`` is
+    the max over ranks of ``max |out - ref|`` and ``valid`` holds when
+    every rank's ``allclose(atol=1e-6*N)`` does: the same values as the
+    whole-vector predicates, without full-size temporaries.
+    """
+    N = n1 * n2
+    R = ref.reshape(n1, n2)
+    cols = n2 // len(outs)
+    errors = []
+    valid = True
+    for r, out in enumerate(outs):
+        want = R[:, r * cols:(r + 1) * cols]
+        errors.append(np.max(np.abs(out - want)))
+        valid = valid and bool(np.allclose(out, want, atol=1e-6 * N))
+    return float(np.max(errors)), valid
 
 
 def _complex_to_words(z: np.ndarray) -> np.ndarray:
@@ -66,23 +119,25 @@ def _words_to_complex(w: np.ndarray) -> np.ndarray:
     return w.view(np.float64).view(np.complex128)
 
 
-def _fft_program(ctx: RankContext, x: np.ndarray, n1: int, n2: int,
-                 fabric: str) -> Generator:
+def _fft_program(ctx: RankContext, blocks: Sequence[np.ndarray], n1: int,
+                 n2: int, fabric: str) -> Generator:
     """SPMD body shared by both fabrics; returns this rank's output
-    columns and the timed duration."""
+    columns and the timed duration.
+
+    ``blocks[rank]`` is this rank's row block A[r0:r0+rows, :] from
+    :func:`_prepare`; it is only read, so the program can be rerun.
+    """
     P = ctx.size
     N = n1 * n2
     rows = n1 // P          # rows of A this rank owns
     cols = n2 // P          # columns of C this rank owns after transpose
     r0 = ctx.rank * rows
-    # Step 0: local block A[r0:r0+rows, :], A[j1, j2] = x[j1 + n1*j2]
-    block = x.reshape(n2, n1).T[r0:r0 + rows].copy()
 
     yield from ctx.barrier()
     ctx.mark("t0")
 
     # Step 1: row FFTs (length n2), charged at 5 n log n flops each
-    block = np.fft.fft(block, axis=1)
+    block = np.fft.fft(blocks[ctx.rank], axis=1)
     yield from ctx.compute(flops=rows * fft1d_flops(n2), dispatches=1)
     # Step 2: twiddles (6 flops per point: complex multiply)
     block = _twiddle(block, r0, N)
@@ -95,10 +150,13 @@ def _fft_program(ctx: RankContext, x: np.ndarray, n1: int, n2: int,
         # pack: column-block d gets my rows of its columns
         chunks = [np.ascontiguousarray(block[:, d * cols:(d + 1) * cols])
                   for d in range(P)]
-        yield from ctx.compute(stream_bytes=2 * block.nbytes, dispatches=1)
+        packed_bytes = block.nbytes
+        del block
+        yield from ctx.compute(stream_bytes=2 * packed_bytes, dispatches=1)
         got = yield from mpi.alltoall(chunks)
         # unpack into (n1, cols)
         mine = np.concatenate(got, axis=0)
+        del chunks, got
         yield from ctx.compute(stream_bytes=2 * mine.nbytes, dispatches=1)
     else:
         api = ctx.dv
@@ -114,16 +172,19 @@ def _fft_program(ctx: RankContext, x: np.ndarray, n1: int, n2: int,
         # stream into the switch as the DMA delivers them.
         from repro.dv.vic import MemWrite
         rate = api._inject_rate("dma", True)
+        # the word addresses of my rows do not depend on the
+        # destination: one read-only array serves all P writes
+        j1 = np.arange(r0, r0 + rows)[:, None, None]
+        j2l = np.arange(cols)[None, :, None]
+        half = np.arange(2)[None, None, :]
+        addrs = (2 * (j1 * cols + j2l) + half).ravel()
+        addrs.flags.writeable = False
         # staggered destination order: rank r starts at r+1, so ejection
         # ports receive balanced streams instead of all ranks hammering
         # destination 0 first
         for d in [(ctx.rank + 1 + i) % P for i in range(P)]:
             sub = np.ascontiguousarray(block[:, d * cols:(d + 1) * cols])
             words = _complex_to_words(sub)
-            j1 = np.arange(r0, r0 + rows)[:, None, None]
-            j2l = np.arange(cols)[None, :, None]
-            half = np.arange(2)[None, None, :]
-            addrs = (2 * (j1 * cols + j2l) + half).ravel()
             if d == ctx.rank:
                 # own sub-block: a host-memory transpose — it never
                 # crosses PCIe or the switch
@@ -135,6 +196,7 @@ def _fft_program(ctx: RankContext, x: np.ndarray, n1: int, n2: int,
                     payload=MemWrite(addrs=addrs, values=words,
                                      counter=_CTR_FFT),
                     inject_rate=rate)
+        del block
         # the host blocks for the remote-bound DMA share (concurrent
         # with switch injection)
         yield from api.vic.pcie.dma_write(
@@ -164,17 +226,11 @@ def run_fft1d(spec: ClusterSpec, fabric: str, *, log2_points: int = 16,
     """
     P = spec.n_nodes
     N = 1 << log2_points
-    # factor N = n1 * n2 with both divisible by P
-    half = log2_points // 2
-    n1, n2 = 1 << half, 1 << (log2_points - half)
-    if n1 % P or n2 % P:
-        raise ValueError(
-            f"2^{half} and 2^{log2_points - half} must both be divisible "
-            f"by n_nodes={P} (power-of-two node counts only)")
-    x = make_input(spec.seed, N)
+    n1, n2, blocks, ref = _prepare(spec.seed, log2_points, P,
+                                   validate=validate)
 
     def program(ctx):
-        return (yield from _fft_program(ctx, x, n1, n2, fabric))
+        return (yield from _fft_program(ctx, blocks, n1, n2, fabric))
 
     res = run_spmd(spec, program, fabric)
     elapsed = max(v["elapsed"] for v in res.values)
@@ -186,10 +242,6 @@ def run_fft1d(spec: ClusterSpec, fabric: str, *, log2_points: int = 16,
         "gflops": gflops_fft1d(N, elapsed),
     }
     if validate:
-        # assemble X[k2 + n2*k1] = C[k1, k2]: row-major C is exactly X
-        C = np.concatenate([v["out"] for v in res.values], axis=1)
-        X = np.ascontiguousarray(C).reshape(-1)
-        ref = serial_fft_reference(x)
-        out["max_error"] = float(np.max(np.abs(X - ref)))
-        out["valid"] = bool(np.allclose(X, ref, atol=1e-6 * N))
+        out["max_error"], out["valid"] = _check(
+            [v["out"] for v in res.values], ref, n1, n2)
     return out

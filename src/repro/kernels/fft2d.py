@@ -25,15 +25,14 @@ from repro.core.cluster import ClusterSpec, run_spmd
 from repro.core.context import RankContext
 from repro.core.metrics import fft1d_flops
 from repro.kernels.transpose import dv_transpose_batch, mpi_transpose
+from repro.sim.rng import complex_normal
 
 _CTR_FFT2D = 46
 
 
 def make_input(seed: int, n: int) -> np.ndarray:
     """Random complex n x n input matrix."""
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n, n))
-            + 1j * rng.standard_normal((n, n)))
+    return complex_normal(np.random.default_rng(seed), (n, n))
 
 
 def fft2d_flops(n: int) -> float:

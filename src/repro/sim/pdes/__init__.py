@@ -55,7 +55,8 @@ class ShardingUnsupported(ShardingFallback):
 _SESSION_SHARDS = 0
 
 # Execution report of the most recent sharded run in this process,
-# written by the runner at finish.  None until a sharded run completes.
+# written by the runner at finish and cleared when an attempt starts.
+# None until a sharded run completes, and after one falls back.
 _LAST_REPORT = None
 
 
@@ -64,7 +65,8 @@ def last_report():
     window and event counts, and ``critical_path_s`` (max shard CPU +
     hub CPU — the fork-mode wall-clock projection, valid even when the
     host timeshares shards over fewer cores than shards).  ``None``
-    before any sharded run finishes."""
+    before any sharded run finishes, and after a sharded attempt that
+    fell back to serial."""
     return _LAST_REPORT
 
 

@@ -333,10 +333,14 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
     serial run, or raises :class:`ShardingFallback` when it cannot
     guarantee that — the caller then runs serially.
     """
+    import repro.sim.pdes as _pdes
     from repro.core.cluster import RunResult
     from repro.core.scaling import (dv_lookahead_s, ib_lookahead_s,
                                     partition_ports)
 
+    # an attempt that falls back (or fails) leaves no report: a caller
+    # must never read the previous run's
+    _pdes._LAST_REPORT = None
     _precheck(spec, shards)
     n = spec.n_nodes
     shard_of = partition_ports(n, shards, fabric=fabric,
@@ -457,7 +461,6 @@ def run_spmd_sharded(spec, program, fabric: str = "dv",
     # max shard CPU + hub CPU is the parallel critical path, which
     # projects the fork-mode wall clock even when the host timeshares
     # the shards over fewer cores than shards.
-    import repro.sim.pdes as _pdes
     hub_cpu = time.process_time() - hub_cpu0
     _pdes._LAST_REPORT = {
         "fabric": fabric,

@@ -40,6 +40,17 @@ def rng_for(root: int, *path: Seedable) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root, *path))
 
 
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """``rng.standard_normal(shape) + 1j * rng.standard_normal(shape)``,
+    bit for bit, built in one ``complex128`` array: the real parts are
+    filled from the first draw, then the imaginary parts from the second,
+    so at most one half-size draw is alive beside the result."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 class SeedSequenceFactory:
     """Hands out independent :class:`numpy.random.Generator` objects.
 

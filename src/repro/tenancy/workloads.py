@@ -174,8 +174,7 @@ def _build_bfs(*, fabric: str, n_ranks: int, seed: int, traffic=None,
 def _build_fft(*, fabric: str, n_ranks: int, seed: int, traffic=None,
                agg_spec=None, log2_points: int = 10,
                validate: bool = False) -> TenantWorkload:
-    from repro.kernels.fft1d import (_fft_program, make_input,
-                                     serial_fft_reference)
+    from repro.kernels.fft1d import _check, _fft_program, _prepare
     if traffic is not None:
         raise TenancyError(
             "the FFT has a fixed all-to-all pattern; traffic models "
@@ -184,16 +183,11 @@ def _build_fft(*, fabric: str, n_ranks: int, seed: int, traffic=None,
         raise TenancyError("aggregation does not apply to the FFT")
     P = n_ranks
     N = 1 << log2_points
-    half = log2_points // 2
-    n1, n2 = 1 << half, 1 << (log2_points - half)
-    if n1 % P or n2 % P:
-        raise ValueError(
-            f"2^{half} and 2^{log2_points - half} must both be "
-            f"divisible by n_ranks={P} (power-of-two rank counts only)")
-    x = make_input(seed, N)
+    n1, n2, blocks, ref = _prepare(seed, log2_points, P,
+                                   validate=validate)
 
     def program(ctx):
-        return (yield from _fft_program(ctx, x, n1, n2, fabric))
+        return (yield from _fft_program(ctx, blocks, n1, n2, fabric))
 
     def finish(values: List[Dict[str, Any]]) -> Dict[str, Any]:
         elapsed = max(v["elapsed"] for v in values)
@@ -206,10 +200,8 @@ def _build_fft(*, fabric: str, n_ranks: int, seed: int, traffic=None,
             "gflops": gflops_fft1d(N, elapsed),
         }
         if validate:
-            C = np.concatenate([v["out"] for v in values], axis=1)
-            X = np.ascontiguousarray(C).reshape(-1)
-            ref = serial_fft_reference(x)
-            out["valid"] = bool(np.allclose(X, ref, atol=1e-6 * N))
+            out["valid"] = _check([v["out"] for v in values], ref, n1,
+                                  n2)[1]
         return out
 
     return TenantWorkload("fft", program, finish)

@@ -13,21 +13,25 @@ host's PCIe share.  :class:`ReferenceMPIEndpoint` is the MPI layer as it
 was first written: one generator process per ``isend``/``irecv``, the
 host CPU as a counted :class:`~repro.sim.resources.Resource` plus a
 :class:`~repro.sim.events.Timeout` per overhead, one event per blocked
-receive, and collectives that join their requests one at a time.  They
-are the models the suite was first written against;
-``tests/test_flow_equivalence.py``, ``tests/test_dv_fanout.py`` and
-``tests/test_mpi_requests.py`` hold the production code to them bit for
-bit.  Nothing under ``src/``
-uses them.
+receive, and collectives that join their requests one at a time.
+:func:`reference_run_fft1d` is the FFT-1D as first staged: the input
+built as ``a + 1j*b``, each rank cutting its block from the shared
+input, and validation over the concatenated output.  They are the
+models the suite was first written against;
+``tests/test_flow_equivalence.py``, ``tests/test_dv_fanout.py``,
+``tests/test_mpi_requests.py`` and ``tests/test_fft_memory.py`` hold the
+production code to them bit for bit.  Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cluster import run_spmd
+from repro.core.metrics import fft1d_flops, gflops_fft1d
 from repro.dv.api import DataVortexAPI
 from repro.dv.flow import FlowNetwork, apply_flow_faults
 from repro.dv.vic import FifoPush, MemWrite
@@ -483,3 +487,120 @@ class ReferenceMPIEndpoint(mpi.MPIEndpoint):
     def alltoallv(self, chunks: List[Any]):
         return (yield from self._timed_collective(
             "alltoallv", self._alltoall(chunks)))
+
+
+# --------------------------------------------------------------- FFT-1D ---
+
+
+def reference_fft_input(seed: int, n_points: int) -> np.ndarray:
+    """The FFT-1D input as first built: ``a + 1j*b``."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n_points)
+            + 1j * rng.standard_normal(n_points))
+
+
+def reference_fft_program(ctx, x: np.ndarray, n1: int, n2: int,
+                          fabric: str):
+    """The four-step rank program as first written: it cuts its own
+    block from the shared input and keeps every temporary alive."""
+    from repro.dv.vic import MemWrite
+    from repro.kernels.fft1d import (_CTR_FFT, _complex_to_words,
+                                     _twiddle, _words_to_complex)
+    P = ctx.size
+    N = n1 * n2
+    rows = n1 // P
+    cols = n2 // P
+    r0 = ctx.rank * rows
+    block = x.reshape(n2, n1).T[r0:r0 + rows].copy()
+
+    yield from ctx.barrier()
+    ctx.mark("t0")
+
+    block = np.fft.fft(block, axis=1)
+    yield from ctx.compute(flops=rows * fft1d_flops(n2), dispatches=1)
+    block = _twiddle(block, r0, N)
+    yield from ctx.compute(flops=6.0 * rows * n2, dispatches=1)
+
+    if fabric == "mpi":
+        mpi = ctx.mpi
+        chunks = [np.ascontiguousarray(block[:, d * cols:(d + 1) * cols])
+                  for d in range(P)]
+        yield from ctx.compute(stream_bytes=2 * block.nbytes, dispatches=1)
+        got = yield from mpi.alltoall(chunks)
+        mine = np.concatenate(got, axis=0)
+        yield from ctx.compute(stream_bytes=2 * mine.nbytes, dispatches=1)
+    else:
+        api = ctx.dv
+        expected_words = 2 * (n1 - rows) * cols
+        yield from api.set_counter(_CTR_FFT, expected_words)
+        yield from ctx.barrier()
+        rate = api._inject_rate("dma", True)
+        for d in [(ctx.rank + 1 + i) % P for i in range(P)]:
+            sub = np.ascontiguousarray(block[:, d * cols:(d + 1) * cols])
+            words = _complex_to_words(sub)
+            j1 = np.arange(r0, r0 + rows)[:, None, None]
+            j2l = np.arange(cols)[None, :, None]
+            half = np.arange(2)[None, None, :]
+            addrs = (2 * (j1 * cols + j2l) + half).ravel()
+            if d == ctx.rank:
+                api.vic.memory.scatter(addrs, words)
+                yield from ctx.compute(stream_bytes=2 * words.nbytes)
+            else:
+                api.network.transmit(
+                    ctx.rank, d, words.size,
+                    payload=MemWrite(addrs=addrs, values=words,
+                                     counter=_CTR_FFT),
+                    inject_rate=rate)
+        yield from api.vic.pcie.dma_write(
+            2 * rows * (n2 - cols) * 8)
+        yield from api.wait_counter_zero(_CTR_FFT)
+        yield from api.drain_overlapped(2 * n1 * cols)
+        mine = _words_to_complex(
+            api.vic.memory.read_range(0, 2 * n1 * cols)).reshape(n1, cols)
+
+    mine = np.fft.fft(mine, axis=0)
+    yield from ctx.compute(flops=cols * fft1d_flops(n1), dispatches=1)
+
+    yield from ctx.barrier()
+    elapsed = ctx.since("t0")
+    return {"elapsed": elapsed, "out": mine}
+
+
+def reference_fft_check(outs: Sequence[np.ndarray], x: np.ndarray
+                        ) -> Tuple[float, bool]:
+    """``(max_error, valid)`` as first computed: the outputs
+    concatenated into X and compared with ``np.fft.fft(x)`` whole."""
+    N = x.size
+    C = np.concatenate(list(outs), axis=1)
+    X = np.ascontiguousarray(C).reshape(-1)
+    ref = np.fft.fft(x)
+    return (float(np.max(np.abs(X - ref))),
+            bool(np.allclose(X, ref, atol=1e-6 * N)))
+
+
+def reference_run_fft1d(spec, fabric: str, *, log2_points: int,
+                        validate: bool = False
+                        ) -> Tuple[Dict[str, object], List[Any]]:
+    """``run_fft1d`` as first staged; also returns the rank values."""
+    P = spec.n_nodes
+    N = 1 << log2_points
+    half = log2_points // 2
+    n1, n2 = 1 << half, 1 << (log2_points - half)
+    x = reference_fft_input(spec.seed, N)
+
+    def program(ctx):
+        return (yield from reference_fft_program(ctx, x, n1, n2, fabric))
+
+    res = run_spmd(spec, program, fabric)
+    elapsed = max(v["elapsed"] for v in res.values)
+    out: Dict[str, object] = {
+        "fabric": fabric,
+        "n_nodes": P,
+        "n_points": N,
+        "elapsed_s": elapsed,
+        "gflops": gflops_fft1d(N, elapsed),
+    }
+    if validate:
+        out["max_error"], out["valid"] = reference_fft_check(
+            [v["out"] for v in res.values], x)
+    return out, res.values

@@ -183,6 +183,32 @@ def test_bench_reads_repo_bench_file(capsys):
     assert "benchmark" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        "mpi_hotpath_gups128",
+        "mpi_requests_gups128",
+        "dv_fanout_gups128",
+        "fft_memory_2p22",
+    ],
+)
+def test_bench_reads_shared_schema_sections(section, capsys):
+    """Sections in the shared schema print their wall_s medians and
+    ratio as numbers, not dashes."""
+    bench_file = os.path.join(os.path.dirname(REPO_GOLDENS), "BENCH_exec.json")
+    assert cli.main(["bench", "--bench-file", bench_file, "--csv"]) == 0
+    rows = {
+        line.split(",")[0]: line.split(",")[1:4]
+        for line in capsys.readouterr().out.splitlines()
+    }
+    base, best, ratio = (float(v) for v in rows[section])
+    with open(bench_file) as f:
+        entry = json.load(f)[section]["wall_s"]
+    assert base == pytest.approx(entry["parent_median"], abs=1e-3)
+    assert best == pytest.approx(entry["change_median"], abs=1e-3)
+    assert ratio == pytest.approx(base / best, abs=0.01)
+
+
 def test_list_exits_zero(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
