@@ -142,7 +142,9 @@ class DataVortexAPI:
         order = np.argsort(dests, kind="stable")
         dests_s, addrs_s, values_s = dests[order], addrs[order], values[order]
         uniq, starts = np.unique(dests_s, return_index=True)
-        bounds = list(starts[1:]) + [dests_s.size]
+        group_counts = np.diff(np.append(starts, dests_s.size))
+        starts = starts.tolist()
+        bounds = starts[1:] + [dests_s.size]
         rate = self._inject_rate(via, cached_headers)
 
         if aggregate_source:
@@ -150,7 +152,6 @@ class DataVortexAPI:
             # stream into the switch back to back (batched: the flow
             # engine prices the whole fan-out vectorised and completes
             # it with one FanOut).
-            group_counts = np.diff(np.append(starts, dests_s.size))
             group_payloads = [MemWrite(addrs=addrs_s[lo:hi],
                                        values=values_s[lo:hi],
                                        counter=counter)
@@ -163,12 +164,12 @@ class DataVortexAPI:
         events = []
         for d, lo, hi in zip(uniq, starts, bounds):
             events.append(self.network.transmit(
-                self.rank, int(d), int(hi - lo),
+                self.rank, int(d), hi - lo,
                 payload=MemWrite(addrs=addrs_s[lo:hi],
                                  values=values_s[lo:hi],
                                  counter=counter),
                 inject_rate=rate))
-            yield from self._charge_tx(via, int(hi - lo), cached_headers)
+            yield from self._charge_tx(via, hi - lo, cached_headers)
         return self.engine.all_of(events)
 
     def send_fifo(self, dest: int, values, *,

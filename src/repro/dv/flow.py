@@ -28,6 +28,7 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.dv.config import DVConfig
+from repro.dv.fifo import SurpriseFIFO
 from repro.dv.topology import DataVortexTopology
 from repro.dv.vic import FifoPush, MemWrite
 from repro.faults import injector as fltreg
@@ -204,7 +205,10 @@ class FlowNetwork:
     exchange) in a handful of numpy operations whose rounding matches
     the scalar :meth:`transmit` recurrence exactly
     (``np.add.accumulate`` is sequential), and completes it with one
-    :class:`FanOut`.  All times it hands the engine are Python floats.
+    :class:`FanOut`.  :meth:`post_fifo` prices a fan-out of raw FIFO
+    words the same way, with no completion, and lets the destination
+    FIFO hold each delivery until it is observed.  All times it hands
+    the engine are Python floats.
 
     Parameters
     ----------
@@ -229,6 +233,8 @@ class FlowNetwork:
         self._hop = cfg.hop_time_s
         self._hops = hop_table(self.topo, n_ports)
         self._receivers: List[Optional[Receiver]] = [None] * n_ports
+        #: per-port FIFO that may hold :meth:`post_fifo` deliveries
+        self._fifos: List[Optional[SurpriseFIFO]] = [None] * n_ports
         #: earliest time each port can inject / eject its next packet
         self._inject_free = [0.0] * n_ports
         self._eject_free = [0.0] * n_ports
@@ -250,11 +256,19 @@ class FlowNetwork:
             self._m_ej_wait = obsreg.histogram("dv.flow.ejection_wait_s")
 
     # -- wiring ---------------------------------------------------------------
-    def attach(self, port: int, receiver: Receiver) -> None:
-        """Connect ``receiver`` to ``port``; called once per VIC."""
+    def attach(self, port: int, receiver: Receiver,
+               fifo: Optional[SurpriseFIFO] = None) -> None:
+        """Connect ``receiver`` to ``port``; called once per VIC.
+
+        ``fifo`` is the port's surprise FIFO, which may hold
+        :meth:`post_fifo` deliveries unless a fault site is installed
+        here (a fault must see each delivery at its own time).
+        """
         if self._receivers[port] is not None:
             raise ValueError(f"port {port} already attached")
         self._receivers[port] = receiver
+        if self._faults is None:
+            self._fifos[port] = fifo
 
     # -- load estimate ----------------------------------------------------------
     def _load(self, now: float) -> float:
@@ -410,10 +424,58 @@ class FlowNetwork:
         checked = self._check_batch(src, dests, counts, payloads)
         if checked is None:
             return FanOut(self.engine, src, [])
-        d, c = checked
-        m = d.size
+        delays, floors, dl, cl = self._price_batch(src, *checked,
+                                                   inject_rate)
         engine = self.engine
-        now = engine.now
+        now = engine._now
+        fan = FanOut(engine, src, payloads, sum(cl))
+        delivered = fan._delivered
+        arrive = self._arrive
+        # inlined Engine.call_in (same arithmetic: _now + delay)
+        queue = engine._queue
+        for k in range(len(dl)):
+            engine._seq += 1
+            heappush(queue, (now + delays[k], engine._seq, arrive,
+                             (src, dl[k], cl[k], floors[k], now,
+                              payloads[k], delivered)))
+        return fan
+
+    def post_fifo(self, src: int, dests: Sequence[int],
+                  counts: Sequence[int], words: Sequence[np.ndarray],
+                  inject_rate: Optional[float] = None) -> None:
+        """Send groups of raw words to the destinations' surprise FIFOs,
+        fire and forget.
+
+        ``words[k]`` is a 1-D ``uint64`` array of ``counts[k]`` words.
+        Priced and delivered exactly as :meth:`transmit_batch` with
+        ``FifoPush(words[k])`` payloads whose fan-out nobody joins, but
+        with no effect objects and no completion, and a delivery the
+        destination FIFO can hold (:meth:`SurpriseFIFO.hold
+        <repro.dv.fifo.SurpriseFIFO.hold>`) takes no heap entry: it
+        lands when the FIFO is next observed.
+        """
+        checked = self._check_batch(src, dests, counts, words)
+        if checked is None:
+            return
+        delays, floors, dl, cl = self._price_batch(src, *checked,
+                                                   inject_rate)
+        engine = self.engine
+        now = engine._now
+        arrive = self._arrive_fifo
+        queue = engine._queue
+        for k in range(len(dl)):
+            engine._seq += 1
+            heappush(queue, (now + delays[k], engine._seq, arrive,
+                             (src, dl[k], cl[k], floors[k], now,
+                              words[k])))
+
+    def _price_batch(self, src: int, d: np.ndarray, c: np.ndarray,
+                     inject_rate: Optional[float]) -> tuple:
+        """Serialise a checked fan-out on ``src`` and price its groups:
+        lists of first-arrival delays, ejection floors, destinations
+        and counts."""
+        m = d.size
+        now = self.engine.now
         hop = self._hop
         gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
 
@@ -424,21 +486,7 @@ class FlowNetwork:
         tof = (self._hops[src, d] + penalty) * hop
         delays = ((seq[:m] + gap) + tof - now).tolist()
         floors = (seq[1:] + tof).tolist()
-        dl = d.tolist()
-        cl = c.tolist()
-
-        fan = FanOut(engine, src, payloads, sum(cl))
-        delivered = fan._delivered
-        arrive = self._arrive
-        # inlined Engine.call_in (same arithmetic: _now + delay)
-        queue = engine._queue
-        eng_now = engine._now
-        for k in range(m):
-            engine._seq += 1
-            heappush(queue, (eng_now + delays[k], engine._seq, arrive,
-                             (src, dl[k], cl[k], floors[k], now,
-                              payloads[k], delivered)))
-        return fan
+        return delays, floors, d.tolist(), c.tolist()
 
     def scatter(self, src: int, dests: Sequence[int],
                 counts: Sequence[int], payloads: Sequence[Any],
@@ -469,6 +517,30 @@ class FlowNetwork:
         """
         engine = self.engine
         t = engine.now
+        ej_end = self._reserve(dest, n, floor, t)
+        engine.call_in(ej_end - t, self._deliver, src, dest, n, sent_at,
+                       payload, done)
+
+    def _arrive_fifo(self, src: int, dest: int, n: int, floor: float,
+                     sent_at: float, words: np.ndarray) -> None:
+        """:meth:`_arrive` for a :meth:`post_fifo` group: the delivery
+        takes the key ``call_in`` would give its entry, and the
+        destination FIFO holds it under that key if it can."""
+        engine = self.engine
+        t = engine._now
+        ej_end = self._reserve(dest, n, floor, t)
+        # inlined Engine.call_in (same arithmetic: _now + delay)
+        engine._seq += 1
+        at = t + (ej_end - t)
+        fifo = self._fifos[dest]
+        if fifo is None or not fifo.hold(at, engine._seq, src, words):
+            heappush(engine._queue,
+                     (at, engine._seq, self._deliver,
+                      (src, dest, n, sent_at, FifoPush(words), None)))
+
+    def _reserve(self, dest: int, n: int, floor: float, t: float) -> float:
+        """Reserve ``dest``'s ejection port for ``n`` packets whose first
+        reaches it at ``t``; returns when the last is ejected."""
         ej_start = self._eject_free[dest]
         if t >= ej_start:
             ej_start = t
@@ -480,8 +552,7 @@ class FlowNetwork:
         if floor > ej_end:
             ej_end = floor
         self._eject_free[dest] = ej_end
-        engine.call_in(ej_end - t, self._deliver, src, dest, n, sent_at,
-                       payload, done)
+        return ej_end
 
     def _deliver(self, src: int, dest: int, n: int, sent_at: float,
                  payload: Any, done: Optional[Callable[[Any], Any]]) -> None:
@@ -589,6 +660,16 @@ class ShardedFlowNetwork(FlowNetwork):
             (True, now, engine.stamp(), seq0, src, gap,
              seq[:m], seq[1:].copy(), d, c, list(payloads), fan._delivered))
         return fan
+
+    def post_fifo(self, src: int, dests: Sequence[int],
+                  counts: Sequence[int], words: Sequence[np.ndarray],
+                  inject_rate: Optional[float] = None) -> None:
+        """No deliveries are held under sharding: this is
+        :meth:`transmit_batch` with ``FifoPush`` payloads and the
+        fan-out dropped."""
+        self.transmit_batch(src, dests, counts,
+                            [FifoPush(w) for w in words],
+                            inject_rate=inject_rate)
 
     # -- window barrier ----------------------------------------------------
     def take_rows(self) -> list:

@@ -146,7 +146,7 @@ class VIC:
         self.fifo = SurpriseFIFO(
             engine, config.fifo_capacity + config.host_fifo_words)
         self.pcie = PCIeBus(engine, config, name=f"vic{vic_id}:pcie")
-        self.packets_received = 0
+        self._packets_received = 0
         self.queries_served = 0
         # node-outage windows are enforced here, at the receiving VIC:
         # the whole controller goes dark for data during the window
@@ -158,13 +158,36 @@ class VIC:
             self._m_mem_words = obsreg.counter("dv.vic.memwrite_words")
             self._m_fifo_words = obsreg.counter("dv.vic.fifo_words")
             self._m_queries = obsreg.counter("dv.vic.queries_served")
-        network.attach(vic_id, self._on_delivery)
+        if self._faults is None:
+            # a node outage must see each delivery at its own time
+            self.fifo.enable_holding(self._land_held, self._deliver_held)
+        network.attach(vic_id, self._on_delivery, self.fifo)
+
+    @property
+    def packets_received(self) -> int:
+        """Packets delivered to this VIC, held FIFO deliveries settled."""
+        self.fifo.settle()
+        return self._packets_received
 
     # -- network receive path ---------------------------------------------
+    def _land_held(self, n_packets: int) -> None:
+        """Charge settled FIFO deliveries of ``n_packets`` words in all
+        (see :meth:`SurpriseFIFO.hold <repro.dv.fifo.SurpriseFIFO.hold>`)
+        as :meth:`_on_delivery` would have; the FIFO appends the words
+        itself."""
+        self._packets_received += n_packets
+        if self._obs_on:
+            self._m_packets.inc(n_packets)
+            self._m_fifo_words.inc(n_packets)
+
+    def _deliver_held(self, src: int, words: np.ndarray) -> None:
+        """A held FIFO delivery put back on the heap."""
+        self._on_delivery(src, FifoPush(words), words.size)
+
     def _on_delivery(self, src: int, effect: Effect, n_packets: int) -> None:
         """Dispatch an arriving batch (called by the flow network at the
         simulated time the last word of the batch is ejected)."""
-        self.packets_received += n_packets
+        self._packets_received += n_packets
         if self._obs_on:
             self._m_packets.inc(n_packets)
         kind = type(effect)

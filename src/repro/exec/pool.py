@@ -10,10 +10,12 @@ process wake-up over short simulation points — unless the grid's
 point-cost proxy says the points are heterogeneous, in which case
 chunks shrink to one point each and the pool balances dynamically
 (:func:`_auto_chunksize`).  A worker exception is
-re-raised in the parent exactly as the runner raised it; the serial
-path is used when ``workers <= 1``, when there is at most one point,
-when the runner cannot be pickled (lambdas, closures), or when the
-platform cannot start a process pool at all.
+re-raised in the parent exactly as the runner raised it, once: it is
+never retried.  The serial path is used when ``workers <= 1``, when
+there is at most one point, and as a fallback counted under
+``exec.pool.fallbacks{reason}`` when the runner cannot be pickled
+(``unpicklable``: lambdas, closures) or the platform cannot start a
+process pool at all (``no-pool``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import pickle
 import time
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+
+from repro.obs import registry as obsreg
 
 __all__ = ["run_points"]
 
@@ -53,6 +57,13 @@ def _picklable(obj: Any) -> bool:
 def _serial(runner: Callable[..., Mapping[str, Any]],
             points: Sequence[Dict[str, Any]]) -> List[TimedResult]:
     return [_run_one(runner, params) for params in points]
+
+
+def _fallback(reason: str, runner: Callable[..., Mapping[str, Any]],
+              points: Sequence[Dict[str, Any]]) -> List[TimedResult]:
+    """The serial path in place of a pool, counted."""
+    obsreg.counter("exec.pool.fallbacks", reason=reason).inc()
+    return _serial(runner, points)
 
 
 #: max/min point-cost spread above which chunking is abandoned for
@@ -107,12 +118,11 @@ def run_points(runner: Callable[..., Mapping[str, Any]],
     of tasks (load balance without drowning in dispatch overhead).
     """
     points = list(points)
-    if workers <= 1 or len(points) <= 1 or not _picklable(runner):
+    if workers <= 1 or len(points) <= 1:
         return _serial(runner, points)
-    try:
-        import concurrent.futures as cf
-    except ImportError:  # pragma: no cover - stdlib always present
-        return _serial(runner, points)
+    if not _picklable(runner):
+        return _fallback("unpicklable", runner, points)
+    import concurrent.futures as cf
 
     workers = min(workers, len(points))
     if chunksize <= 0:
@@ -123,14 +133,23 @@ def run_points(runner: Callable[..., Mapping[str, Any]],
 
     out: List[TimedResult] = [None] * len(points)  # type: ignore[list-item]
     try:
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, runner, chunk)
-                       for chunk in chunks]
-            for fut in futures:
-                # .result() re-raises the runner's original exception
-                for idx, timed in fut.result():
-                    out[idx] = timed
-    except (OSError, PermissionError):
-        # sandboxes without fork/spawn support: fall back to serial
-        return _serial(runner, points)
+        pool = cf.ProcessPoolExecutor(max_workers=workers)
+    except OSError:  # no semaphores or pipes for a pool here
+        return _fallback("no-pool", runner, points)
+    with pool:
+        futures = []
+        try:
+            for chunk in chunks:
+                futures.append(pool.submit(_run_chunk, runner, chunk))
+        except OSError:
+            # workers start at submit; dispatch starts after them, so a
+            # failing first submit has run no point
+            if futures:
+                raise
+            pool.shutdown(cancel_futures=True)
+            return _fallback("no-pool", runner, points)
+        for fut in futures:
+            # .result() re-raises the runner's original exception
+            for idx, timed in fut.result():
+                out[idx] = timed
     return out

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.cluster import ClusterSpec, run_spmd
 from repro.core.context import RankContext
 from repro.core.metrics import mups
-from repro.dv.vic import FifoPush
 from repro.obs import registry as obsreg
 from repro.sim.rng import rng_for
 
@@ -126,21 +125,22 @@ def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
             order = np.argsort(dests, kind="stable")
             dests_s, packed_s = dests[order], packed[order]
             uniq, starts = np.unique(dests_s, return_index=True)
-            bounds = list(starts[1:]) + [dests_s.size]
+            group_counts = np.diff(np.append(starts, dests_s.size))
+            starts = starts.tolist()
+            bounds = starts[1:] + [dests_s.size]
             yield from api._overhead()
             rate = api._inject_rate("dma", True)
-            group_counts = np.diff(np.append(starts, dests_s.size))
-            group_payloads = [FifoPush(packed_s[s0:s1])
-                              for s0, s1 in zip(starts, bounds)]
-            # one batched fan-out: reference impl loops transmit() with
-            # identical arguments; the fast impl vectorises the pricing
-            api.network.transmit_batch(ctx.rank, uniq, group_counts,
-                                       group_payloads, inject_rate=rate)
+            # one fire-and-forget fan-out: nobody waits on these words
+            # until the owner polls its FIFO
+            api.network.post_fifo(ctx.rank, uniq, group_counts,
+                                  [packed_s[s0:s1]
+                                   for s0, s1 in zip(starts, bounds)],
+                                  inject_rate=rate)
             if aggregate:
                 yield from api._charge_tx("dma", int(remote.sum()), True)
             else:
-                for s0, s1 in zip(starts, bounds):
-                    yield from api._charge_tx("dma", int(s1 - s0), True)
+                for n in group_counts.tolist():
+                    yield from api._charge_tx("dma", n, True)
         # opportunistically drain whatever has arrived
         arrived = api.fifo_take()
         if arrived.size:

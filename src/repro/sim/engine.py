@@ -58,6 +58,8 @@ class Engine:
         self._processed_count = 0
         #: call_soon's lane: ``(sequence, fn, args)`` due at ``_now``
         self._soon: collections.deque = collections.deque()
+        #: callables :meth:`run` calls once before it stops (:meth:`at_stop`)
+        self._stop_hooks: List[Any] = []
         self._running = False
         # observability handles, resolved once; hot paths guard on the bool
         self._obs_on = obsreg.enabled()
@@ -153,6 +155,23 @@ class Engine:
         self._cur, fn, args = self._soon.popleft()
         fn(*args)
 
+    def at_stop(self, fn) -> None:
+        """Call ``fn()`` once, when :meth:`run` next runs dry or
+        reaches ``until``, before it stops.
+
+        For work that is applied lazily and must be on the heap before
+        the run ends: if ``fn`` schedules entries, the run goes on with
+        them (and stops at ``until`` as usual).
+        """
+        self._stop_hooks.append(fn)
+
+    def _stop(self) -> bool:
+        """Run the stop hooks; True when they left entries to run."""
+        hooks, self._stop_hooks = self._stop_hooks, []
+        for fn in hooks:
+            fn()
+        return bool(self._queue or self._soon)
+
     def mark(self) -> tuple:
         """The position a zero-delay entry enqueued now would take,
         without taking it (no sequence number is consumed)."""
@@ -223,6 +242,8 @@ class Engine:
                     fn(*args)
                     continue
                 if not queue:
+                    if self._stop_hooks and self._stop():
+                        continue
                     return
                 t, seq, fn, args = pop(queue)
                 if t < self._now:  # pragma: no cover - heap invariant guard
@@ -232,11 +253,14 @@ class Engine:
                 self._processed_count += 1
                 fn(*args)
         n = 0
-        while self._queue or self._soon:
+        while self._queue or self._soon or (self._stop_hooks
+                                            and self._stop()):
             if self._soon_first():
                 self._run_soon()
                 continue
             if until is not None and self.peek() > until:
+                if self._stop_hooks and self._stop():
+                    continue
                 self._now = until
                 return
             if max_events is not None and n >= max_events:

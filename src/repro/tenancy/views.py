@@ -168,12 +168,13 @@ class TenantVICView:
 class TenantNetworkView:
     """A flow network restricted to one tenant's rank window.
 
-    Ranks on both sides of :meth:`transmit` / :meth:`transmit_batch` are
-    tenant-local; the view translates them by the partition base,
-    bounds-checks destinations against the window, validates every
-    effect payload against the counter / memory windows, and rewrites
-    ``Query.reply_vic`` (the only payload field naming a rank) to global
-    space.  Everything else delegates to the real network.
+    Ranks on both sides of :meth:`transmit`, :meth:`transmit_batch` and
+    :meth:`post_fifo` are tenant-local; the view translates them by the
+    partition base, bounds-checks destinations against the window,
+    validates every effect payload against the counter / memory
+    windows, and rewrites ``Query.reply_vic`` (the only payload field
+    naming a rank) to global space.  Everything else delegates to the
+    real network.
     """
 
     def __init__(self, network, partition: TenantPartition) -> None:
@@ -244,15 +245,30 @@ class TenantNetworkView:
         gsrc = self._xlate(src, "source")
         gdest = self._xlate(dest, "destination")
         payload = self._check_payload(payload)
-        if self._obs_on:
-            self._m_transfers.inc()
-            self._m_packets.inc(n_packets)
+        self._count(1, n_packets)
         return self._net.transmit(gsrc, gdest, n_packets, payload,
                                   inject_rate)
 
     def transmit_batch(self, src: int, dests: Sequence[int],
                        counts: Sequence[int], payloads: Sequence[Any],
                        inject_rate: Optional[float] = None) -> Event:
+        gsrc, gdests = self._xlate_batch(src, dests)
+        payloads = [self._check_payload(p) for p in payloads]
+        self._count(len(payloads), int(np.asarray(counts).sum()))
+        return self._net.transmit_batch(gsrc, gdests, counts, payloads,
+                                        inject_rate=inject_rate)
+
+    def post_fifo(self, src: int, dests: Sequence[int],
+                  counts: Sequence[int], words: Sequence[np.ndarray],
+                  inject_rate: Optional[float] = None) -> None:
+        # raw FIFO words name no counter, address or rank: nothing to check
+        gsrc, gdests = self._xlate_batch(src, dests)
+        self._count(len(gdests), int(np.asarray(counts).sum()))
+        self._net.post_fifo(gsrc, gdests, counts, words,
+                            inject_rate=inject_rate)
+
+    def _xlate_batch(self, src: int, dests: Sequence[int]) -> tuple:
+        """Translate and bounds-check a fan-out's ranks."""
         gsrc = self._xlate(src, "source")
         d = np.asarray(dests, dtype=np.int64)
         if d.size and (d.min() < 0 or d.max() >= self._n):
@@ -260,12 +276,12 @@ class TenantNetworkView:
             raise TenantIsolationError(
                 f"tenant {self._part.tenant_id!r}: destination rank "
                 f"{bad} outside its {self._n}-rank window")
-        payloads = [self._check_payload(p) for p in payloads]
+        return gsrc, d + self._base
+
+    def _count(self, transfers: int, packets: int) -> None:
         if self._obs_on:
-            self._m_transfers.inc(len(payloads))
-            self._m_packets.inc(int(np.asarray(counts).sum()))
-        return self._net.transmit_batch(gsrc, d + self._base, counts,
-                                        payloads, inject_rate=inject_rate)
+            self._m_transfers.inc(transfers)
+            self._m_packets.inc(packets)
 
     def scatter(self, src: int, dests: Sequence[int],
                 counts: Sequence[int], payloads: Sequence[Any],

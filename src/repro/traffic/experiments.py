@@ -15,7 +15,8 @@ Every point is a module-level, keyword-only runner over primitives
 workers and memoises in the exec result cache like every other
 experiment in the repo.  ``fig_skew`` is registered in
 :data:`repro.core.experiments.REGISTRY`, golden-pinned at a small
-config, and four-axis determinism-verified (see docs/traffic.md).
+config, and determinism-verified on every harness axis (see
+docs/traffic.md).
 """
 
 from __future__ import annotations

@@ -5,7 +5,12 @@
 the slow, obvious way — one marker :class:`~repro.sim.events.Event` plus
 a closure per arrival and per delivery, ``topology.min_hops`` walked per
 transmit, a blake2b route hash per IB message, and a transmit-at-a-time
-loop for batches.  :class:`PerGroupFlowNetwork` and
+loop for batches.  Their FIFO fan-outs land with a heap entry per
+delivery: ``ReferenceFlowNetwork.post_fifo`` is one ``transmit`` of a
+``FifoPush`` per group, and :class:`EagerFifoFlowNetwork` is the
+production model with ``post_fifo`` as ``transmit_batch`` with the
+fan-out dropped.
+:class:`PerGroupFlowNetwork` and
 :class:`ReferenceDataVortexAPI` complete a DV fan-out as it was first
 written: one :class:`~repro.sim.events.CompletionEvent` per destination
 group, joined by an :class:`~repro.sim.events.AllOf` built after the
@@ -19,8 +24,9 @@ built as ``a + 1j*b``, each rank cutting its block from the shared
 input, and validation over the concatenated output.  They are the
 models the suite was first written against;
 ``tests/test_flow_equivalence.py``, ``tests/test_dv_fanout.py``,
-``tests/test_mpi_requests.py`` and ``tests/test_fft_memory.py`` hold the
-production code to them bit for bit.  Nothing under ``src/`` uses them.
+``tests/test_fifo_deferral.py``, ``tests/test_mpi_requests.py`` and
+``tests/test_fft_memory.py`` hold the production code to them bit for
+bit.  Nothing under ``src/`` uses them.
 """
 
 from __future__ import annotations
@@ -137,6 +143,28 @@ class ReferenceFlowNetwork(FlowNetwork):
             self.engine, [self.transmit(src, int(d), int(c), payload=p,
                                         inject_rate=inject_rate)
                           for d, c, p in zip(dests, counts, payloads)])
+
+    def post_fifo(self, src: int, dests: Sequence[int],
+                  counts: Sequence[int], words: Sequence[np.ndarray],
+                  inject_rate: Optional[float] = None) -> None:
+        """Every delivery a heap entry: one ``transmit`` of a
+        ``FifoPush`` per group, its event dropped."""
+        for d, c, w in zip(dests, counts, words):
+            self.transmit(src, int(d), int(c), payload=FifoPush(w),
+                          inject_rate=inject_rate)
+
+
+class EagerFifoFlowNetwork(FlowNetwork):
+    """The production flow model with no held FIFO deliveries:
+    ``post_fifo`` is ``transmit_batch`` with ``FifoPush`` payloads and
+    the fan-out dropped."""
+
+    def post_fifo(self, src: int, dests: Sequence[int],
+                  counts: Sequence[int], words: Sequence[np.ndarray],
+                  inject_rate: Optional[float] = None) -> None:
+        self.transmit_batch(src, dests, counts,
+                            [FifoPush(w) for w in words],
+                            inject_rate=inject_rate)
 
 
 class GroupCompletions(list):

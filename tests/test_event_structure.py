@@ -16,8 +16,12 @@ too (gups_dv 2766 -> 2270): the per-group ``CompletionEvent`` entries,
 the ``AllOf`` re-deliveries at ``send_batch``'s join and the ``AllOf``
 entries left the heap (240, 240 and 16), and the fan-out's stand-in and
 its own entry run from the lane; ``tests/test_dv_fanout.py`` holds them
-to the per-group layer record for record.  The results and messages
-columns never move.
+to the per-group layer record for record.  So did the GUPS epochs'
+fire-and-forget FIFO fan-outs (gups_dv 2270 -> 1790): the 480 deliveries
+to the owners' FIFOs are held by the FIFO and land when it is next
+observed, not as heap entries of their own; ``tests/test_fifo_deferral.py``
+holds them to a heap entry per delivery, every observation and resume.
+The results and messages columns never move.
 """
 
 import pytest
@@ -60,7 +64,7 @@ PINS = {
     "gups_dv": (
         gups, lambda: gups.run_gups(_spec(), "dv", table_words=1024,
                                     n_updates=2048, validate=True),
-        ("elapsed_s", "mups_total"), 2270,
+        ("elapsed_s", "mups_total"), 1790,
         (3.472581818181824e-05, 943.6206752115257), None),
     # 4 KiB all-to-all chunks: every exchange takes the rendezvous path
     "fft_rendezvous": (

@@ -1,8 +1,13 @@
 """The parallel executor must be a pure speed-up: identical rows to a
-serial run, original exceptions surfaced, graceful serial fallback."""
+serial run, original exceptions surfaced once, counted serial
+fallback."""
+
+import concurrent.futures as cf
+import errno
 
 import pytest
 
+from repro import obs
 from repro.core.scaling import switch_scaling
 from repro.core.sweep import Sweep
 from repro.exec import Executor
@@ -17,6 +22,15 @@ def point_runner(a, b=0):
 def crashing_runner(a):
     if a == 3:
         raise ValueError(f"boom at {a}")
+    return {"a": a}
+
+
+def missing_file_runner(a, log):
+    """Logs each call to ``log``; point 0's input is missing."""
+    with open(log, "a") as f:
+        f.write(f"{a}\n")
+    if a == 0:
+        raise FileNotFoundError(f"no input for point {a}")
     return {"a": a}
 
 
@@ -50,11 +64,66 @@ def test_serial_crash_surfaces_original_exception():
         run_points(crashing_runner, pts, workers=1)
 
 
+def test_worker_oserror_raises_once(tmp_path):
+    """An OSError raised by the runner in a worker is the runner's
+    failure, not the platform's: it surfaces as is, with no serial
+    rerun of the grid."""
+    log = tmp_path / "calls"
+    pts = [{"a": i, "log": str(log)} for i in range(4)]
+    with pytest.raises(FileNotFoundError, match="no input for point 0"):
+        run_points(missing_file_runner, pts, workers=2)
+    assert log.read_text().split().count("0") == 1
+
+
 def test_unpicklable_runner_falls_back_to_serial():
     pts = [{"a": i} for i in range(5)]
-    out = [r for _, r in run_points(lambda a: {"sq": a * a}, pts,
-                                    workers=4)]
+    with obs.session() as reg:
+        out = [r for _, r in run_points(lambda a: {"sq": a * a}, pts,
+                                        workers=4)]
     assert [r["sq"] for r in out] == [0, 1, 4, 9, 16]
+    assert reg.value("exec.pool.fallbacks", reason="unpicklable") == 1
+
+
+def _pool_failing_at(k):
+    """A thread-backed stand-in for ProcessPoolExecutor whose ``k``-th
+    submit fails as a fork failure would."""
+    class Pool(cf.ThreadPoolExecutor):
+        submits = 0
+
+        def submit(self, *args, **kwargs):
+            if Pool.submits == k:
+                raise OSError(errno.EAGAIN, "cannot fork")
+            Pool.submits += 1
+            return super().submit(*args, **kwargs)
+
+    return Pool
+
+
+def test_pool_that_cannot_start_falls_back_counted(monkeypatch):
+    pts = [{"a": i} for i in range(6)]
+    serial = run_points(point_runner, pts, workers=1)
+    with obs.session() as reg:
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", _pool_failing_at(0))
+        first = run_points(point_runner, pts, workers=2, chunksize=2)
+
+        def no_pool(max_workers):
+            raise PermissionError(errno.EACCES, "no semaphores")
+
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", no_pool)
+        built = run_points(point_runner, pts, workers=2)
+    assert [r for _, r in first] == [r for _, r in serial]
+    assert [r for _, r in built] == [r for _, r in serial]
+    assert reg.value("exec.pool.fallbacks", reason="no-pool") == 2
+
+
+def test_pool_failing_after_dispatch_began_raises(monkeypatch):
+    """Once a chunk may be running, a failing submit is not retried."""
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", _pool_failing_at(1))
+    pts = [{"a": i} for i in range(6)]
+    with obs.session() as reg:
+        with pytest.raises(OSError, match="cannot fork"):
+            run_points(point_runner, pts, workers=2, chunksize=2)
+    assert reg.total("exec.pool.fallbacks") == 0
 
 
 def test_timings_are_reported_per_point():

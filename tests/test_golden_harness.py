@@ -40,8 +40,9 @@ def test_run_goldens_returns_all_requested():
 
 @pytest.mark.parametrize("fig", sorted(GOLDEN_CONFIGS))
 def test_harness_all_axes_bit_identical(fig):
-    """Every tier-1 figure along all four axes (workers, cache, obs,
-    all-zero fault plan) — the acceptance-criteria sweep."""
+    """Every tier-1 figure along all seven axes (workers, cache, obs,
+    all-zero fault plan, shards, agg, tenancy) — the acceptance-criteria
+    sweep."""
     reports = run_harness([fig])
     assert [r.axis for r in reports] == list(AXES)
     for r in reports:

@@ -4,8 +4,9 @@ entry).
 
 The heavy 64-to-1024-node grid is exercised elsewhere by hand; these
 tests pin the cheap invariants tier-1 can afford: parameter laws,
-point/sweep plumbing, table shape, and the four-axis golden
-determinism of the committed ``fig_scaleout`` config.
+point/sweep plumbing and table shape.  The golden determinism of the
+committed ``fig_scaleout`` config along every harness axis is
+``tests/test_golden_harness.py::test_harness_all_axes_bit_identical``.
 """
 
 import math
@@ -16,7 +17,6 @@ import repro.api as api
 from repro.core.scaling import (SCALEOUT_FABRICS, SCALEOUT_NODES,
                                 SCALEOUT_WORKLOADS, scaleout_params,
                                 scaleout_point, scaleout_sweep)
-from repro.golden import AXES, run_harness
 
 
 # ----------------------------------------------------------- params ------
@@ -108,14 +108,3 @@ def test_facade_public_callables_are_keyword_only():
 def test_defaults_cover_paper_grid():
     assert SCALEOUT_NODES == (64, 128, 256, 512, 1024)
     assert SCALEOUT_WORKLOADS == ("gups", "bfs", "fft")
-
-
-# ------------------------------------------------- golden determinism ----
-
-def test_fig_scaleout_four_axis_determinism():
-    """The committed fig_scaleout config is bit-identical along all
-    four harness axes (workers, cache, obs, all-zero fault plan)."""
-    reports = run_harness(["fig_scaleout"])
-    assert [r.axis for r in reports] == list(AXES)
-    for r in reports:
-        assert r.ok, r.describe()
