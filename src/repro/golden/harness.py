@@ -39,6 +39,7 @@ harness rides in tier-1 CI on every push.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -234,7 +235,7 @@ class AxisReport:
         head = f"{self.fig} / axis {self.axis!r} (seed {self.seed})"
         if self.ok:
             return f"{head}: bit-identical"
-        lines = [f"{head}: DIVERGED"]
+        lines = [f"{head}: {'DIVERGED' if self.diffs else 'FAILED'}"]
         lines += [f"  {d.describe()}" for d in self.diffs]
         if self.note:
             lines.append(f"  {self.note}")
@@ -244,13 +245,20 @@ class AxisReport:
 _EXACT_POLICY = FigPolicy()      # bit-identity for every axis
 
 
-def _axis_workers(fig: str, params: Dict[str, Any]) -> List[Table]:
+def _pid_golden_point(fig: str, **params: Any) -> Tuple[int, Table]:
+    """:func:`_golden_point` and the id of the process that ran it."""
+    return os.getpid(), _golden_point(fig, **params)
+
+
+def _axis_workers(fig: str,
+                  params: Dict[str, Any]) -> List[Tuple[int, Table]]:
     """The figure computed twice inside a two-worker process pool
     (two points so the pool path is actually exercised — a single
-    point falls back to serial dispatch)."""
+    point falls back to serial dispatch), each with the id of the
+    process that ran it."""
     from repro.exec import Executor
     point = {"fig": fig, **params}
-    return Executor(workers=2).map(_golden_point, [point, dict(point)],
+    return Executor(workers=2).map(_pid_golden_point, [point, dict(point)],
                                    name="golden.axis.workers")
 
 
@@ -340,7 +348,12 @@ def check_axis(fig: str, axis: str, baseline: Optional[Table] = None,
     if baseline is None and axis != "agg":
         baseline = _golden_point(fig, **params)
     if axis == "workers":
-        candidates = _axis_workers(fig, params)
+        ran = _axis_workers(fig, params)
+        if any(pid == os.getpid() for pid, _ in ran):
+            return AxisReport(fig, axis, seed, ok=False, note=(
+                "the process pool fell back to serial dispatch: a point "
+                "ran in this process, so the axis exercised no worker"))
+        candidates = [table for _, table in ran]
     elif axis == "cache":
         import tempfile
         if cache_dir is not None:

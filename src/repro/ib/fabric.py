@@ -10,19 +10,20 @@ the effect that degrades unstructured (irregular) traffic on fat trees
 
 Channels are modelled as next-free-time accumulators (cut-through: a
 message's serialisation time is charged once, concurrently on every
-channel along its path).  Per-message state rides in the arguments of
-one :meth:`Engine.call_in` wakeup, and each flow's route — a blake2b
-hash per (src, dst) pair — is memoised per fabric, and the hash itself
-once per process, which is exact because it is a pure function of
-``(src, dst, n)``.
+channel along its path), numbered into one flat list of slots
+(:meth:`IBFabric._slots`).  Per-message state rides in the arguments of
+one :meth:`Engine.call_in` wakeup, and each flow's uplink — a blake2b
+hash per (src, dst) pair — is memoised once per process, which is exact
+because it is a pure function of ``(src, dst, n)``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _route_hash(src: int, dst: int, n: int) -> int:
     """Deterministic static-routing uplink choice for the (src, dst) flow.
 
     Memoised across fabrics: every run of the same cluster size asks for
-    the same pairs, and a fabric's own path cache dies with it."""
+    the same pairs."""
     h = hashlib.blake2b(f"{src}->{dst}".encode(), digest_size=4)
     return int.from_bytes(h.digest(), "little") % n
 
@@ -68,9 +69,16 @@ class IBFabric:
         self.n_nodes = n_nodes
         #: disable to model an ideal non-blocking crossbar (ablation)
         self.contention = contention
-        self._free: Dict[Tuple, float] = {}
+        leaves = -(-n_nodes // config.leaf_size)
+        up = config.uplinks_per_leaf
+        #: first up- and downlink slot (see :meth:`_slots`)
+        self._up0 = 2 * n_nodes
+        self._down0 = 2 * n_nodes + leaves * up
+        #: next-free time per channel slot; with contention off the
+        #: private per-flow slots (n² of them) are made on first use
+        self._free: Any = ([0.0] * (self._down0 + leaves * up) if contention
+                           else collections.defaultdict(float))
         self._receivers: List[Optional[Receiver]] = [None] * n_nodes
-        self._path_cache: Dict[Tuple[int, int], tuple] = {}
         self.stats = FabricStats()
         # IB loses no messages: link-level CRC errors are retried by the
         # HCA, so a FaultPlan shows up as latency, not loss
@@ -91,32 +99,29 @@ class IBFabric:
     def leaf_of(self, node: int) -> int:
         return node // self.config.leaf_size
 
-    def _path(self, src: int, dst: int) -> List[Tuple]:
-        """Channel keys along the route."""
-        path: List[Tuple] = [("tx", src)]
-        lsrc, ldst = self.leaf_of(src), self.leaf_of(dst)
-        if lsrc != ldst:
-            if self.contention:
-                up = _route_hash(src, dst, self.config.uplinks_per_leaf)
-                down = _route_hash(dst, src, self.config.uplinks_per_leaf)
-            else:
-                # ideal crossbar: a private channel per flow
-                up = down = ("flow", src, dst)
-            path.append(("up", lsrc, up))
-            path.append(("down", ldst, down))
-        path.append(("rx", dst))
-        return path
+    def _slots(self, src: int, dst: int) -> Tuple[int, ...]:
+        """Indices into ``_free`` of the channels along the route.
+
+        ``tx[src]`` is slot ``src`` and ``rx[dst]`` slot ``n + dst``; a
+        cross-leaf route adds leaf ``l``'s uplink ``k`` at
+        ``2n + l·U + k`` and its downlink ``k`` at ``2n + L·U + l·U +
+        k`` (``L`` leaves of ``U`` uplinks), or, on an ideal crossbar,
+        one private slot ``2n + src·n + dst`` for the flow.
+        """
+        n = self.n_nodes
+        leaf = self.config.leaf_size
+        lsrc, ldst = src // leaf, dst // leaf
+        if lsrc == ldst:
+            return (src, n + dst)
+        if not self.contention:
+            return (src, self._up0 + src * n + dst, n + dst)
+        u = self.config.uplinks_per_leaf
+        return (src, self._up0 + lsrc * u + _route_hash(src, dst, u),
+                self._down0 + ldst * u + _route_hash(dst, src, u), n + dst)
 
     def hops(self, src: int, dst: int) -> int:
         """Switch hops traversed (2 within a leaf, 4 across the spine)."""
         return 2 if self.leaf_of(src) == self.leaf_of(dst) else 4
-
-    def _cached_path(self, src: int, dst: int) -> tuple:
-        key = (src, dst)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._path_cache[key] = tuple(self._path(src, dst))
-        return path
 
     # -- transfers -----------------------------------------------------------
     def _check(self, src: int, dst: int, nbytes: int) -> None:
@@ -138,7 +143,7 @@ class IBFabric:
         self._check(src, dst, nbytes)
         cfg = self.config
         now = self.engine.now
-        path = self._cached_path(src, dst)
+        slots = self._slots(src, dst)
         occupancy = max(nbytes / cfg.effective_bw, cfg.msg_gap_s)
 
         retry_lat = 0.0
@@ -153,17 +158,17 @@ class IBFabric:
 
         free = self._free
         start = now
-        for ch in path:
-            t = free.get(ch, 0.0)
+        for ch in slots:
+            t = free[ch]
             if t > start:
                 start = t
         self.stats.total_queue_wait_s += start - now
         busy_until = start + occupancy
-        for ch in path:
+        for ch in slots:
             free[ch] = busy_until
 
-        # a cross-leaf path has four channels and four switch hops
-        cross = len(path) == 4
+        # a cross-leaf route has more than two channels and four hops
+        cross = len(slots) > 2
         arrival = (start + occupancy + retry_lat + cfg.wire_latency_s
                    + (4 if cross else 2) * cfg.hop_latency_s)
 

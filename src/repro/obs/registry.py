@@ -162,7 +162,11 @@ class Histogram:
             idx = np.searchsorted(self.bounds, arr, side="left")
             for i, c in zip(*np.unique(idx, return_counts=True)):
                 self.counts[int(i)] += int(c)
-            total = float(arr.sum())
+            # summed in element order, as observe() would: a pairwise
+            # arr.sum() differs in the last bits
+            total = self.total
+            for v in arr.tolist():
+                total += v
             lo = float(arr.min())
             hi = float(arr.max())
         except ImportError:  # pragma: no cover - numpy is a hard dep
@@ -170,7 +174,7 @@ class Histogram:
                 self.observe(v)
             return
         self.count += n
-        self.total += total
+        self.total = total
         if lo < self.min:
             self.min = lo
         if hi > self.max:

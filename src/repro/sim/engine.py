@@ -11,6 +11,7 @@ bound ``_process``.
 from __future__ import annotations
 
 import collections
+import gc
 import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
@@ -219,12 +220,25 @@ class Engine:
         max_events:
             Safety valve for runaway simulations; raises
             :class:`SimulationError` when exhausted.
+
+        Automatic cyclic garbage collection is paused for the run and
+        restored when it returns or raises (a nested run, or one that
+        starts with the collector off, leaves it as it is).  Collection
+        cannot change a result — nothing in the simulator has a
+        finaliser or a weakref callback — and runs make no cyclic
+        garbage, so the passes the run's many small live objects would
+        set off find nothing to free.
         """
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         self._running = True
         try:
             self._run(until, max_events)
         finally:
             self._running = False
+            if paused:
+                gc.enable()
 
     def _run(self, until: Optional[float],
              max_events: Optional[int]) -> None:

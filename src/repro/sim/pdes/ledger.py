@@ -6,7 +6,7 @@ shards at transmit time:
 * Data Vortex — the busy-port census behind the deflection penalty
   (``FlowNetwork._load``);
 * InfiniBand — the channel next-free-time accumulators behind static
-  -routing contention (``IBFabric._free``).
+  -routing contention (``IBFabric._free``, one slot per channel).
 
 The sharded engines therefore never price a transfer inline.  Each
 transmit logs one *ledger row* and the hub replays the merged rows on a
@@ -139,11 +139,12 @@ class _StoppedEngine:
 class IBReplayer:
     """Replays the serial channel-accumulator pricing for IB rows.
 
-    Owns a throwaway :class:`~repro.ib.fabric.IBFabric` purely
-    as a route oracle (``_cached_path`` / ``hops`` are pure functions of
-    the pair) plus its own free-time dict, and accumulates
-    ``total_queue_wait_s`` in serial row order — float addition is not
-    associative, so the wait total must be summed here, not per shard.
+    Owns a throwaway :class:`~repro.ib.fabric.IBFabric` purely as a
+    route oracle (``_slots`` / ``hops`` are pure functions of the pair)
+    whose channel slots no transfer ever touches, so they serve as the
+    replay's own, and accumulates ``total_queue_wait_s`` in serial row
+    order — float addition is not associative, so the wait total must
+    be summed here, not per shard.
     """
 
     def __init__(self, config: IBConfig, n_nodes: int,
@@ -152,24 +153,24 @@ class IBReplayer:
         self._oracle = IBFabric(_StoppedEngine(), config, n_nodes,
                                 contention=contention)
         self._cfg = self._oracle.config
-        self._free: dict = {}
+        self._free = self._oracle._free
         self.total_queue_wait_s = 0.0
 
     def price(self, t_tx: float, src: int, dst: int, nbytes: int) -> float:
         """Arrival time the serial engine would compute for this
         transfer (faults are never active on the sharded path)."""
         cfg = self._cfg
-        path = self._oracle._cached_path(src, dst)
+        slots = self._oracle._slots(src, dst)
         occupancy = max(nbytes / cfg.effective_bw, cfg.msg_gap_s)
         free = self._free
         start = t_tx
-        for ch in path:
-            t = free.get(ch, 0.0)
+        for ch in slots:
+            t = free[ch]
             if t > start:
                 start = t
         self.total_queue_wait_s += start - t_tx
         busy_until = start + occupancy
-        for ch in path:
+        for ch in slots:
             free[ch] = busy_until
         return (start + occupancy + 0.0 + cfg.wire_latency_s
                 + self._oracle.hops(src, dst) * cfg.hop_latency_s)

@@ -4,12 +4,12 @@
 :class:`~repro.dv.flow.FlowNetwork` and :class:`~repro.ib.fabric.IBFabric`
 the slow, obvious way — one marker :class:`~repro.sim.events.Event` plus
 a closure per arrival and per delivery, ``topology.min_hops`` walked per
-transmit, a blake2b route hash per IB message, and a transmit-at-a-time
-loop for batches.  Their FIFO fan-outs land with a heap entry per
-delivery: ``ReferenceFlowNetwork.post_fifo`` is one ``transmit`` of a
-``FifoPush`` per group, and :class:`EagerFifoFlowNetwork` is the
-production model with ``post_fifo`` as ``transmit_batch`` with the
-fan-out dropped.
+transmit, a blake2b route hash and tuple-keyed channels per IB message,
+and a transmit-at-a-time loop for batches.  Their FIFO fan-outs land
+with a heap entry per delivery: ``ReferenceFlowNetwork.post_fifo`` is
+one ``transmit`` of a ``FifoPush`` per group, and
+:class:`EagerFifoFlowNetwork` is the production model with
+``post_fifo`` as ``transmit_batch`` with the fan-out dropped.
 :class:`PerGroupFlowNetwork` and
 :class:`ReferenceDataVortexAPI` complete a DV fan-out as it was first
 written: one :class:`~repro.sim.events.CompletionEvent` per destination
@@ -42,7 +42,7 @@ from repro.dv.api import DataVortexAPI
 from repro.dv.flow import FlowNetwork, apply_flow_faults
 from repro.dv.vic import FifoPush, MemWrite
 from repro.ib import mpi
-from repro.ib.fabric import IBFabric
+from repro.ib.fabric import IBFabric, _route_hash
 from repro.sim.events import CompletionEvent, Event
 from repro.sim.resources import Resource
 
@@ -261,7 +261,28 @@ class ReferenceDataVortexAPI(DataVortexAPI):
 
 
 class ReferenceIBFabric(IBFabric):
-    """Scalar fat tree: a route hash per message, marker deliveries."""
+    """Scalar fat tree: a route hash per message, channels keyed by
+    tuples in a dict, marker deliveries."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._free: Dict[Tuple, float] = {}
+
+    def _path(self, src: int, dst: int) -> List[Tuple]:
+        """Channel keys along the route."""
+        path: List[Tuple] = [("tx", src)]
+        lsrc, ldst = self.leaf_of(src), self.leaf_of(dst)
+        if lsrc != ldst:
+            if self.contention:
+                up = _route_hash(src, dst, self.config.uplinks_per_leaf)
+                down = _route_hash(dst, src, self.config.uplinks_per_leaf)
+            else:
+                # ideal crossbar: a private channel per flow
+                up = down = ("flow", src, dst)
+            path.append(("up", lsrc, up))
+            path.append(("down", ldst, down))
+        path.append(("rx", dst))
+        return path
 
     def transfer(self, src: int, dst: int, nbytes: int, *,
                  kind: str = "data", payload: Any = None) -> Event:

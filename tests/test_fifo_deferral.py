@@ -326,15 +326,17 @@ def _metrics(reg):
 
 @pytest.mark.parametrize("seed", [1, 5])
 def test_obs_on_matches_oracle(seed):
-    """Against the ``transmit_batch`` oracle only: a batch observes its
-    injection waits in one ``observe_many``, whose histogram total is
-    not rounded as per-transfer ``observe`` calls would round it."""
-    with obs.session() as reg:
-        ref = _drive(EagerFifoFlowNetwork, seed)
+    """Against both oracles: a batch observes its injection waits in
+    one ``observe_many``, which sums them in element order, so its
+    histogram total equals that of per-transfer ``observe`` calls bit
+    for bit."""
     with obs.session() as new_reg:
         new = _drive(FlowNetwork, seed)
-    assert new == ref
-    assert _metrics(new_reg) == _metrics(reg)
+    for oracle in ORACLES.values():
+        with obs.session() as reg:
+            ref = _drive(oracle, seed)
+        assert new == ref
+        assert _metrics(new_reg) == _metrics(reg)
     assert _metrics(reg)["counters"]
 
 

@@ -192,12 +192,37 @@ def _drive_ib(fab_cls, n_nodes, seed, contention=True):
             float(fab.stats.total_queue_wait_s), float(engine.now))
 
 
-@pytest.mark.parametrize("n_nodes", [2, 6, 16])
+@pytest.mark.parametrize("n_nodes", [2, 6, 16, 20])
 @pytest.mark.parametrize("contention", [True, False])
 def test_ib_fast_equals_reference(n_nodes, contention):
     ref = _drive_ib(ReferenceIBFabric, n_nodes, 7 * n_nodes, contention)
     fast = _drive_ib(IBFabric, n_nodes, 7 * n_nodes, contention)
     assert ref == fast
+
+
+@pytest.mark.parametrize("n_nodes", [1, 8, 20, 33])
+@pytest.mark.parametrize("contention", [True, False])
+def test_ib_slots_number_the_reference_channels(n_nodes, contention):
+    """Integer slots and tuple channel keys name the same channels: over
+    every (src, dst) pair the two numberings correspond one to one, and
+    with contention on every slot indexes the flat ``_free`` list."""
+    engine = Engine()
+    fab = IBFabric(engine, IBConfig(), n_nodes, contention=contention)
+    ref = ReferenceIBFabric(engine, IBConfig(), n_nodes,
+                            contention=contention)
+    to_key, to_slot = {}, {}
+    for src in range(n_nodes):
+        for dst in range(n_nodes):
+            slots = fab._slots(src, dst)
+            keys = ref._path(src, dst)
+            if len(slots) == 3:  # the crossbar's up/down: one private slot
+                keys = keys[:2] + keys[3:]
+            assert len(slots) == len(keys)
+            for slot, key in zip(slots, keys):
+                assert to_key.setdefault(slot, key) == key
+                assert to_slot.setdefault(key, slot) == slot
+            if contention:
+                assert all(0 <= s < len(fab._free) for s in slots)
 
 
 def test_ib_fast_under_retry_faults():

@@ -92,6 +92,21 @@ def test_cache_axis_requires_a_warm_hit(monkeypatch, tmp_path):
         check_axis("fig4", "cache", cache_dir=str(tmp_path))
 
 
+def test_workers_axis_fails_when_no_point_reaches_a_pool(monkeypatch):
+    """A pool that cannot start falls back to serial dispatch; the
+    workers axis must then fail and say so, not pass on two serial
+    runs."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    report = check_axis("fig6a", "workers")
+    assert not report.ok and not report.diffs
+    assert "fell back to serial" in report.describe()
+
+
 # -------------------------------------------------- committed goldens ---
 
 def test_committed_goldens_exist_for_every_config():

@@ -113,8 +113,8 @@ def _record(monkeypatch, reference, run):
 
     def transfer(fab, src, dst, nbytes, *, kind="data", payload=None):
         start = fab.engine.now
-        for ch in fab._cached_path(src, dst):
-            start = max(start, fab._free.get(ch, 0.0))
+        for ch in fab._slots(src, dst):
+            start = max(start, fab._free[ch])
         entry = (src, dst, nbytes, kind, start)
         log.append(("transfer", fab.engine.now) + entry)
         return real_transfer(

@@ -54,13 +54,15 @@ def check_observe_many_equivalent(values):
     assert many.counts == one.counts
     assert many.count == one.count
     assert (many.min, many.max) == (one.min, one.max)
-    assert math.isclose(many.total, one.total, rel_tol=1e-12)
+    # summed in element order: bit for bit the per-value total
+    assert many.total == one.total
     # incremental batches compose with per-value observation
     mixed = Histogram("t")
     mixed.observe_many(values[: len(values) // 2])
     for v in values[len(values) // 2:]:
         mixed.observe(v)
     assert mixed.counts == one.counts and mixed.count == one.count
+    assert mixed.total == one.total
 
 
 def check_merge_associative(xs, ys, zs):
