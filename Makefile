@@ -15,7 +15,8 @@ FORMATTED = src/repro/golden src/repro/service \
             tests/test_golden_drift.py tests/test_cli_smoke.py \
             tests/test_service.py tests/test_mpi_requests.py \
             tests/test_dv_fanout.py tests/test_fft_memory.py \
-            tests/test_fifo_deferral.py tests/test_gc_pause.py
+            tests/test_fifo_deferral.py tests/test_gc_pause.py \
+            tests/test_dv_memory_chunks.py
 
 .PHONY: test test-all test-exec test-faults test-traffic test-agg \
         test-service test-tenancy bench obs help lint verify \

@@ -5,19 +5,44 @@ Word-addressable (64-bit words), readable and writable from both the host
 last-written value can be read (paper §II) — there is no queueing at a
 memory slot, which is why multiple writers to one address must coordinate.
 
-Backing storage is chunked and allocated on first touch so that a 32-VIC
-cluster does not eagerly commit 1 GB of host RAM.
+Backing storage is chunked and committed on first touch, so a VIC holds
+host RAM only for the words its program uses: GUPS, for one, uses just
+the P count slots ``[0, P)`` of its termination exchange.  A chunk is
+4 Ki words (32 KiB), below glibc's 128 KiB default mmap threshold, so it
+is always a small heap block and costs the same fresh or recycled.
+Larger chunks did not: 512 KiB chunks came from ``mmap`` (only the
+touched page resident) until the first were freed, which raised glibc's
+dynamic threshold above them; from then on every chunk came from the
+heap and ``calloc`` zeroed, and so committed, all of it.  A 128-node
+GUPS op then held 64 MiB for 1 KiB of counts: the process held 69 MB
+after the first op and 133 MB after the fifth, against 72-73 MB
+throughout with 32 KiB chunks.
+
+One flat ``np.zeros(n_words)`` per VIC would be lazily committed by the
+kernel too, but it reserves 32 MB of address space per VIC (32 GB at
+1024 nodes) and ``tracemalloc`` counts all of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-_CHUNK_WORDS = 1 << 16  # 64 Ki words (512 KB) per chunk
+_CHUNK_WORDS = 1 << 12  # 4 Ki words (32 KiB) per chunk
 
-ArrayLike = Union[int, np.ndarray]
+
+def _runs(addrs: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Sort flat ``addrs`` by chunk in one stable sort (duplicates keep
+    their input order) and cut the sorted order into one run per chunk:
+    returns ``order`` and ``(chunk index, start, stop)`` into it."""
+    cids = addrs // _CHUNK_WORDS
+    order = np.argsort(cids, kind="stable")
+    cids = cids[order]
+    cuts = (np.flatnonzero(cids[1:] != cids[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    stops = [*cuts, order.size]
+    return order, [(int(cids[s]), s, e) for s, e in zip(starts, stops)]
 
 
 class DVMemory:
@@ -34,15 +59,25 @@ class DVMemory:
         self.n_words = int(n_words)
         self._chunks: Dict[int, np.ndarray] = {}
 
-    # -- bounds ----------------------------------------------------------
-    def _check(self, addrs: np.ndarray) -> None:
-        if addrs.size == 0:
-            return
+    # -- storage and bounds --------------------------------------------------
+    def _chunk(self, cidx: int) -> np.ndarray:
+        """Chunk ``cidx``, committed (zero-filled) on first touch."""
+        chunk = self._chunks.get(cidx)
+        if chunk is None:
+            chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS, np.uint64)
+        return chunk
+
+    def _out_of_range(self, lo: int, hi: int) -> IndexError:
+        return IndexError(
+            f"DV memory address out of range: [{lo}, {hi}] "
+            f"vs capacity {self.n_words} words")
+
+    def _bounds(self, addrs: np.ndarray) -> Tuple[int, int]:
+        """Lowest and highest of the non-empty ``addrs``, checked."""
         lo, hi = int(addrs.min()), int(addrs.max())
         if lo < 0 or hi >= self.n_words:
-            raise IndexError(
-                f"DV memory address out of range: [{lo}, {hi}] "
-                f"vs capacity {self.n_words} words")
+            raise self._out_of_range(lo, hi)
+        return lo, hi
 
     # -- scalar ops ----------------------------------------------------------
     def read_word(self, addr: int) -> int:
@@ -58,10 +93,7 @@ class DVMemory:
         """Write one 64-bit word (overwrites; slots hold one word)."""
         if not 0 <= addr < self.n_words:
             raise IndexError(f"address {addr} out of range")
-        cidx = addr // _CHUNK_WORDS
-        chunk = self._chunks.get(cidx)
-        if chunk is None:
-            chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS, np.uint64)
+        chunk = self._chunk(addr // _CHUNK_WORDS)
         chunk[addr % _CHUNK_WORDS] = np.uint64(value & (2**64 - 1))
 
     # -- vector ops ----------------------------------------------------------
@@ -75,75 +107,47 @@ class DVMemory:
         if addrs.size == 1:
             # one word (count exchanges, query replies): skip the
             # reductions and fancy indexing
-            self._put(addrs.item(), values.item())
+            addr = addrs.item()
+            if not 0 <= addr < self.n_words:
+                raise self._out_of_range(addr, addr)
+            chunk = self._chunk(addr // _CHUNK_WORDS)
+            chunk[addr % _CHUNK_WORDS] = values.item()
             return
-        if addrs.ndim == 0:
-            addrs = addrs.reshape(1)
-            values = values.reshape(1)
         if addrs.size == 0:
             return
-        lo, hi = int(addrs.min()), int(addrs.max())
-        if lo < 0 or hi >= self.n_words:
-            raise IndexError(
-                f"DV memory address out of range: [{lo}, {hi}] "
-                f"vs capacity {self.n_words} words")
-        clo = lo // _CHUNK_WORDS
-        if clo == hi // _CHUNK_WORDS:
+        addrs, values = addrs.ravel(), values.ravel()
+        lo, hi = self._bounds(addrs)
+        if lo // _CHUNK_WORDS == hi // _CHUNK_WORDS:
             # common case: the whole batch lands in one chunk (fancy
             # assignment already gives later-entry-wins on duplicates)
-            chunk = self._chunks.get(clo)
-            if chunk is None:
-                chunk = self._chunks[clo] = np.zeros(_CHUNK_WORDS, np.uint64)
-            chunk[addrs % _CHUNK_WORDS] = values
+            self._chunk(lo // _CHUNK_WORDS)[addrs % _CHUNK_WORDS] = values
             return
-        order = np.argsort(addrs // _CHUNK_WORDS, kind="stable")
-        addrs, values = addrs[order], values[order]
-        bounds = np.flatnonzero(np.diff(addrs // _CHUNK_WORDS)) + 1
-        for seg_a, seg_v in zip(np.split(addrs, bounds),
-                                np.split(values, bounds)):
-            if seg_a.size == 0:
-                continue
-            cidx = int(seg_a[0]) // _CHUNK_WORDS
-            chunk = self._chunks.get(cidx)
-            if chunk is None:
-                chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS, np.uint64)
-            chunk[seg_a % _CHUNK_WORDS] = seg_v
+        order, runs = _runs(addrs)
+        offs = addrs[order] % _CHUNK_WORDS
+        for cidx, s, e in runs:
+            self._chunk(cidx)[offs[s:e]] = values[order[s:e]]
 
     def gather(self, addrs: np.ndarray) -> np.ndarray:
         """Read ``addrs`` into a fresh array (zeros where untouched)."""
         addrs = np.asarray(addrs, dtype=np.int64)
-        self._check(addrs)
-        out = np.zeros(addrs.shape, np.uint64)
-        flat_a = addrs.ravel()
-        flat_o = out.ravel()
-        cids = flat_a // _CHUNK_WORDS
-        for cidx in np.unique(cids):
-            chunk = self._chunks.get(int(cidx))
-            if chunk is None:
-                continue
-            mask = cids == cidx
-            flat_o[mask] = chunk[flat_a[mask] % _CHUNK_WORDS]
-        return out
-
-    def _put(self, addr: int, value: int) -> None:
-        if not 0 <= addr < self.n_words:
-            raise IndexError(
-                f"DV memory address out of range: [{addr}, {addr}] "
-                f"vs capacity {self.n_words} words")
-        cidx = addr // _CHUNK_WORDS
-        chunk = self._chunks.get(cidx)
-        if chunk is None:
-            chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS, np.uint64)
-        chunk[addr % _CHUNK_WORDS] = value
+        flat = addrs.ravel()
+        out = np.zeros(flat.size, np.uint64)
+        if flat.size:
+            self._bounds(flat)
+            order, runs = _runs(flat)
+            offs = flat[order] % _CHUNK_WORDS
+            for cidx, s, e in runs:
+                chunk = self._chunks.get(cidx)
+                if chunk is not None:
+                    out[order[s:e]] = chunk[offs[s:e]]
+        return out.reshape(addrs.shape)
 
     def _spans(self, start: int, n: int):
         """Bounds-check ``[start, start + n)`` and split it into
         ``(chunk index, offset in chunk, offset in range, length)``."""
         end = start + n
         if start < 0 or end > self.n_words:
-            raise IndexError(
-                f"DV memory address out of range: [{start}, {end - 1}] "
-                f"vs capacity {self.n_words} words")
+            raise self._out_of_range(start, end - 1)
         pos = start
         while pos < end:
             cidx, off = divmod(pos, _CHUNK_WORDS)
@@ -159,11 +163,7 @@ class DVMemory:
         if values.size == 0:
             return
         for cidx, off, at, take in self._spans(int(start), values.size):
-            chunk = self._chunks.get(cidx)
-            if chunk is None:
-                chunk = self._chunks[cidx] = np.zeros(_CHUNK_WORDS,
-                                                      np.uint64)
-            chunk[off:off + take] = values[at:at + take]
+            self._chunk(cidx)[off:off + take] = values[at:at + take]
 
     def read_range(self, start: int, n: int) -> np.ndarray:
         """Contiguous block read of ``n`` words (zeros where untouched)."""

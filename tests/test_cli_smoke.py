@@ -191,6 +191,7 @@ def test_bench_reads_repo_bench_file(capsys):
         "dv_fanout_gups128",
         "fft_memory_2p22",
         "dv_fifo_hold_gups128",
+        "dv_memory_chunks_gups128",
     ],
 )
 def test_bench_reads_shared_schema_sections(section, capsys):
