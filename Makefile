@@ -36,7 +36,7 @@ help:
 	@echo "make skew          - fig_skew: GUPS vs destination skew (docs/traffic.md)"
 	@echo "make agg           - fig_agg: aggregated IB vs DV crossover sweep"
 	@echo "make interference  - fig_interference: co-tenant slowdown matrix (docs/tenancy.md)"
-	@echo "make verify        - golden compare + 7-axis determinism harness"
+	@echo "make verify        - golden compare + 6-axis determinism harness"
 	@echo "make golden-record - refresh goldens/ after an intentional figure change"
 	@echo "make bench         - perf regression benchmarks; updates BENCH_exec.json"
 	@echo "make scaleout      - 64-1024-node cluster projection (docs/scaling.md)"

@@ -2,7 +2,7 @@
 
 Public surface: :class:`AggSpec` (hand it to
 ``ClusterSpec(aggregation=...)``), the scoped :func:`session` override
-(mirrors :func:`repro.faults.session` / :func:`repro.sim.pdes.session`),
+(mirrors :func:`repro.faults.session`),
 and :func:`resolve_spec`, which the traffic-aware kernels consult.  The
 frame/channel machinery lives in :mod:`repro.agg.runtime`; the
 ``fig_agg`` watermark-by-skew sweep in :mod:`repro.agg.experiments`.
@@ -19,7 +19,7 @@ __all__ = ["AggSpec", "ROUTINGS", "session", "session_spec",
            "resolve_spec"]
 
 # Scoped aggregation override, consulted by run_gups/run_bfs when the
-# cluster spec leaves aggregation=None.  Mirrors pdes.session.  The
+# cluster spec leaves aggregation=None.  Mirrors faults.session.  The
 # anonymous slot is single-occupancy by construction (one workload per
 # process was the pre-tenancy invariant); co-scheduled tenants use the
 # tenant-keyed mapping instead, so one tenant's override can never

@@ -15,11 +15,10 @@ golden-gated service job):
 
 The spec carries the *whole* request: registry id (or named sweep),
 runner params, cluster overrides, a traffic model, a fault plan, an
-aggregation spec, a PDES shard count, and co-scheduled tenants.
-:func:`run` threads each field to the experiment runner when its
-signature accepts the matching keyword (``plan=``, ``shards=``,
-``tenants=``) and falls back to the scoped session overrides
-(:func:`repro.faults.session`, :func:`repro.sim.pdes.session`,
+aggregation spec, and co-scheduled tenants.  :func:`run` threads
+each field to the experiment runner when its signature accepts the
+matching keyword (``plan=``, ``tenants=``) and falls back to the
+scoped session overrides (:func:`repro.faults.session`,
 :func:`repro.agg.session`) otherwise — sessions are process-global, so
 combining them with ``RunOptions(workers>1)`` is an error rather than
 a silent no-op in the pool workers.
@@ -60,9 +59,9 @@ __all__ = [
     "collect",
 ]
 
-#: Spec schema version :func:`run` understands (bumped when the spec's
-#: fields change; api 3.0 removed functions, not spec fields).
-SPEC_VERSION = 2
+#: Spec schema version :func:`run` understands (bumped whenever the
+#: spec's fields change; docs/api.md lists each bump).
+SPEC_VERSION = 3
 
 
 # ----------------------------------------------------------- datatypes ---
@@ -81,7 +80,7 @@ class ExperimentSpec:
     The remaining fields are optional: a
     :class:`~repro.traffic.TrafficModel`, a
     :class:`~repro.faults.FaultPlan`, an :class:`~repro.agg.AggSpec`,
-    a PDES ``shards`` count, and ``tenants`` — workload names (the
+    and ``tenants`` — workload names (the
     ``fig_interference`` idiom) or full
     :class:`~repro.tenancy.TenantSpec` objects for runners that
     co-schedule.  :func:`run` threads each to the runner's matching
@@ -95,7 +94,6 @@ class ExperimentSpec:
     traffic: Optional["TrafficModel"] = None
     faults: Optional["FaultPlan"] = None
     aggregation: Optional["AggSpec"] = None
-    shards: int = 1
     tenants: Tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
@@ -106,8 +104,6 @@ class ExperimentSpec:
                 f"ExperimentSpec version {self.version} is not "
                 f"supported by api {__api_version__} "
                 f"(expected {SPEC_VERSION})")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.traffic is not None:
             from repro.traffic.model import TrafficModel
             if not isinstance(self.traffic, TrafficModel):
@@ -208,8 +204,6 @@ def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
         out["faults"] = dataclasses.asdict(spec.faults)
     if spec.aggregation is not None:
         out["aggregation"] = dataclasses.asdict(spec.aggregation)
-    if spec.shards != 1:
-        out["shards"] = spec.shards
     if spec.tenants:
         from repro.tenancy import spec_to_dict as _tenant_to_dict
         out["tenants"] = [t if isinstance(t, str)
@@ -226,7 +220,6 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
         "version": int(data.pop("version", SPEC_VERSION)),
         "params": dict(data.pop("params", {}) or {}),
         "cluster": dict(data.pop("cluster", {}) or {}),
-        "shards": int(data.pop("shards", 1)),
     }
     faults = data.pop("faults", None)
     if faults is not None:
@@ -312,11 +305,10 @@ def _run_sweep_spec(spec: ExperimentSpec, name: str,
     ``fixed`` mappings, the session-scoped spec fields stay empty."""
     from repro.core.sweep import NAMED_SWEEPS, named_sweep
     if (spec.traffic is not None or spec.faults is not None
-            or spec.aggregation is not None or spec.shards != 1
-            or spec.tenants):
+            or spec.aggregation is not None or spec.tenants):
         raise ValueError(
             "named sweeps take only params={'axes': ..., 'fixed': ...}; "
-            "traffic/faults/aggregation/shards/tenants do not apply")
+            "traffic/faults/aggregation/tenants do not apply")
     params = _merged_params(spec)
     axes = params.pop("axes", None)
     fixed = params.pop("fixed", None)
@@ -342,8 +334,6 @@ def run(*, spec: ExperimentSpec,
 
     * ``faults`` → the runner's ``plan=`` keyword when its signature
       accepts one, else a scoped :func:`repro.faults.session`;
-    * ``shards`` → the runner's ``shards=`` keyword, else
-      :func:`repro.sim.pdes.session`;
     * ``tenants`` → the runner's ``tenants=`` keyword; there is no
       tenancy session, so a runner without one rejects the field;
     * ``aggregation`` → a scoped :func:`repro.agg.session` (no runner
@@ -412,11 +402,6 @@ def run(*, spec: ExperimentSpec,
             from repro import faults as faults_mod
             stack.enter_context(faults_mod.session(spec.faults))
             sessions.append("faults")
-        if spec.shards != 1 and not thread("shards", spec.shards,
-                                           "shards"):
-            from repro.sim import pdes
-            stack.enter_context(pdes.session(spec.shards))
-            sessions.append("shards")
         if spec.tenants and not thread("tenants", list(spec.tenants),
                                        "tenants"):
             raise ValueError(
@@ -508,8 +493,8 @@ def submit(*, spec: ExperimentSpec,
     Service jobs are stored as (exp_id, params), so the session-scoped
     spec fields must be expressible as runner keywords: ``tenants``
     threads to runners with a ``tenants=`` keyword (workload names
-    only), and ``traffic`` / ``faults`` / ``aggregation`` / ``shards``
-    are rejected — run those through :func:`run`.
+    only), and ``traffic`` / ``faults`` / ``aggregation`` are
+    rejected — run those through :func:`run`.
     """
     import inspect
     if not isinstance(spec, ExperimentSpec):
@@ -519,8 +504,6 @@ def submit(*, spec: ExperimentSpec,
                               ("faults", spec.faults),
                               ("aggregation", spec.aggregation))
                if v is not None]
-    if spec.shards != 1:
-        blocked.append("shards")
     if blocked:
         raise ValueError(
             f"spec field(s) {', '.join(blocked)} cannot ride a "

@@ -7,7 +7,7 @@ Usage::
     repro run fig4 --golden-config --csv            # the pinned golden
     repro run fig4 fig6a --workers 2                # several, pooled
     repro run sweep:gups --params '{"axes": {"nodes": [4, 8]}}'
-    repro run fig_scaleout --params '{"nodes": [4096], "shards": 4}'
+    repro run fig_scaleout --params '{"nodes": [1024]}' --workers 2
     repro run --spec-file spec.json                 # ExperimentSpec JSON
     repro obs --nodes 4 --csv                       # metrics report
     repro bench                                     # perf trajectory

@@ -44,11 +44,6 @@ class ClusterSpec:
     #: because the benchmark workloads pass ``flow_impl="fast"``; it
     #: accepts nothing else, and goes with their next edit.
     flow_impl: str = "fast"
-    #: conservative-PDES shard count (:mod:`repro.sim.pdes`): ``> 1``
-    #: partitions the simulation across OS processes, bit-identical to
-    #: serial.  ``1`` (the default) still honours a scoped
-    #: ``pdes.session(n)`` override.
-    shards: int = 1
     #: production-shaped load: a :class:`~repro.traffic.TrafficModel`
     #: (destination distribution + arrival process) the traffic-aware
     #: kernels honour.  ``None`` keeps every kernel on its legacy
@@ -71,8 +66,6 @@ class ClusterSpec:
             raise ValueError(
                 f'flow_impl is inert and must be "fast", '
                 f'got {self.flow_impl!r}')
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.traffic is not None:
             from repro.traffic.model import TrafficModel
             if not isinstance(self.traffic, TrafficModel):
@@ -129,29 +122,6 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
     """
     if fabric not in ("dv", "mpi"):
         raise ValueError(f'fabric must be "dv" or "mpi", got {fabric!r}')
-
-    # Conservative-PDES dispatch: an explicit spec.shards wins; a spec
-    # left at 1 honours the scoped pdes.session(n) override.  The
-    # sharded runner raises ShardingFallback for anything it cannot
-    # reproduce bit-identically, and this serial body is the fallback;
-    # both outcomes are counted (pdes.sharded_runs / pdes.fallbacks).
-    shards = spec.shards
-    if shards == 1:
-        from repro.sim import pdes
-        shards = pdes.session_shards() or 1
-    if shards > 1 and spec.n_nodes > 1:
-        from repro.obs import registry as obsreg
-        from repro.sim import pdes
-        from repro.sim.pdes.runner import run_spmd_sharded
-        try:
-            result = run_spmd_sharded(spec, program, fabric, max_events,
-                                      shards=shards)
-        except pdes.ShardingFallback as fb:
-            obsreg.counter("pdes.fallbacks", fabric=fabric,
-                           reason=fb.reason).inc()
-        else:
-            obsreg.counter("pdes.sharded_runs", fabric=fabric).inc()
-            return result
 
     # Tenancy determinism axis: inside a tenancy.shadow_session() the
     # whole run is routed through the co-scheduler as a single

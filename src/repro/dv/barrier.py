@@ -40,16 +40,12 @@ class HardwareBarrier:
         self.n = len(self.vics)
         self._rank_generation = [0] * self.n
         c0, c1 = config.barrier_counters
-        # Under sharded PDES (repro.sim.pdes) each shard builds only its
-        # own ranks' VICs and pads the rest with None; the master-side
-        # gather/release machinery lives on whichever shard owns rank 0.
-        if self.vics[0] is not None:
-            master = self.vics[0].counters
-            # Pre-arm both generations' gather counters on the master VIC.
-            master.set(c0, self.n)
-            master.set(c1, self.n)
-            self._arm(generation=0)
-            self._arm(generation=1)
+        master = self.vics[0].counters
+        # Pre-arm both generations' gather counters on the master VIC.
+        master.set(c0, self.n)
+        master.set(c1, self.n)
+        self._arm(generation=0)
+        self._arm(generation=1)
 
     def _arm(self, generation: int) -> None:
         """Register the VIC-side release trigger for ``generation``."""
@@ -98,18 +94,13 @@ class FastBarrier:
         self.network = network
         self.n = len(self.vics)
         if counters is None:
-            # user_counters() is identical on every VIC; take the first
-            # one this shard owns (sharded runs pad foreign VICs with
-            # None — see repro.sim.pdes).
-            user = next(v for v in self.vics
-                        if v is not None).counters.user_counters()
+            # user_counters() is identical on every VIC
+            user = self.vics[0].counters.user_counters()
             counters = (user[-1], user[-2])
         self.counters = tuple(counters)
         self._rank_generation = [0] * self.n
         # Pre-arm both generations on every VIC.
         for vic in self.vics:
-            if vic is None:
-                continue
             vic.counters.set(self.counters[0], max(self.n - 1, 0))
             vic.counters.set(self.counters[1], max(self.n - 1, 0))
 

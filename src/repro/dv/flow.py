@@ -291,7 +291,7 @@ class FlowNetwork:
         penalty = self.config.deflection_hops_per_load * self._load(now)
         return (int(self._hops[src, dest]) + penalty) * self._hop
 
-    # -- injection (port-local bookkeeping, shared with the sharded view) --
+    # -- injection -------------------------------------------------------------
     def _check_ports(self, src: int, dest: int, n_packets: int) -> None:
         if not 0 <= src < self.n_ports:
             raise ValueError(f"bad src port {src}")
@@ -578,191 +578,3 @@ class FlowNetwork:
         if done is not None:
             done(payload)
 
-
-class ShardedFlowNetwork(FlowNetwork):
-    """Shard-local view of one Data Vortex switch (conservative PDES).
-
-    Each shard owns a contiguous range of ports (its ranks' VICs).  A
-    transmit performs every *port-local* step of the serial engine
-    inline — injection serialisation, stats, sequence burning — but the
-    deflection penalty needs the **global** busy-port census, so pricing
-    is deferred: the call logs one ledger row, and at the window barrier
-    the hub replays all shards' rows in the deterministic merge order
-    (:mod:`repro.sim.pdes.ledger`) and hands the penalties back.
-    :meth:`price_and_emit` then finishes each pending transfer with the
-    serial engine's exact float operations, scheduling local arrivals
-    directly and batching cross-shard ones for the hub to route
-    (:meth:`ingest` on the destination shard).  Arrival and delivery
-    are the serial engine's own :meth:`_arrive` / :meth:`_deliver`.
-
-    Conservative-lookahead invariant: a first arrival is at least
-    ``gap + min_hops*hop >= (1 + hops.min()) * hop`` after its transmit,
-    so every arrival priced at a window barrier fires at or beyond the
-    window end — never in the shard's past.
-
-    Completion events for cross-shard transfers are created (API
-    parity) but never fire, and neither does a fan-out with a
-    cross-shard group; the runner detects programs that wait on them as
-    a sharded-only deadlock and falls back to serial.
-    """
-
-    def __init__(self, engine: Engine, config: DVConfig, n_ports: int,
-                 shard_of: "np.ndarray", shard_id: int) -> None:
-        super().__init__(engine, config, n_ports)
-        self.shard_of = shard_of
-        self.shard_id = shard_id
-        #: ledger rows for the current window: (t_tx, event key, lseq,
-        #: src, mark_end, event lineage); 1:1 with ``_pending_px``
-        self._rows: list = []
-        #: deferred transfers awaiting a penalty, in row order
-        self._pending_px: list = []
-
-    # -- transfers (deferred pricing) -------------------------------------
-    def transmit(self, src: int, dest: int, n_packets: int,
-                 payload: Any = None, inject_rate: Optional[float] = None,
-                 ) -> Event:
-        self._check_ports(src, dest, n_packets)
-        engine = self.engine
-        now = engine.now
-        hop = self._hop
-        gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
-        inj_start, inj_end = self._inject(src, n_packets, gap, now)
-
-        done = CompletionEvent(engine, fabric="dv", op="transmit",
-                               src=src, dest=dest, words=n_packets)
-        seq0 = engine.burn_seq(1)
-        self._rows.append((now, engine._last, seq0, src, inj_end,
-                           engine._last_lin))
-        self._pending_px.append(
-            (False, now, engine.stamp(), seq0, src, gap,
-             inj_start, inj_end, dest, n_packets, payload, done.succeed))
-        return done
-
-    def transmit_batch(self, src: int, dests: Sequence[int],
-                       counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None) -> FanOut:
-        checked = self._check_batch(src, dests, counts, payloads)
-        if checked is None:
-            return FanOut(self.engine, src, [])
-        d, c = checked
-        m = d.size
-        engine = self.engine
-        now = engine.now
-        hop = self._hop
-        gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
-        seq = self._inject_batch(src, c, gap, now)
-
-        fan = FanOut(engine, src, payloads, int(c.sum()))
-        seq0 = engine.burn_seq(m)
-        self._rows.append((now, engine._last, seq0, src, float(seq[m]),
-                           engine._last_lin))
-        self._pending_px.append(
-            (True, now, engine.stamp(), seq0, src, gap,
-             seq[:m], seq[1:].copy(), d, c, list(payloads), fan._delivered))
-        return fan
-
-    def post_fifo(self, src: int, dests: Sequence[int],
-                  counts: Sequence[int], words: Sequence[np.ndarray],
-                  inject_rate: Optional[float] = None) -> None:
-        """No deliveries are held under sharding: this is
-        :meth:`transmit_batch` with ``FifoPush`` payloads and the
-        fan-out dropped."""
-        self.transmit_batch(src, dests, counts,
-                            [FifoPush(w) for w in words],
-                            inject_rate=inject_rate)
-
-    # -- window barrier ----------------------------------------------------
-    def take_rows(self) -> list:
-        rows, self._rows = self._rows, []
-        return rows
-
-    def price_and_emit(self, penalties: Sequence[float]) -> List[list]:
-        """Finish the window's deferred transfers with their penalties.
-
-        Local arrivals are scheduled on this shard's engine under their
-        burned merge keys; cross-shard arrivals are returned as one
-        record per destination shard, columns ready for the pipe:
-        ``[sched, stamp, src, fire[], floor[], seq[],
-        dest[], n[], PackedEffects, dest_shard]``.
-        """
-        from repro.sim.pdes.pack import pack_effects
-        pending, self._pending_px = self._pending_px, []
-        if len(penalties) != len(pending):
-            raise RuntimeError("penalty/pending ledger mismatch")
-        engine = self.engine
-        hop = self._hop
-        shard_of = self.shard_of
-        my = self.shard_id
-        out: List[list] = []
-        for p, penalty in zip(pending, penalties):
-            batch = p[0]
-            if not batch:
-                (_, now, stamp, seq0, src, gap, inj_start, inj_end,
-                 dest, n_packets, payload, done) = p
-                tof = (int(self._hops[src, dest]) + penalty) * hop
-                first_arrival = inj_start + gap + tof
-                floor = inj_end + tof
-                if shard_of[dest] == my:
-                    engine.schedule_key(first_arrival, now, seq0,
-                                        self._arrive,
-                                        (src, dest, n_packets, floor, now,
-                                         payload, done),
-                                        stamp=stamp)
-                else:
-                    out.append([now, stamp, src,
-                                np.array([first_arrival]),
-                                np.array([floor]),
-                                np.array([seq0], np.int64),
-                                np.array([dest], np.int64),
-                                np.array([n_packets], np.int64),
-                                pack_effects([payload]),
-                                int(shard_of[dest])])
-                continue
-            (_, now, stamp, seq0, src, gap, inj_start, inj_end,
-             d, c, payloads, delivered) = p
-            tof = (self._hops[src, d] + penalty) * hop
-            first_arrival = (inj_start + gap) + tof
-            floor = inj_end + tof
-            owner = shard_of[d]
-            local = owner == my
-            if local.any():
-                fa_l = first_arrival.tolist()
-                fl_l = floor.tolist()
-                dl = d.tolist()
-                cl = c.tolist()
-                for k in np.flatnonzero(local).tolist():
-                    engine.schedule_key(
-                        fa_l[k], now, seq0 + k, self._arrive,
-                        (src, dl[k], cl[k], fl_l[k], now, payloads[k],
-                         delivered),
-                        stamp=stamp)
-            if not local.all():
-                for sid in np.unique(owner[~local]).tolist():
-                    sel = np.flatnonzero(owner == sid)
-                    out.append([now, stamp, src,
-                                first_arrival[sel], floor[sel],
-                                seq0 + sel.astype(np.int64),
-                                d[sel], c[sel],
-                                pack_effects([payloads[k]
-                                              for k in sel.tolist()]),
-                                int(sid)])
-        return out
-
-    def ingest(self, record: list) -> None:
-        """Schedule one inbound cross-shard arrival record."""
-        from repro.sim.pdes.pack import unpacker
-        (now, stamp, src, fire, floor, seqs, dest, n, packed,
-         _sid) = record
-        take = unpacker(packed).take
-        schedule = self.engine.schedule_key
-        arrive = self._arrive
-        source = int(self.shard_of[src])
-        fire_l = fire.tolist()
-        floor_l = floor.tolist()
-        seq_l = seqs.tolist()
-        dest_l = dest.tolist()
-        n_l = n.tolist()
-        for k in range(len(fire_l)):
-            schedule(fire_l[k], now, seq_l[k], arrive,
-                     (src, dest_l[k], n_l[k], floor_l[k], now, take(k),
-                      None), stamp=stamp, source=source)

@@ -105,8 +105,8 @@ def run_context() -> Dict[str, Any]:
     """What decides a result besides (runner, params, version): the
     package sources and the two result-changing scoped sessions
     (:func:`repro.agg.session`, :func:`repro.faults.session`).  The
-    PDES and tenancy sessions are bit-identical by contract and stay
-    out of the key."""
+    tenancy session is bit-identical by contract and stays out of the
+    key."""
     from repro import agg, faults
     return {"source": source_digest(), "agg": agg.session_spec(),
             "faults": faults.active()}

@@ -25,8 +25,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.faults import injector as fltreg
 from repro.ib.config import IBConfig
 from repro.obs import registry as obsreg
@@ -196,125 +194,3 @@ class IBFabric:
             receiver(src, kind, payload, nbytes)
         done._succeed_soon(payload)
 
-
-class ShardedIBFabric(IBFabric):
-    """Shard-local view of the fat tree (conservative PDES).
-
-    Channel next-free times are *global* (uplinks are shared across the
-    whole tree), so — like the DV deflection penalty — pricing is
-    deferred: each transfer logs one ledger row, the hub replays the
-    merged rows (:class:`repro.sim.pdes.ledger.IBReplayer`) and returns
-    the serial arrival times, and :meth:`price_and_emit` schedules the
-    delivery: receiver invocation on the destination's shard, sender
-    completion on this one (the serial ``_deliver`` performs both; the
-    split halves are keyed identically, and everything they subsequently
-    schedule is ordered by the deterministic merge key).
-
-    Only ``eager`` transfers shard exactly — a rendezvous handshake
-    couples the two ranks *mid-window*, under the lookahead.  Any other
-    kind raises :class:`~repro.sim.pdes.ShardingUnsupported`, which the
-    runner converts into a transparent serial rerun.
-
-    Lookahead invariant: arrival ≥ t_tx + msg_gap + wire + 2·hop, the
-    window width, so barrier-time scheduling never lands in the past.
-    """
-
-    def __init__(self, engine, config, n_nodes: int, contention: bool = True,
-                 shard_of: "np.ndarray" = None, shard_id: int = 0) -> None:
-        super().__init__(engine, config, n_nodes, contention=contention)
-        self.shard_of = shard_of
-        self.shard_id = shard_id
-        #: set when a program attempted a non-shardable operation
-        self.unsupported: Optional[str] = None
-        #: (t_tx, event key, lseq, src, dst, nbytes, event lineage);
-        #: 1:1 with _pending_px
-        self._rows: list = []
-        self._pending_px: list = []
-
-    def transfer(self, src: int, dst: int, nbytes: int, *,
-                 kind: str = "data", payload: Any = None) -> Event:
-        if kind != "eager":
-            from repro.sim.pdes import ShardingUnsupported
-            self.unsupported = (
-                f"IB transfer kind {kind!r} (rendezvous/RDMA) couples "
-                "ranks under the lookahead; rerunning serially")
-            raise ShardingUnsupported(self.unsupported, reason="rendezvous")
-        self._check(src, dst, nbytes)
-        engine = self.engine
-        now = engine.now
-
-        # int stats are summed exactly across shards at the end of the
-        # run; queue wait (float, order-sensitive) comes from the
-        # replayer, so it is not accumulated here.
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
-        cross = self.leaf_of(src) != self.leaf_of(dst)
-        if cross:
-            self.stats.cross_leaf_messages += 1
-        if self._obs_on:
-            self._m_messages.inc()
-            self._m_bytes.inc(nbytes)
-            if cross:
-                self._m_cross.inc()
-
-        done = CompletionEvent(engine, fabric="ib", op=kind,
-                               src=src, dest=dst, nbytes=nbytes)
-        seq0 = engine.burn_seq(1)
-        self._rows.append((now, engine._last, seq0, src, dst, nbytes,
-                           engine._last_lin))
-        self._pending_px.append(
-            (now, engine.stamp(), seq0, src, dst, nbytes, kind,
-             payload, done))
-        return done
-
-    # -- window barrier ----------------------------------------------------
-    def take_rows(self) -> list:
-        rows, self._rows = self._rows, []
-        return rows
-
-    def price_and_emit(self, arrivals) -> list:
-        """Schedule the window's deliveries from their arrival times.
-
-        Returns one record per cross-shard transfer for the hub to
-        route: ``[sched, stamp, seq, src, dst, nbytes,
-        kind, payload, arrival, dest_shard]``.
-        """
-        pending, self._pending_px = self._pending_px, []
-        if len(arrivals) != len(pending):
-            raise RuntimeError("arrival/pending ledger mismatch")
-        engine = self.engine
-        shard_of = self.shard_of
-        my = self.shard_id
-        out = []
-        for p, arrival in zip(pending, arrivals):
-            now, stamp, seq0, src, dst, nbytes, kind, payload, done = p
-            if shard_of[dst] == my:
-                engine.schedule_key(arrival, now, seq0, self._deliver,
-                                    (src, dst, nbytes, kind, payload, done),
-                                    stamp=stamp)
-            else:
-                out.append([now, stamp, seq0, src, dst, nbytes, kind,
-                            payload, arrival, int(shard_of[dst])])
-                engine.schedule_key(arrival, now, seq0,
-                                    self._complete, (done, payload),
-                                    stamp=stamp)
-        return out
-
-    def ingest(self, record: list) -> None:
-        (now, stamp, seq0, src, dst, nbytes, kind, payload,
-         arrival) = record[:9]
-        self.engine.schedule_key(arrival, now, seq0, self._receive,
-                                 (src, dst, nbytes, kind, payload),
-                                 stamp=stamp,
-                                 source=int(self.shard_of[src]))
-
-    # -- split delivery halves -------------------------------------------
-    def _receive(self, src: int, dst: int, nbytes: int, kind: str,
-                 payload: Any) -> None:
-        receiver = self._receivers[dst]
-        if receiver is not None:
-            receiver(src, kind, payload, nbytes)
-
-    @staticmethod
-    def _complete(done: Event, payload: Any) -> None:
-        done.succeed(payload)

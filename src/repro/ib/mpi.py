@@ -535,19 +535,17 @@ class MPIRuntime:
     """Owns the fabric and the per-rank endpoints."""
 
     def __init__(self, engine: Engine, config: IBConfig, n_ranks: int,
-                 contention: bool = True, fabric_cls=None,
-                 fabric=None) -> None:
+                 contention: bool = True, fabric=None) -> None:
         self.engine = engine
         self.config = config
         self.n_ranks = n_ranks
-        # fabric_cls lets the PDES runner build its ShardedIBFabric
-        # without an import cycle here; a pre-built fabric (e.g. a
-        # tenancy TenantFabricView over a shared fat tree) wins outright
+        # a pre-built fabric (e.g. a tenancy TenantFabricView over a
+        # shared fat tree) wins outright
         if fabric is not None:
             self.fabric = fabric
         else:
-            self.fabric = (fabric_cls or IBFabric)(engine, config, n_ranks,
-                                                   contention=contention)
+            self.fabric = IBFabric(engine, config, n_ranks,
+                                   contention=contention)
         self.endpoints = [MPIEndpoint(self, r) for r in range(n_ranks)]
         self._rts_counter = itertools.count()
 

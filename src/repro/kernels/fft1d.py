@@ -13,8 +13,8 @@ columns k2 block-distributed — verified, one rank's columns at a time,
 against ``numpy.fft.fft`` of the input.
 
 The rank blocks are cut once by :func:`_prepare` and are read-only: the
-PDES fallback and the tenancy shadow rerun the rank program in the same
-process (docs/architecture.md, "FFT memory").
+tenancy shadow reruns the rank program in the same process
+(docs/architecture.md, "FFT memory").
 
 Communication:
 

@@ -45,8 +45,7 @@ class Engine:
     same-time events is exactly insertion order.  Wakeups parked in the
     :meth:`call_soon` lane take a sequence number the same way and run
     in their place in that order.  This invariant is what
-    the flow-engine/oracle bit-identity proofs and the sharded PDES merge
-    ordering (:mod:`repro.sim.pdes`) are built on — see
+    the flow-engine/oracle bit-identity proofs are built on — see
     ``tests/test_sim_engine.py::test_simultaneous_events_fire_in_insertion_order``.
     """
 
@@ -242,8 +241,7 @@ class Engine:
 
     def _run(self, until: Optional[float],
              max_events: Optional[int]) -> None:
-        if (until is None and max_events is None and not self._obs_on
-                and type(self).step is Engine.step):
+        if until is None and max_events is None and not self._obs_on:
             # the common case, with step() inlined
             queue = self._queue
             soon = self._soon

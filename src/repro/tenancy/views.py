@@ -121,12 +121,18 @@ class _GuardedMemory:
         self._check_addrs(addrs)
         return self._real.gather(addrs)
 
+    # an access that touches no word is the real memory's no-op, so it
+    # is not checked against the window (it is still forwarded, so the
+    # memory's own argument checks apply)
     def write_range(self, start: int, values) -> None:
-        self._check(start, start + int(np.asarray(values).size))
+        n = int(np.asarray(values).size)
+        if n:
+            self._check(start, start + n)
         self._real.write_range(start, values)
 
     def read_range(self, start: int, n: int):
-        self._check(start, start + n)
+        if n > 0:
+            self._check(start, start + n)
         return self._real.read_range(start, n)
 
     def __getattr__(self, name: str):

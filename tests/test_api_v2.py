@@ -107,7 +107,7 @@ def test_run_session_fallback_refuses_pool_workers():
 def test_sweep_spec_rejects_session_fields_and_odd_params():
     with pytest.raises(ValueError, match="do not apply"):
         api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
-                                        shards=2))
+                                        aggregation=AggSpec(watermark=8)))
     with pytest.raises(ValueError, match="unknown sweep param"):
         api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
                                         params={"nodes": [2]}))
@@ -118,6 +118,11 @@ def test_sweep_spec_rejects_session_fields_and_odd_params():
 def test_spec_rejects_wrong_version():
     with pytest.raises(ValueError, match="version 1 is not supported"):
         api.ExperimentSpec(exp_id="fig4", version=1)
+    # version 2 still had the shard count
+    with pytest.raises(ValueError, match="version 2 is not supported"):
+        api.ExperimentSpec(exp_id="fig4", version=2)
+    with pytest.raises(ValueError, match="version 2 is not supported"):
+        api.spec_from_dict(data={"exp_id": "fig4", "version": 2})
 
 
 def test_spec_rejects_wrong_field_types():
@@ -137,7 +142,6 @@ def test_spec_json_round_trip_is_exact():
         faults=FaultPlan(seed=3, drop_prob=0.01,
                          link_outages=((1, 0.0, 1e-6),)),
         aggregation=AggSpec(watermark=32),
-        shards=2,
         tenants=("gups",
                  TenantSpec(tenant_id="t", workload="fft", n_ranks=4)))
     wire = json.loads(json.dumps(api.spec_to_dict(spec=spec)))
@@ -154,6 +158,16 @@ def test_spec_to_dict_refuses_live_traffic_models():
 def test_spec_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError, match="bogus"):
         api.spec_from_dict(data={"exp_id": "fig4", "bogus": 1})
+    # the removed shard count is an unknown field like any other
+    with pytest.raises(ValueError,
+                       match=r"unknown ExperimentSpec field\(s\).*shards"):
+        api.spec_from_dict(data={"exp_id": "fig4", "shards": 2})
+
+
+def test_cluster_spec_has_no_shards_field():
+    from repro.core.cluster import ClusterSpec
+    with pytest.raises(TypeError, match="shards"):
+        ClusterSpec(shards=2)
 
 
 # ------------------------------------------------------------- submit ---
@@ -173,8 +187,9 @@ def test_submit_rejects_session_scoped_fields(tmp_path):
                               faults=FaultPlan(seed=3, drop_prob=0.1))
     with pytest.raises(ValueError, match="cannot ride a service job"):
         api.submit(spec=spec, state_dir=str(tmp_path))
-    spec = api.ExperimentSpec(exp_id="fig4", shards=4)
-    with pytest.raises(ValueError, match="shards"):
+    spec = api.ExperimentSpec(exp_id="fig4",
+                              aggregation=AggSpec(watermark=8))
+    with pytest.raises(ValueError, match="aggregation"):
         api.submit(spec=spec, state_dir=str(tmp_path))
 
 
@@ -197,5 +212,5 @@ def test_submit_rejects_tenants_on_non_tenant_experiment(tmp_path):
 
 def test_api_version_is_three():
     assert api.__api_version__.split(".")[0] == "3"
-    # 3.0 removed functions, not spec fields: 2.x spec files still load
-    assert api.SPEC_VERSION == 2
+    # spec version 3 dropped the shard count (docs/api.md)
+    assert api.SPEC_VERSION == 3

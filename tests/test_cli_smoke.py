@@ -105,6 +105,13 @@ def test_run_unknown_id_exits_two(capsys):
     assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
 
+def test_run_fig_scaleout_rejects_removed_shards_param():
+    """The shard count is gone: passing it still fails loudly (an
+    uncaught error, so ``repro run`` exits non-zero), never silently."""
+    with pytest.raises(TypeError, match="shards"):
+        cli.main(["run", "fig_scaleout", "--params", '{"shards": 2}'])
+
+
 def test_run_rejects_bad_params_json(capsys):
     assert cli.main(["run", "fig4", "--params", "[2, 4]"]) == 2
     assert "JSON object" in capsys.readouterr().err
@@ -112,7 +119,7 @@ def test_run_rejects_bad_params_json(capsys):
 
 def test_run_spec_file(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 2,
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3,
                                      "params": {"nodes": [2]}}))
     assert cli.main(["run", "--spec-file", str(spec_file),
                      "--csv"]) == 0
@@ -398,7 +405,7 @@ def test_submit_spec_file_inline(tmp_path, capsys):
     `repro submit --spec-file`."""
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({
-        "exp_id": "fig4", "version": 2,
+        "exp_id": "fig4", "version": 3,
         "params": {"seed": 1, "nodes": [2]},
     }))
     state = str(tmp_path / "svc")
@@ -413,7 +420,7 @@ def test_submit_spec_file_inline(tmp_path, capsys):
 
 def test_submit_spec_file_conflicts_with_exp(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 2}))
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3}))
     assert cli.main(["submit", "fig4", "--spec-file",
                      str(spec_file)]) == 2
     assert "--spec-file" in capsys.readouterr().err
@@ -421,7 +428,7 @@ def test_submit_spec_file_conflicts_with_exp(tmp_path, capsys):
 
 def test_submit_spec_file_rejects_bad_document(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 2,
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3,
                                      "bogus_field": 1}))
     assert cli.main(["submit", "--spec-file", str(spec_file),
                      "--state-dir", str(tmp_path / "svc")]) == 2

@@ -137,12 +137,16 @@ class WindowedModel:
         self._check_addrs(addrs)
         return self.model.gather(addrs)
 
+    # an access that touches no word is not checked against the window
     def write_range(self, start, values):
-        self._check(start, start + np.asarray(values).size)
+        n = np.asarray(values).size
+        if n:
+            self._check(start, start + n)
         self.model.write_range(start, values)
 
     def read_range(self, start, n):
-        self._check(start, start + n)
+        if n > 0:
+            self._check(start, start + n)
         return self.model.read_range(start, n)
 
 
@@ -311,9 +315,14 @@ def test_duplicates_zero_d_and_empty_inputs():
         ("gather", np.zeros((0, 3), np.int64)),
         ("gather", np.array([0, N_WORDS])),
         ("write_range", N_WORDS, np.zeros(0, np.uint64)),  # empty: no check
+        ("write_range", 1, np.zeros(0, np.uint64)),  # empty, left of window
+        ("write_range", 1, np.zeros((0, 2), np.uint64)),  # empty but 2-d
         ("write_range", N_WORDS - 2, np.ones(3, np.uint64)),
         ("read_range", N_WORDS + 5, 0),
+        ("read_range", 1, 0),
         ("read_range", 3 * CHUNK - 1, -2),
+        ("read_range", 4 * CHUNK + 20, -2),  # right of the window
+        ("read_range", 2 * CHUNK, -1),  # in the window
         ("read_range", CHUNK - 1, 2 * CHUNK + 2),
         ("write_word", 3, 2**64 + 5),  # wraps to 64 bits
         ("read_word", 3),
@@ -323,6 +332,10 @@ def test_duplicates_zero_d_and_empty_inputs():
     # later entries win, across chunks and within one
     assert memory.gather(dup).tolist() == [6, 2, 6, 4, 2, 6]
     assert memory.read_word(1) == 3
+    # through a tenant's window: a range that touches no word is a
+    # no-op wherever it starts, the rest as the window decides
+    memory, view = _vic_view()
+    _run(view, WindowedModel(DenseModel(N_WORDS), *WINDOW, "t"), memory, ops)
 
 
 def test_gups_commits_one_chunk_per_vic(monkeypatch):

@@ -8,9 +8,8 @@ time.  :func:`tests.reference_engines.reference_run_fft1d` is the kernel
 as first staged (``a + 1j*b`` input, blocks cut inside the rank program,
 validation over the concatenated output).  The two must agree bit for
 bit on both fabrics; the new staging must stay under a numpy memory
-bound the old one exceeds, and must survive the in-process reruns of
-the PDES fallback, the in-process sharded driver and the tenancy
-shadow.
+bound the old one exceeds, and must survive the tenancy shadow's
+in-process rerun.
 """
 
 import tracemalloc
@@ -23,8 +22,6 @@ from repro.core.cluster import ClusterSpec, run_spmd
 from repro.core.metrics import gflops_fft1d
 from repro.kernels import fft1d, fft2d
 from repro.kernels.fft1d import _check, _fft_program, _prepare, run_fft1d
-from repro.sim import pdes
-from repro.sim.pdes import runner as pdes_runner
 from repro.sim.rng import complex_normal
 from repro.tenancy.workloads import build_workload
 from tests.reference_engines import (
@@ -220,44 +217,6 @@ def test_reference_runs_while_only_the_input_is_alive(monkeypatch):
 # ---------------------------------------------------------- reruns ---
 
 
-@pytest.mark.parametrize("fork", [True, False])
-@pytest.mark.parametrize("fabric", ["mpi", "dv"])
-def test_sharded_and_fallback_reruns_equal_serial(monkeypatch, fabric, fork):
-    """At 16 nodes and shards=2 the MPI FFT starts sharded, falls back
-    (a same-instant tie it cannot order) and reruns the program
-    serially; the DV FFT shards.  With ``fork`` off both sharded
-    attempts run their ranks in this process, on the same blocks.  The
-    blocks stay unchanged and the outputs equal the serial run's."""
-    from repro.obs import registry as obs
-
-    if not fork:
-        monkeypatch.setattr(pdes_runner, "fork_available", lambda: False)
-    log2_points = 12
-    serial_spec = ClusterSpec(n_nodes=16, seed=4)
-    serial = _run_new(serial_spec, fabric, log2_points)
-    spec = ClusterSpec(n_nodes=16, seed=4, shards=2)
-    n1, n2, blocks, _ = _prepare(4, log2_points, 16, validate=False)
-    before = [b.copy() for b in blocks]
-
-    def program(ctx):
-        return (yield from _fft_program(ctx, blocks, n1, n2, fabric))
-
-    with obs.session() as reg:
-        values = run_spmd(spec, program, fabric).values
-    if fabric == "mpi":
-        assert reg.value("pdes.fallbacks", fabric="mpi", reason="tie-order")
-    else:
-        assert reg.value("pdes.sharded_runs", fabric="dv") == 1
-    _assert_same_values(values, serial)
-    for b, was in zip(blocks, before):
-        assert np.array_equal(_bits(b), _bits(was))
-    want = run_fft1d(
-        serial_spec, fabric, log2_points=log2_points, validate=True
-    )
-    got = run_fft1d(spec, fabric, log2_points=log2_points, validate=True)
-    assert got == want
-
-
 @pytest.mark.parametrize("fabric", ["mpi", "dv"])
 def test_tenancy_shadow_rerun_equals_serial(fabric):
     spec = ClusterSpec(n_nodes=4, seed=8)
@@ -265,27 +224,3 @@ def test_tenancy_shadow_rerun_equals_serial(fabric):
     with tenancy.shadow_session():
         got = run_fft1d(spec, fabric, log2_points=12, validate=True)
     assert got == want
-
-
-def test_last_report_is_cleared_by_a_fallback():
-    """A sharded DV run leaves its report; a later sharded MPI FFT
-    falls back to serial, and must not leave the old report behind."""
-    from repro.kernels import run_gups
-    from repro.obs import registry as obs
-
-    run_gups(
-        ClusterSpec(n_nodes=4, seed=1, shards=2),
-        "dv",
-        table_words=512,
-        n_updates=512,
-    )
-    assert pdes.last_report() is not None
-    with obs.session() as reg:
-        run_fft1d(
-            ClusterSpec(n_nodes=16, seed=1, shards=2),
-            "mpi",
-            log2_points=12,
-        )
-    assert reg.total("pdes.fallbacks") == 1
-    assert reg.value("pdes.sharded_runs", fabric="mpi") == 0
-    assert pdes.last_report() is None

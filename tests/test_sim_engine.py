@@ -183,8 +183,8 @@ def test_simultaneous_events_fire_in_insertion_order():
     """Property: events scheduled for the same instant fire in exactly
     the order they were enqueued, for any interleaving of ``timeout``
     and ``call_in`` scheduling and any grouping of instants.  This is
-    the tie-determinism invariant the fast/reference and sharded/serial
-    bit-identity guarantees rest on (see Engine's docstring).
+    the tie-determinism invariant the fast/reference bit-identity
+    guarantee rests on (see Engine's docstring).
     """
     import random
 
@@ -251,3 +251,48 @@ def test_call_soon_outside_run_uses_the_heap():
     assert eng.peek() == 0.0
     eng.run()
     assert seen == [1] and eng.events_processed == 1
+
+
+def test_zero_delay_ties_fire_in_enqueue_order():
+    """Same-instant children of different cascades interleave in
+    enqueue order, not cascade by cascade."""
+    eng = Engine()
+    fired = []
+
+    def spawn(tag):
+        fired.append(tag)
+        if len(tag) < 3:
+            eng.call_in(0.0, spawn, tag + "'")
+
+    for tag in ("a", "b"):
+        eng.call_in(1.0, spawn, tag)
+    eng.run()
+    assert fired == ["a", "b", "a'", "b'", "a''", "b''"]
+
+
+def test_mark_is_passed_exactly_when_the_serial_order_says():
+    """``passed(mark)`` is false in the marking entry and in entries
+    queued before the mark (same instant included), and true in entries
+    queued after it, through the heap or the ``call_soon`` lane."""
+    eng = Engine()
+    marks = []
+    seen = []
+
+    def look(tag):
+        seen.append((tag, eng.passed(marks[0])))
+
+    def first():
+        marks.append(eng.mark())
+        look("marking entry")
+        eng.call_soon(look, "zero-delay after the mark")
+        eng.call_in(0.0, look, "heap entry after the mark")
+        eng.call_in(1.0, look, "a later instant")
+
+    eng.call_in(1.0, first)
+    eng.call_in(1.0, look, "same instant, queued before the mark")
+    eng.run()
+    assert seen == [("marking entry", False),
+                    ("same instant, queued before the mark", False),
+                    ("zero-delay after the mark", True),
+                    ("heap entry after the mark", True),
+                    ("a later instant", True)]
