@@ -4,7 +4,7 @@ so later PRs can see whether they sped things up or regressed them.
 
 Measured:
 
-* 64-port ``FastCycleSwitch.run_until_drained`` under saturating
+* 64-port ``CycleSwitch.run_until_drained`` under saturating
   uniform-random load (the §IX scale-up inner loop);
 * a cold (all points simulated) vs warm (all points from the on-disk
   cache) switch-scaling sweep through the executor;
@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.core.scaling import switch_scaling
-from repro.dv.fastswitch import FastCycleSwitch
+from repro.dv.switch import CycleSwitch
 from repro.dv.topology import DataVortexTopology
 from repro.exec import Executor, ResultCache
 
@@ -54,7 +54,7 @@ def test_fastswitch_64port_drain_rate():
     per_port = 256
     reps = []
     for rep in range(3):
-        sw = FastCycleSwitch(topo)
+        sw = CycleSwitch(topo)
         rng = random.Random(7)
         for src in range(topo.ports):
             for _ in range(per_port):
@@ -122,7 +122,7 @@ def test_faults_disabled_guard_overhead_under_ten_percent():
     pairs = [(src, rng.randrange(topo.ports))
              for src in range(topo.ports) for _ in range(per_port)]
 
-    sw = FastCycleSwitch(topo)
+    sw = CycleSwitch(topo)
     assert sw._faults is None                   # truly disabled
     t0 = time.perf_counter()
     for s, d in pairs:

@@ -36,8 +36,7 @@ def single_packet():
     trace = []
     while sw.in_flight or sw.pending:
         # record the packet position each cycle
-        for coord, rec in sw.occupancy.items():
-            trace.append(coord)
+        trace.extend(sw.occupancy)
         ejected = sw.step()
     print("route (cylinder, height, angle):")
     print("  " + " -> ".join(str(c) for c in trace))

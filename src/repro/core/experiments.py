@@ -389,7 +389,7 @@ REGISTRY: Dict[str, Experiment] = {
             "fig_switch_scaling", "switch scale-up study (SS IX)",
             "cycle-accurate switch, heights 8..128 (16..256 ports), "
             "64 uniform-random packets per port",
-            ("repro.core.scaling", "repro.dv.fastswitch"),
+            ("repro.core.scaling", "repro.dv.switch"),
             "benchmarks/test_scaling_study.py",
             "one extra cylinder per doubling of ports; mean hops grow "
             "by a few per doubling and per-port throughput sags only "

@@ -28,13 +28,14 @@ This module develops exactly that simulation, at two levels:
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cluster import ClusterSpec
-from repro.dv.fastswitch import FastCycleSwitch
+from repro.dv.switch import CycleSwitch
 from repro.dv.topology import DataVortexTopology
 
 
@@ -62,7 +63,7 @@ def switch_scale_point(height: int, angles: int = 2, per_port: int = 64,
     """
     rng = random.Random(f"{seed}|{height}|{angles}|{per_port}")
     topo = DataVortexTopology(height=height, angles=angles)
-    sw = FastCycleSwitch(topo)
+    sw = CycleSwitch(topo)
     for src in range(topo.ports):
         for _ in range(per_port):
             sw.inject(src, rng.randrange(topo.ports))
@@ -195,6 +196,11 @@ def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
                      f"known: {SCALEOUT_WORKLOADS}")
 
 
+def _kernel(workload: str):
+    from repro.kernels import run_bfs, run_fft1d, run_gups
+    return {"gups": run_gups, "bfs": run_bfs, "fft": run_fft1d}[workload]
+
+
 def scaleout_point(workload: str, fabric: str, n_nodes: int,
                    seed: int = 2017,
                    plan: Optional["FaultPlan"] = None,
@@ -210,23 +216,18 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
     GFLOPS) plus the simulated ``elapsed_s``.
     """
     from repro import faults
-    from repro.kernels import run_bfs, run_fft1d, run_gups
 
     params = scaleout_params(workload, n_nodes)
     params.update(overrides)
     spec = ClusterSpec(n_nodes=n_nodes, seed=seed)
     with faults.session(plan) if plan is not None else _null():
-        if workload == "gups":
-            r = run_gups(spec, fabric, **params)
-            per_pe, total = r["mups_per_pe"], r["mups_total"]
-        elif workload == "bfs":
-            r = run_bfs(spec, fabric, **params)
-            total = r["harmonic_teps"] / 1e6
-            per_pe = total / n_nodes
-        else:
-            r = run_fft1d(spec, fabric, **params)
-            total = r["gflops"]
-            per_pe = total / n_nodes
+        r = _kernel(workload)(spec, fabric, **params)
+    if workload == "gups":
+        per_pe, total = r["mups_per_pe"], r["mups_total"]
+    else:
+        total = (r["harmonic_teps"] / 1e6 if workload == "bfs"
+                 else r["gflops"])
+        per_pe = total / n_nodes
     return {"workload": workload, "fabric": fabric, "nodes": n_nodes,
             "per_pe": per_pe, "total": total,
             "elapsed_s": r["elapsed_s"]}
@@ -261,6 +262,16 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     serial; use ``Executor(workers=N)`` to spread it.
     """
     from repro.exec import Executor
+    # reject a key some requested kernel does not take before any
+    # point runs (inside the pool it would surface as a TypeError)
+    for w in workloads:
+        scaleout_params(w, 1)           # unknown workload: ValueError
+        takes = inspect.signature(_kernel(w)).parameters
+        for key in overrides:
+            if (key not in takes
+                    or takes[key].kind is not inspect.Parameter.KEYWORD_ONLY):
+                raise ValueError(f"scale-out workload {w!r} takes no "
+                                 f"parameter {key!r}")
     executor = executor or Executor()
     grid = [{"workload": w, "fabric": f, "n_nodes": n, "seed": seed,
              "plan": plan, **overrides}

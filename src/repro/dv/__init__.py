@@ -5,7 +5,9 @@ the prior optical-switch literature), everything the paper's cluster used on
 the Data Vortex side:
 
 * :mod:`repro.dv.topology` / :mod:`repro.dv.switch` — the multilevel
-  cylinder deflection-routing switch, simulated cycle by cycle;
+  cylinder deflection-routing switch, simulated cycle by cycle with
+  failed nodes and a hop TTL (one engine; the scalar per-node model is
+  a test oracle);
 * :mod:`repro.dv.flow` — a calibrated flow-level model of the same switch
   used for long benchmark runs (validated against the cycle model);
 * :mod:`repro.dv.vic` — the Vortex Interface Controller: DV memory, group
@@ -18,7 +20,6 @@ from repro.dv.config import DVConfig
 from repro.dv.packet import AddressSpace, Packet, PacketHeader
 from repro.dv.topology import DataVortexTopology
 from repro.dv.switch import CycleSwitch
-from repro.dv.fastswitch import FastCycleSwitch
 from repro.dv.flow import FlowNetwork
 from repro.dv.dvmemory import DVMemory
 from repro.dv.counters import GroupCounters
@@ -33,7 +34,6 @@ __all__ = [
     "CycleSwitch",
     "DVConfig",
     "DVMemory",
-    "FastCycleSwitch",
     "DataVortexAPI",
     "DataVortexTopology",
     "FastBarrier",

@@ -1,7 +1,7 @@
 """Flow-level Data Vortex network model for long benchmark runs.
 
-The cycle-accurate switch (:mod:`repro.dv.switch`) is exact but costs one
-Python iteration per node per cycle — far too slow for benchmarks that
+The cycle-accurate switch (:mod:`repro.dv.switch`) is exact but advances
+every switching node every cycle — far too slow for benchmarks that
 move millions of packets.  :class:`FlowNetwork` replaces it inside the
 discrete-event cluster simulation with a conservative analytic model that
 keeps the three effects that matter at application level:

@@ -149,7 +149,7 @@ class FaultSite:
         self._h_pcie.observe(self.plan.pcie_delay_s)
         return self.plan.pcie_delay_s
 
-    # -- per-packet drop (fastswitch link loss) -----------------------------
+    # -- per-packet drop (cycle-switch link loss) ---------------------------
     def drop(self) -> bool:
         """One Bernoulli loss draw (link-level, per injected packet)."""
         p = self.plan.drop_prob

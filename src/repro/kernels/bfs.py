@@ -654,6 +654,7 @@ def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
     roots = rng.choice(candidates, size=n_roots, replace=False)
 
     per_root_teps = []
+    elapsed_s = 0.0
     parents_ok = []
     agg_dicts = []
     for root in roots:
@@ -686,6 +687,7 @@ def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
 
         res = run_spmd(spec, program, fabric)
         elapsed = max(v["elapsed"] for v in res.values)
+        elapsed_s += elapsed
         parent = np.concatenate([v["parent"] for v in res.values])[:n]
         # Graph500 TEPS numerator: edges of the traversed component —
         # a property of the graph and root, independent of the
@@ -708,6 +710,7 @@ def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
         "harmonic_teps": harmonic_mean(per_root_teps),
         "gteps": harmonic_mean(per_root_teps) / 1e9,
         "per_root_teps": per_root_teps,
+        "elapsed_s": elapsed_s,
     }
     if agg_spec is not None:
         from repro.agg.runtime import merge_stats

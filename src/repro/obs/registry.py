@@ -3,10 +3,11 @@
 The observability layer follows one rule everywhere: **handles are
 resolved at construction time, recording is guarded at run time**.  A
 component asks the module for its metric handles when it is built
-(``counter("dv.switch.injected", model="fast")``); if observability is
-disabled the component receives the shared no-op singletons and caches
-``enabled() == False`` in a local boolean, so the hot path pays one
-branch — no dictionary lookups, no string formatting, no allocation.
+(``counter("dv.pcie.bytes", path="dma", direction="write")``); if
+observability is disabled the component receives the shared no-op
+singletons and caches ``enabled() == False`` in a local boolean, so the
+hot path pays one branch — no dictionary lookups, no string formatting,
+no allocation.
 
 Because simulations are constructed fresh per run (``run_spmd`` builds a
 new engine and new device state every time), flipping the global switch

@@ -35,7 +35,7 @@ def collect_gups_metrics(n_nodes: int = 4, seed: int = 2017,
     """Run the three report workloads with observability on; returns the
     populated registry."""
     from repro.core.cluster import ClusterSpec
-    from repro.dv.fastswitch import FastCycleSwitch
+    from repro.dv.switch import CycleSwitch
     from repro.dv.topology import DataVortexTopology
     from repro.kernels.gups import run_gups
     from repro.sim.rng import rng_for
@@ -52,7 +52,7 @@ def collect_gups_metrics(n_nodes: int = 4, seed: int = 2017,
         # ground-truth switch layer: uniform random traffic sample
         topo = DataVortexTopology(height=max(2, switch_ports // 2),
                                   angles=2)
-        sw = FastCycleSwitch(topo)
+        sw = CycleSwitch(topo)
         rng = rng_for(seed, "obs", "switch-traffic")
         for src in range(topo.ports):
             for dst in rng.integers(0, topo.ports, packets_per_port):

@@ -21,18 +21,24 @@ host CPU as a counted :class:`~repro.sim.resources.Resource` plus a
 receive, and collectives that join their requests one at a time.
 :func:`reference_run_fft1d` is the FFT-1D as first staged: the input
 built as ``a + 1j*b``, each rank cutting its block from the shared
-input, and validation over the concatenated output.  They are the
-models the suite was first written against;
+input, and validation over the concatenated output.
+:class:`ReferenceCycleSwitch` is the Data Vortex switch simulated node
+by node, one :class:`FlightRecord` per packet, against which the
+array-based :class:`~repro.dv.switch.CycleSwitch` is checked.  They
+are the models the suite was first written against;
 ``tests/test_flow_equivalence.py``, ``tests/test_dv_fanout.py``,
-``tests/test_fifo_deferral.py``, ``tests/test_mpi_requests.py`` and
-``tests/test_fft_memory.py`` hold the production code to them bit for
-bit.  Nothing under ``src/`` uses them.
+``tests/test_fifo_deferral.py``, ``tests/test_mpi_requests.py``,
+``tests/test_fft_memory.py`` and ``tests/test_dv_fastswitch.py`` hold
+the production code to them bit for bit.  Nothing under ``src/`` uses
+them.
 """
 
 from __future__ import annotations
 
+import collections
+from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +46,10 @@ from repro.core.cluster import run_spmd
 from repro.core.metrics import fft1d_flops, gflops_fft1d
 from repro.dv.api import DataVortexAPI
 from repro.dv.flow import FlowNetwork, apply_flow_faults
+from repro.dv.switch import Ejection, SwitchObs, SwitchStats
+from repro.dv.topology import Coord, DataVortexTopology
 from repro.dv.vic import FifoPush, MemWrite
+from repro.faults import injector as fltreg
 from repro.ib import mpi
 from repro.ib.fabric import IBFabric, _route_hash
 from repro.sim.events import CompletionEvent, Event
@@ -653,3 +662,203 @@ def reference_run_fft1d(spec, fabric: str, *, log2_points: int,
         out["max_error"], out["valid"] = reference_fft_check(
             [v["out"] for v in res.values], x)
     return out, res.values
+
+
+@dataclass(slots=True)
+class FlightRecord:
+    """Per-packet bookkeeping inside :class:`ReferenceCycleSwitch`."""
+
+    pkt_id: int
+    payload: Any
+    dest_h: int
+    dest_a: int
+    coord: Coord
+    inject_cycle: int
+    hops: int = 0
+    deflections: int = 0
+
+
+class ReferenceCycleSwitch:
+    """The Data Vortex switch simulated node by node: one
+    :class:`FlightRecord` per packet, cylinders resolved inner to outer
+    through a claim set, and per-packet obs recording.  Same interface,
+    fault rules and ``dv.fastswitch`` injection draw as
+    :class:`~repro.dv.switch.CycleSwitch`."""
+
+    def __init__(self, topology: DataVortexTopology,
+                 failed_nodes: Optional[set] = None,
+                 ttl_hops: Optional[int] = None) -> None:
+        self.topo = topology
+        self.cycle = 0
+        self._next_id = 0
+        self.input_queues: List[Deque[FlightRecord]] = [
+            collections.deque() for _ in range(topology.ports)]
+        #: current node occupancy: coord -> packet
+        self.occupancy: Dict[Coord, FlightRecord] = {}
+        self.failed_nodes: set = set(failed_nodes or ())
+        plan = fltreg.active()
+        if plan is not None and plan.switch_node_fail_prob > 0.0:
+            self.failed_nodes |= plan.switch_failures(topology)
+            if ttl_hops is None and self.failed_nodes:
+                ttl_hops = 16 * (topology.cylinders + topology.angles)
+        for c in self.failed_nodes:
+            if not (0 <= c[0] < topology.cylinders
+                    and 0 <= c[1] < topology.height
+                    and 0 <= c[2] < topology.angles):
+                raise ValueError(f"failed node {c} outside the topology")
+        self.ttl_hops = ttl_hops
+        self.stats = SwitchStats()
+        self._obs = SwitchObs.create()
+        self._faults = fltreg.site("dv.fastswitch")
+
+    def inject(self, src_port: int, dest_port: int,
+               payload: Any = None) -> int:
+        topo = self.topo
+        if not 0 <= src_port < topo.ports:
+            raise ValueError(f"bad src_port {src_port}")
+        if not 0 <= dest_port < topo.ports:
+            raise ValueError(f"bad dest_port {dest_port}")
+        dest_h, dest_a = divmod(dest_port, topo.angles)
+        rec = FlightRecord(
+            pkt_id=self._next_id, payload=payload,
+            dest_h=dest_h, dest_a=dest_a,
+            coord=topo.port_coord(src_port, 0),
+            inject_cycle=-1,  # set on actual injection
+        )
+        self._next_id += 1
+        if self._faults is not None and self._faults.drop():
+            self.stats.dropped += 1
+            if self._obs is not None:
+                self._obs.dropped.inc()
+            return rec.pkt_id
+        self.input_queues[src_port].append(rec)
+        return rec.pkt_id
+
+    @property
+    def in_flight(self) -> int:
+        return len(self.occupancy)
+
+    @property
+    def pending(self) -> int:
+        return sum(len(q) for q in self.input_queues)
+
+    def step(self) -> List[Ejection]:
+        obs = self._obs
+        if obs is not None:
+            _drop0 = self.stats.dropped
+            _blk0 = self.stats.injection_blocked_cycles
+            _inj0 = self.stats.injected
+        topo = self.topo
+        innermost = topo.cylinders - 1
+        moves: Dict[Coord, FlightRecord] = {}
+        # Nodes that will receive a packet along a *same-cylinder* path
+        # this cycle.  Arrival on that path asserts the deflection signal,
+        # blocking the outer cylinder (or injection, on cylinder 0).
+        same_cyl_claims: set = set()
+        ejections: List[Ejection] = []
+
+        by_cylinder: List[List[FlightRecord]] = [
+            [] for _ in range(topo.cylinders)]
+        for rec in self.occupancy.values():
+            by_cylinder[rec.coord[0]].append(rec)
+
+        failed = self.failed_nodes
+        for c in range(innermost, -1, -1):
+            for rec in by_cylinder[c]:
+                _, h, a = rec.coord
+                if self.ttl_hops is not None and rec.hops >= self.ttl_hops:
+                    self.stats.dropped += 1
+                    continue
+                if c == innermost:
+                    target = topo.deflect(c, h, a)
+                    if target in failed:
+                        self.stats.dropped += 1   # nowhere to go
+                        continue
+                    moves[target] = rec
+                    same_cyl_claims.add(target)
+                    rec.hops += 1
+                else:
+                    eligible = topo.descent_eligible(c, h, rec.dest_h)
+                    descend_target = topo.descend(c, h, a)
+                    if (eligible and descend_target not in same_cyl_claims
+                            and descend_target not in failed):
+                        moves[descend_target] = rec
+                        rec.hops += 1
+                    else:
+                        target = topo.deflect(c, h, a)
+                        if target in failed:
+                            self.stats.dropped += 1
+                            continue
+                        moves[target] = rec
+                        same_cyl_claims.add(target)
+                        rec.hops += 1
+                        if eligible:
+                            rec.deflections += 1
+
+        for port, queue in enumerate(self.input_queues):
+            if not queue:
+                continue
+            node = topo.port_coord(port, 0)
+            if node in failed:
+                self.stats.dropped += len(queue)
+                queue.clear()
+                continue
+            rec = queue[0]
+            if topo.port_coord(topo.coord_port(rec.dest_h, rec.dest_a),
+                               innermost) in failed:
+                queue.popleft()
+                self.stats.dropped += 1
+                continue
+            if node in moves:
+                self.stats.injection_blocked_cycles += 1
+                continue
+            rec = queue.popleft()
+            rec.inject_cycle = self.cycle
+            rec.coord = node
+            moves[node] = rec
+            self.stats.injected += 1
+
+        self.cycle += 1
+        self.occupancy = {}
+        for coord, rec in moves.items():
+            c, h, a = coord
+            if (c == innermost and h == rec.dest_h and a == rec.dest_a
+                    and rec.inject_cycle >= 0 and rec.hops > 0):
+                lat = self.cycle - rec.inject_cycle
+                ejections.append(Ejection(
+                    cycle=self.cycle,
+                    port=topo.coord_port(h, a),
+                    pkt_id=rec.pkt_id, payload=rec.payload,
+                    latency_cycles=lat, hops=rec.hops,
+                    deflections=rec.deflections))
+                self.stats.ejected += 1
+                self.stats.total_hops += rec.hops
+                self.stats.total_deflections += rec.deflections
+                self.stats.total_latency_cycles += lat
+                self.stats.max_latency_cycles = max(
+                    self.stats.max_latency_cycles, lat)
+                if obs is not None:
+                    obs.ejected.inc()
+                    obs.deflections.inc(rec.deflections)
+                    obs.latency.observe(lat)
+                    obs.hops.observe(rec.hops)
+            else:
+                rec.coord = coord
+                self.occupancy[coord] = rec
+        if obs is not None:
+            obs.dropped.inc(self.stats.dropped - _drop0)
+            obs.blocked_cycles.inc(
+                self.stats.injection_blocked_cycles - _blk0)
+            obs.injected.inc(self.stats.injected - _inj0)
+        return ejections
+
+    def run_until_drained(self, max_cycles: int = 1_000_000
+                          ) -> List[Ejection]:
+        out: List[Ejection] = []
+        start = self.cycle
+        while self.pending or self.in_flight:
+            if self.cycle - start >= max_cycles:
+                raise RuntimeError(
+                    f"switch failed to drain within {max_cycles} cycles")
+            out.extend(self.step())
+        return out

@@ -105,11 +105,23 @@ def test_run_unknown_id_exits_two(capsys):
     assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
 
-def test_run_fig_scaleout_rejects_removed_shards_param():
-    """The shard count is gone: passing it still fails loudly (an
-    uncaught error, so ``repro run`` exits non-zero), never silently."""
-    with pytest.raises(TypeError, match="shards"):
-        cli.main(["run", "fig_scaleout", "--params", '{"shards": 2}'])
+def test_run_fig_scaleout_rejects_removed_shards_param(capsys):
+    """The shard count is gone: passing it still fails loudly (``repro
+    run`` exits 2 naming the key), never silently."""
+    argv = ["run", "fig_scaleout", "--params", '{"shards": 2}']
+    assert cli.main(argv) == 2
+    assert "'shards'" in capsys.readouterr().err
+
+
+def test_run_fig_scaleout_rejects_unknown_param(capsys):
+    """An unknown override exits 2 with one line naming the key and the
+    workload, checked before any point runs: no traceback from inside
+    the executor."""
+    argv = ["run", "fig_scaleout", "--params", '{"bogus": 1}']
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and err.count("\n") == 1
+    assert "'bogus'" in err and "'gups'" in err
 
 
 def test_run_rejects_bad_params_json(capsys):

@@ -145,10 +145,13 @@ def test_no_buffering_invariant_one_packet_per_node():
         sw.inject(rng.randrange(n), rng.randrange(n))
     while sw.pending or sw.in_flight:
         sw.step()
-        coords = list(sw.occupancy.keys())
-        assert len(coords) == len(set(coords))
-        for coord, rec in sw.occupancy.items():
-            assert rec.coord == coord
+        occ = sw.occupancy
+        # every in-flight packet sits on exactly one node of its own
+        assert len(occ) == sw.in_flight
+        assert len(set(occ.values())) == len(occ)
+        for c, h, a in occ:
+            assert (0 <= c < sw.topo.cylinders and 0 <= h < sw.topo.height
+                    and 0 <= a < sw.topo.angles)
 
 
 def test_injection_backpressure_counted():

@@ -9,12 +9,12 @@ only *reads* simulation state and never participates in scheduling."""
 import pytest
 
 from repro.core.cluster import ClusterSpec
-from repro.dv.fastswitch import FastCycleSwitch
 from repro.dv.switch import CycleSwitch
 from repro.dv.topology import DataVortexTopology
 from repro.kernels.gups import run_gups
 from repro.obs import registry as obsreg
 from repro.sim.rng import rng_for
+from tests.reference_engines import ReferenceCycleSwitch
 
 
 def _gups_fingerprint(fabric: str, enable_obs: bool) -> tuple:
@@ -52,7 +52,7 @@ def _ejection_stream(cls, enable_obs: bool) -> list:
     return [stats] + stream
 
 
-@pytest.mark.parametrize("cls", [CycleSwitch, FastCycleSwitch],
+@pytest.mark.parametrize("cls", [ReferenceCycleSwitch, CycleSwitch],
                          ids=["reference", "vectorised"])
 def test_switch_ejection_stream_identical_with_obs(cls):
     assert (_ejection_stream(cls, enable_obs=True)

@@ -14,7 +14,7 @@ import timeit
 
 import pytest
 
-from repro.dv.fastswitch import FastCycleSwitch
+from repro.dv.switch import CycleSwitch
 from repro.dv.topology import DataVortexTopology
 from repro.obs import registry as obsreg
 from repro.sim.rng import rng_for
@@ -28,7 +28,7 @@ def _uniform_plan(topo, packets_per_port: int):
 
 def _run(topo, plan, enable_obs: bool):
     with obsreg.session(enable_obs):
-        sw = FastCycleSwitch(topo)
+        sw = CycleSwitch(topo)
         for s, d in plan:
             sw.inject(s, d)
         t0 = time.perf_counter()
@@ -67,15 +67,15 @@ def test_enabled_run_matches_disabled_and_collects():
 
     _, ej_off, t_off = _run(topo, plan, enable_obs=False)
     with obsreg.session() as reg:
-        sw = FastCycleSwitch(topo)
+        sw = CycleSwitch(topo)
         for s, d in plan:
             sw.inject(s, d)
         t0 = time.perf_counter()
         ej_on = sw.run_until_drained()
         t_on = time.perf_counter() - t0
-        assert reg.value("dv.switch.injected", model="fast") == len(plan)
-        assert reg.value("dv.switch.ejected", model="fast") == len(plan)
-        hist = reg.get("dv.switch.ejection_latency_cycles", model="fast")
+        assert reg.value("dv.switch.injected") == len(plan)
+        assert reg.value("dv.switch.ejected") == len(plan)
+        hist = reg.get("dv.switch.ejection_latency_cycles")
         assert hist.count == len(plan)
 
     key = lambda e: (e.cycle, e.port, e.pkt_id, e.hops, e.deflections)

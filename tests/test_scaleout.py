@@ -61,6 +61,26 @@ def test_scaleout_point_fast_matches_reference(monkeypatch):
     assert fast == ref
 
 
+def test_every_workload_and_fabric_runs_at_64_nodes():
+    """Every point of the projection runs to the end on both fabrics
+    (BFS points once raised ``KeyError: 'elapsed_s'`` after
+    simulating)."""
+    rows = scaleout_sweep(workloads=SCALEOUT_WORKLOADS, nodes=(64,),
+                          fabrics=SCALEOUT_FABRICS)
+    assert [(r["workload"], r["fabric"]) for r in rows] == [
+        (w, f) for w in SCALEOUT_WORKLOADS for f in SCALEOUT_FABRICS]
+    for r in rows:
+        assert r["per_pe"] > 0 and r["elapsed_s"] > 0
+
+
+def test_scaleout_sweep_rejects_unknown_override_before_running():
+    with pytest.raises(ValueError, match="'fft' takes no parameter "
+                                         "'window'"):
+        scaleout_sweep(workloads=("gups", "fft"), nodes=(64,), window=8)
+    with pytest.raises(ValueError, match="unknown scale-out workload"):
+        scaleout_sweep(workloads=("linpack",), nodes=(64,))
+
+
 def test_scaleout_sweep_grid_order():
     rows = scaleout_sweep(workloads=("gups",), nodes=(64,),
                           fabrics=SCALEOUT_FABRICS)
