@@ -152,10 +152,18 @@ class DataVortexAPI:
             # stream into the switch back to back (batched: the flow
             # engine prices the whole fan-out vectorised and completes
             # it with one FanOut).
-            group_payloads = [MemWrite(addrs=addrs_s[lo:hi],
-                                       values=values_s[lo:hi],
-                                       counter=counter)
-                              for lo, hi in zip(starts, bounds)]
+            if uniq.size == dests_s.size:
+                # one word per group (count exchanges, one-word
+                # scatters): scalars instead of two one-element views
+                group_payloads = [MemWrite(addrs=a, values=v,
+                                           counter=counter)
+                                  for a, v in zip(addrs_s.tolist(),
+                                                  values_s.tolist())]
+            else:
+                group_payloads = [MemWrite(addrs=addrs_s[lo:hi],
+                                           values=values_s[lo:hi],
+                                           counter=counter)
+                                  for lo, hi in zip(starts, bounds)]
             done = self.network.transmit_batch(
                 self.rank, uniq, group_counts, group_payloads,
                 inject_rate=rate)

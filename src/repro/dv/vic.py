@@ -49,11 +49,16 @@ class _Effect:
 
 class MemWrite(_Effect):
     """Write ``values[i]`` to DV memory ``addrs[i]``; optionally decrement
-    a group counter by the number of words delivered."""
+    a group counter by the number of words delivered.
+
+    A one-word effect may carry a Python ``int`` address and value
+    instead of two one-element arrays (:meth:`DataVortexAPI.send_batch
+    <repro.dv.api.DataVortexAPI.send_batch>` does, for one-word groups);
+    every consumer of the effect accepts both forms alike."""
 
     __slots__ = ("addrs", "values", "counter")
 
-    def __init__(self, addrs: np.ndarray, values: np.ndarray,
+    def __init__(self, addrs, values,
                  counter: Optional[int] = None) -> None:
         self.addrs = addrs
         self.values = values

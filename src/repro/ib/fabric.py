@@ -13,17 +13,18 @@ message's serialisation time is charged once, concurrently on every
 channel along its path), numbered into one flat list of slots
 (:meth:`IBFabric._slots`).  Per-message state rides in the arguments of
 one :meth:`Engine.call_in` wakeup, and each flow's uplink — a blake2b
-hash per (src, dst) pair — is memoised once per process, which is exact
-because it is a pure function of ``(src, dst, n)``.
+hash per (src, dst) pair — is memoised once per process in an n²-entry
+table per cluster shape (:func:`_route_table`), which is exact because
+it is a pure function of ``(src, dst, uplinks)``.
 """
 
 from __future__ import annotations
 
+import array
 import collections
-import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import injector as fltreg
 from repro.ib.config import IBConfig
@@ -45,14 +46,29 @@ class FabricStats:
     total_queue_wait_s: float = 0.0
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def _route_hash(src: int, dst: int, n: int) -> int:
-    """Deterministic static-routing uplink choice for the (src, dst) flow.
-
-    Memoised across fabrics: every run of the same cluster size asks for
-    the same pairs."""
+    """Deterministic static-routing uplink choice for the (src, dst) flow
+    among ``n`` uplinks."""
     h = hashlib.blake2b(f"{src}->{dst}".encode(), digest_size=4)
     return int.from_bytes(h.digest(), "little") % n
+
+
+#: (n_nodes, uplinks) -> that shape's uplink table (:func:`_route_table`)
+_ROUTE_TABLES: Dict[Tuple[int, int], array.array] = {}
+
+
+def _route_table(n_nodes: int, uplinks: int) -> array.array:
+    """The uplink of flow ``(src, dst)`` at ``src * n_nodes + dst``, one
+    byte per pair (up to 255 uplinks), filled lazily from
+    :func:`_route_hash`; ``uplinks``, which no hash returns, marks a pair
+    not hashed yet.  Shared by every fabric of one shape: every run of
+    the same cluster size asks for the same pairs."""
+    table = _ROUTE_TABLES.get((n_nodes, uplinks))
+    if table is None:
+        code = "B" if uplinks < 256 else "L"
+        table = array.array(code, [uplinks]) * (n_nodes * n_nodes)
+        _ROUTE_TABLES[n_nodes, uplinks] = table
+    return table
 
 
 class IBFabric:
@@ -76,6 +92,7 @@ class IBFabric:
         #: private per-flow slots (n² of them) are made on first use
         self._free: Any = ([0.0] * (self._down0 + leaves * up) if contention
                            else collections.defaultdict(float))
+        self._routes = _route_table(n_nodes, up) if contention else None
         self._receivers: List[Optional[Receiver]] = [None] * n_nodes
         self.stats = FabricStats()
         # IB loses no messages: link-level CRC errors are retried by the
@@ -114,8 +131,21 @@ class IBFabric:
         if not self.contention:
             return (src, self._up0 + src * n + dst, n + dst)
         u = self.config.uplinks_per_leaf
-        return (src, self._up0 + lsrc * u + _route_hash(src, dst, u),
-                self._down0 + ldst * u + _route_hash(dst, src, u), n + dst)
+        routes = self._routes
+        up = routes[src * n + dst]
+        if up == u:
+            up = self._uplink(src, dst)
+        down = routes[dst * n + src]
+        if down == u:
+            down = self._uplink(dst, src)
+        return (src, self._up0 + lsrc * u + up,
+                self._down0 + ldst * u + down, n + dst)
+
+    def _uplink(self, src: int, dst: int) -> int:
+        """:func:`_route_hash` of the pair, entered in the route table."""
+        k = _route_hash(src, dst, self.config.uplinks_per_leaf)
+        self._routes[src * self.n_nodes + dst] = k
+        return k
 
     def hops(self, src: int, dst: int) -> int:
         """Switch hops traversed (2 within a leaf, 4 across the spine)."""

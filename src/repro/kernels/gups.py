@@ -74,6 +74,17 @@ def _apply(table: np.ndarray, packed: np.ndarray) -> None:
     np.bitwise_xor.at(table, idx, packed & np.uint64(_VAL_MASK))
 
 
+def _windows(idx: np.ndarray, val: np.ndarray, table_words: int,
+             window: int):
+    """Each look-ahead window's owners, local indices and values.
+
+    A rank keeps only its raw draws for the whole run; a window's owner
+    and local index are derived as it is issued."""
+    for lo in range(0, idx.size, window):
+        owner, local = np.divmod(idx[lo:lo + window], table_words)
+        yield owner, local, val[lo:lo + window]
+
+
 def serial_gups_table(seed: int, size: int, table_words: int,
                       n_updates: int, traffic=None) -> np.ndarray:
     """Reference: the whole table after all ranks' updates, serially."""
@@ -85,6 +96,16 @@ def serial_gups_table(seed: int, size: int, table_words: int,
     return table
 
 
+def tables_valid(tables, seed: int, table_words: int, n_updates: int,
+                 traffic=None) -> bool:
+    """Whether rank ``r``'s table equals slice ``r`` of
+    :func:`serial_gups_table`, for every rank (no concatenated copy)."""
+    ref = serial_gups_table(seed, len(tables), table_words, n_updates,
+                            traffic)
+    return all(np.array_equal(t, ref[r * table_words:(r + 1) * table_words])
+               for r, t in enumerate(tables))
+
+
 def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
              window: int, seed: int, aggregate: bool,
              traffic=None) -> Generator:
@@ -93,9 +114,6 @@ def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
     table = np.zeros(table_words, np.uint64)
     idx, val = _make_updates(seed, ctx.rank, n_updates, table_words, P,
                              traffic)
-    owner = idx // table_words
-    local = idx % table_words
-    n_epochs = (n_updates + window - 1) // window
     _obs = obsreg.enabled()
     if _obs:
         m_epochs = obsreg.counter("kernels.gups.epochs", fabric="dv")
@@ -105,9 +123,7 @@ def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
 
     yield from ctx.barrier()
     ctx.mark("t0")
-    for e in range(n_epochs):
-        lo, hi = e * window, min((e + 1) * window, n_updates)
-        o, li, v = owner[lo:hi], local[lo:hi], val[lo:hi]
+    for o, li, v in _windows(idx, val, table_words, window):
         mine = o == ctx.rank
         if _obs:
             m_epochs.inc()
@@ -152,8 +168,7 @@ def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
     # (one source-aggregated DMA carrying all P-1 count words)
     yield from api.set_counter(_CTR_COUNTS, P - 1)
     yield from ctx.barrier()
-    sent_to = np.zeros(P, np.int64)
-    np.add.at(sent_to, owner, 1)
+    sent_to = np.bincount(idx // table_words, minlength=P)
     if P > 1:
         others = np.array([d for d in range(P) if d != ctx.rank])
         yield from api.send_batch(
@@ -203,9 +218,6 @@ def _agg_gups(ctx: RankContext, table_words: int, n_updates: int,
     table = np.zeros(table_words, np.uint64)
     idx, val = _make_updates(seed, ctx.rank, n_updates, table_words, P,
                              traffic)
-    owner = idx // table_words
-    local = idx % table_words
-    n_epochs = (n_updates + window - 1) // window
     chan = channel_for(ctx, agg_spec, seed)
     _obs = obsreg.enabled()
     fabric = "dv" if ctx.dv is not None else "mpi"
@@ -218,9 +230,7 @@ def _agg_gups(ctx: RankContext, table_words: int, n_updates: int,
 
     yield from ctx.barrier()
     ctx.mark("t0")
-    for e in range(n_epochs):
-        lo, hi = e * window, min((e + 1) * window, n_updates)
-        o, li, v = owner[lo:hi], local[lo:hi], val[lo:hi]
+    for o, li, v in _windows(idx, val, table_words, window):
         mine = o == ctx.rank
         if _obs:
             m_epochs.inc()
@@ -275,9 +285,6 @@ def _verbs_gups(ctx: RankContext, table_words: int, n_updates: int,
     table = np.zeros(table_words, np.uint64)
     idx, val = _make_updates(seed, ctx.rank, n_updates, table_words, P,
                              traffic)
-    owner = idx // table_words
-    local = idx % table_words
-    n_epochs = (n_updates + window - 1) // window
 
     # staging: one ring per source, big enough for everything it could
     # send; tails[src] counts words committed by src
@@ -303,9 +310,7 @@ def _verbs_gups(ctx: RankContext, table_words: int, n_updates: int,
                 applied[src] = avail
         return moved
 
-    for e in range(n_epochs):
-        lo, hi = e * window, min((e + 1) * window, n_updates)
-        o, li, vv = owner[lo:hi], local[lo:hi], val[lo:hi]
+    for o, li, vv in _windows(idx, val, table_words, window):
         mine = o == ctx.rank
         _apply(table, _pack(li[mine], vv[mine]))
         yield from ctx.compute(random_updates=int(mine.sum()),
@@ -352,9 +357,6 @@ def _mpi_gups(ctx: RankContext, table_words: int, n_updates: int,
     table = np.zeros(table_words, np.uint64)
     idx, val = _make_updates(seed, ctx.rank, n_updates, table_words, P,
                              traffic)
-    owner = idx // table_words
-    local = idx % table_words
-    n_epochs = (n_updates + window - 1) // window
     _obs = obsreg.enabled()
     if _obs:
         m_epochs = obsreg.counter("kernels.gups.epochs", fabric="mpi")
@@ -363,9 +365,7 @@ def _mpi_gups(ctx: RankContext, table_words: int, n_updates: int,
 
     yield from ctx.barrier()
     ctx.mark("t0")
-    for e in range(n_epochs):
-        lo, hi = e * window, min((e + 1) * window, n_updates)
-        o, li, v = owner[lo:hi], local[lo:hi], val[lo:hi]
+    for o, li, v in _windows(idx, val, table_words, window):
         packed = _pack(li, v)
         # one stable sort splits the window by owner, in update order
         order = np.argsort(o, kind="stable")
@@ -451,8 +451,6 @@ def run_gups(spec: ClusterSpec, fabric: str, *, table_words: int = 1 << 14,
         from repro.agg.runtime import merge_stats
         out["agg"] = merge_stats(v["agg"] for v in res.values)
     if validate:
-        got = np.concatenate([v["table"] for v in res.values])
-        ref = serial_gups_table(seed, spec.n_nodes, table_words,
-                                n_updates, traffic)
-        out["valid"] = bool(np.array_equal(got, ref))
+        out["valid"] = tables_valid([v["table"] for v in res.values], seed,
+                                    table_words, n_updates, traffic)
     return out

@@ -57,7 +57,7 @@ def _build_gups(*, fabric: str, n_ranks: int, seed: int, traffic=None,
                 aggregate: bool = True,
                 validate: bool = False) -> TenantWorkload:
     from repro.kernels.gups import (_agg_gups, _dv_gups, _mpi_gups,
-                                    serial_gups_table)
+                                    tables_valid)
     if n_updates is None:
         n_updates = table_words
     if window < 1 or window > 1024:
@@ -92,10 +92,8 @@ def _build_gups(*, fabric: str, n_ranks: int, seed: int, traffic=None,
             from repro.agg.runtime import merge_stats
             out["agg"] = merge_stats(v["agg"] for v in values)
         if validate:
-            got = np.concatenate([v["table"] for v in values])
-            ref = serial_gups_table(seed, n_ranks, table_words, n_up,
-                                    traffic)
-            out["valid"] = bool(np.array_equal(got, ref))
+            out["valid"] = tables_valid([v["table"] for v in values],
+                                        seed, table_words, n_up, traffic)
         return out
 
     return TenantWorkload("gups", program, finish)

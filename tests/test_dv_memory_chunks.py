@@ -14,12 +14,15 @@ through unchanged and reject the others before they touch the memory.
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.cluster import ClusterSpec
 from repro.dv.config import DVConfig
 from repro.dv.dvmemory import _CHUNK_WORDS as CHUNK
 from repro.dv.dvmemory import DVMemory
-from repro.dv.flow import FlowNetwork
-from repro.dv.vic import VIC
+from repro.dv.flow import FlowNetwork, apply_flow_faults
+from repro.dv.vic import VIC, MemWrite
+from repro.faults import injector as fltreg
+from repro.faults.plan import FaultPlan
 from repro.kernels.gups import run_gups
 from repro.sim.engine import Engine
 from repro.tenancy.spec import (
@@ -359,3 +362,57 @@ def test_gups_commits_one_chunk_per_vic(monkeypatch):
     out = run_gups(ClusterSpec(n_nodes=8, seed=1), "dv", validate=True)
     assert out["valid"]
     assert [vic.memory.touched_bytes for vic in vics] == [CHUNK * 8] * 8
+
+
+def test_one_word_memwrite_scalars_match_arrays():
+    """A one-word ``MemWrite`` may carry a Python ``int`` address and
+    value: it leaves the same DV memory and counters as the
+    one-element-array form and degrades to the same effect under
+    faults."""
+    addr, value = CHUNK + 5, 2**64 - 3
+    scalar = MemWrite(addrs=addr, values=value, counter=7)
+    arrays = MemWrite(
+        addrs=np.array([addr], np.int64),
+        values=np.array([value], np.uint64),
+        counter=7,
+    )
+
+    def delivered(effect):
+        cfg = DVConfig()
+        engine = Engine()
+        vic = VIC(engine, cfg, 0, FlowNetwork(engine, cfg, 2))
+        vic.counters.set(7, 3)
+        vic._on_delivery(1, effect, effect.n_packets)
+        return (
+            vic.memory.read_range(addr - 2, 5).tolist(),
+            sorted(vic.memory._chunks),
+            vic.counters.value(7),
+            vic.packets_received,
+        )
+
+    assert delivered(scalar) == delivered(arrays)
+    assert delivered(scalar) == ([0, 0, value, 0, 0], [1], 2, 1)
+
+    def degraded(plan, effect):
+        with faults.session(plan):
+            out = apply_flow_faults(
+                fltreg.site("dv.flow"), effect, 0, 1, 0.0, 0.0
+            )
+        if out is None:
+            return None
+        return (
+            np.atleast_1d(out.addrs).tolist(),
+            np.atleast_1d(np.asarray(out.values, np.uint64)).tolist(),
+            out.counter,
+        )
+
+    outcomes = set()
+    for seed in range(16):
+        plan = FaultPlan(seed=seed, drop_prob=0.3, corrupt_prob=0.5)
+        got = degraded(plan, scalar)
+        assert got == degraded(plan, arrays)
+        if got is None:
+            outcomes.add("lost")
+        else:
+            outcomes.add("kept" if got[1] == [value] else "corrupted")
+    assert outcomes == {"lost", "kept", "corrupted"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ib import IBConfig, IBFabric
-from repro.ib.fabric import _route_hash
+from repro.ib.fabric import _route_hash, _route_table
 from repro.sim import Engine
 
 
@@ -96,6 +96,34 @@ def test_memoised_route_hash_equals_blake2b_formula():
     for _ in range(2):  # computed, then served from the memo
         assert [_route_hash(*p) for p in pairs] == [formula(*p)
                                                     for p in pairs]
+
+
+@pytest.mark.parametrize("uplinks", [1, 3, 300])
+def test_route_table_equals_route_hash_on_every_pair(uplinks):
+    """Every cross-leaf route takes the uplink and downlink the blake2b
+    formula names, through the lazily filled table that fabrics of one
+    shape share."""
+    n, leaf = 12, 4
+    eng, fab = make(n=n, leaf_size=leaf, uplinks_per_leaf=uplinks)
+    for src in range(n):
+        for dst in range(n):
+            if src // leaf == dst // leaf:
+                assert fab._slots(src, dst) == (src, n + dst)
+                continue
+            assert fab._slots(src, dst) == (
+                src,
+                fab._up0 + src // leaf * uplinks
+                + _route_hash(src, dst, uplinks),
+                fab._down0 + dst // leaf * uplinks
+                + _route_hash(dst, src, uplinks),
+                n + dst)
+    pairs = [(s, d) for s in range(n) for d in range(n)]
+    assert [fab._uplink(s, d) for s, d in pairs] == [
+        _route_hash(s, d, uplinks) for s, d in pairs]
+    table = _route_table(n, uplinks)
+    assert list(table) == [_route_hash(s, d, uplinks) for s, d in pairs]
+    assert make(n=n, leaf_size=leaf, uplinks_per_leaf=uplinks)[1]._routes \
+        is table
 
 
 def test_stats_accumulate():
