@@ -260,17 +260,16 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     node-count then fabric.  The full default grid — three workloads,
     five node counts to 1024, both fabrics — is long serial; use
     ``Executor(workers=N)`` to spread it.  On a shared 2-CPU host the
-    GUPS points took, before and after GUPS kept only its raw draws and
-    the DV count exchange its one-word effects as scalars (identical
-    results; wall times vary by about 20 % run to run):
+    GUPS points took (wall times vary by about 20 % run to run;
+    docs/scaling.md gives each memory change's before and after):
 
     ============== ============= ==================
     point          wall (s)      peak RSS (MB)
     ============== ============= ==================
-    GUPS DV, 512   4.4 -> 4.4    235 -> 177
-    GUPS DV, 1024  16.3 -> 20.4  746 -> 522
-    GUPS MPI, 512  12.2 -> 11.6  387 -> 373
-    GUPS MPI, 1024 57.4 -> 49.7  1359 -> 1342
+    GUPS DV, 512   4.4           177
+    GUPS DV, 1024  20.4          522
+    GUPS MPI, 512  7.9           202
+    GUPS MPI, 1024 38.6          663
     ============== ============= ==================
 
     BFS over MPI at 1024 nodes runs past 300 s (docs/scaling.md).

@@ -99,7 +99,14 @@ class DVMemory:
     # -- vector ops ----------------------------------------------------------
     def scatter(self, addrs: np.ndarray, values: np.ndarray) -> None:
         """Write ``values[i]`` to ``addrs[i]``; later entries win ties
-        (matching last-writer semantics)."""
+        (matching last-writer semantics).  A one-word write may pass a
+        Python ``int`` address and value (a scalar :class:`MemWrite
+        <repro.dv.vic.MemWrite>`)."""
+        if addrs.__class__ is int and values.__class__ is int:
+            if not 0 <= addrs < self.n_words:
+                raise self._out_of_range(addrs, addrs)
+            self._chunk(addrs // _CHUNK_WORDS)[addrs % _CHUNK_WORDS] = values
+            return
         addrs = np.asarray(addrs, dtype=np.int64)
         values = np.asarray(values, dtype=np.uint64)
         if addrs.shape != values.shape:

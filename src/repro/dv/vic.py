@@ -66,6 +66,8 @@ class MemWrite(_Effect):
 
     @property
     def n_packets(self) -> int:
+        if self.addrs.__class__ is int:
+            return 1
         return int(np.asarray(self.addrs).size)
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional, TYPE_CHECKING
 
+from repro.ib.mpi import _RECV
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ib.mpi import MPIEndpoint
 
@@ -179,10 +181,10 @@ def scatter(ep: "MPIEndpoint", chunks: Optional[List[Any]],
 def alltoall(ep: "MPIEndpoint", chunks: List[Any]) -> Generator:
     """Non-blocking linear all-to-all; returns received chunks by rank.
 
-    All P-1 receives and P-1 sends are posted up front and completed
-    together (the OpenMPI "basic linear" algorithm): per-message software
-    overheads still serialise on the host CPU, but wire transfers and
-    rendezvous handshakes overlap.
+    All P-1 receives and P-1 sends are posted up front, as one batch,
+    and completed together (the OpenMPI "basic linear" algorithm):
+    per-message software overheads still serialise on the host CPU, but
+    wire transfers and rendezvous handshakes overlap.
     """
     p, rank = ep.size, ep.rank
     if len(chunks) != p:
@@ -191,11 +193,14 @@ def alltoall(ep: "MPIEndpoint", chunks: List[Any]) -> Generator:
     out[rank] = chunks[rank]
     tag = ep._ctag()
     yield from _stage(ep)
+    if p == 1:
+        return out
+    # one batch: the P-1 receives, then the P-1 sends, joined in order
     order = [(rank + i) % p for i in range(1, p)]
-    recvs = {src: ep.irecv(src, tag=tag) for src in order}
-    sends = [ep.isend(dst, chunks[dst], tag=tag) for dst in order]
-    if order:
-        yield ep.waitall(list(recvs.values()) + sends)
-    for src, req in recvs.items():
-        out[src] = req.value[0]
+    batch = ep._post_batch(order + order, [tag] * (2 * p - 2),
+                           [_RECV] * (p - 1) + [chunks[d] for d in order])
+    yield ep._join(batch, range(2 * p - 2))
+    values = batch.values
+    for i, src in enumerate(order):
+        out[src] = values[i][0]
     return out

@@ -4,10 +4,12 @@ Each rank holds an :class:`MPIEndpoint` with blocking ``send``/``recv``
 (generator methods driven from the rank process), non-blocking
 ``isend``/``irecv`` (returning joinable :class:`Request` events driven
 by callbacks, no process per message), ``waitall``, and the usual
-collectives.  The eager/rendezvous protocol switch, receive-side copies,
-unexpected-message queueing, and per-message software overheads follow
-how a real MPI-over-IB stack behaves — these are precisely the costs the
-paper's irregular workloads suffer from.
+collectives.  Every call posts its operations as one batch of plain
+per-slot lists (:class:`_Batch`).  The eager/rendezvous protocol
+switch, receive-side copies, unexpected-message queueing, and
+per-message software overheads follow how a real MPI-over-IB stack
+behaves — these are precisely the costs the paper's irregular
+workloads suffer from.
 
 Payloads are real Python objects (usually NumPy arrays): the simulation
 moves actual data, so benchmark results can be validated numerically.
@@ -15,6 +17,7 @@ moves actual data, so benchmark results can be validated numerically.
 
 from __future__ import annotations
 
+import array
 import collections
 import itertools
 from dataclasses import dataclass
@@ -52,6 +55,17 @@ def payload_nbytes(data: Any) -> int:
     return 64  # generic pickled-object floor
 
 
+def _put(buckets: Dict[Tuple[int, int], list], key: Tuple[int, int],
+         item: Any) -> None:
+    """Append ``item`` to its matching bucket (a one-item list if new:
+    every collective uses a fresh tag, so most buckets hold one)."""
+    bucket = buckets.get(key)
+    if bucket is None:
+        buckets[key] = [item]
+    else:
+        bucket.append(item)
+
+
 def _take(buckets: Dict[Tuple[int, int], list], key: Tuple[int, int]):
     """Pop the oldest item of one matching bucket; drop it once empty."""
     bucket = buckets[key]
@@ -74,15 +88,17 @@ class _Arrival:
 
 class Request(Event):
     """Handle of one non-blocking operation (:meth:`MPIEndpoint.isend`,
-    :meth:`MPIEndpoint.irecv`).
+    :meth:`MPIEndpoint.irecv`): a batch of one, which succeeds this
+    event with the operation's value.
 
-    No process drives it: the protocol steps are plain callbacks, and
-    the last one succeeds the request with the operation's value.
+    No process drives it: the protocol steps are plain callbacks.
     ``tests/test_mpi_requests.py`` holds the schedule to a
     process-per-request oracle, entry for entry.
     """
 
     __slots__ = ()
+
+    _complete = Event._succeed_soon
 
 
 class _Wait(Event):
@@ -94,40 +110,132 @@ class _Wait(Event):
 
     __slots__ = ()
 
-    def _fire(self, value: Any) -> None:
+    def _complete(self, value: Any) -> None:
         self._ok = True
         self._value = value
         self._process()
 
 
-class _Join(_Wait):
-    """:meth:`MPIEndpoint.waitall`: joins its requests one at a time,
-    in list order, as a process yielding each in turn would — waiting
-    for a request still in flight, re-delivering one already processed
-    on a fresh queue pass — but as callbacks, so the waiting process
-    resumes once, when the last join step fires this event in place.
+#: ``payloads[i]`` of a receive slot
+_RECV = object()
+_ONE_RECV = (_RECV,)
+#: ``values[i]`` of a slot still in flight
+_PENDING = object()
+
+
+class _Batch:
+    """The operations of one post, as plain lists indexed by slot in
+    start order: an ``isend``, ``irecv``, blocking ``send`` or ``recv``
+    (a batch of one with a ``handle``), a ``sendrecv``'s pair or an
+    all-to-all's 2(P-1).
+
+    A batch of one completes its handle.  A larger one keeps each
+    slot's value, and its join (:class:`_Join`) waits on one slot at a
+    time; a slot that completes while not waited on takes no entry —
+    it reserves the key its completion entry would have had (``dues``).
     """
 
-    __slots__ = ("_requests", "_next")
+    __slots__ = ("engine", "peers", "tags", "payloads", "nbytes", "handle",
+                 "values", "dues", "claimed", "waiting", "waiter")
 
-    def __init__(self, engine: Engine, requests: List[Event],
-                 name: str) -> None:
-        super().__init__(engine, name=name)
-        self._requests = requests
+    def __init__(self, engine: Engine, peers, tags, payloads,
+                 nbytes: Optional[int] = None, handle: Any = None) -> None:
+        self.engine = engine
+        self.peers = peers
+        self.tags = tags
+        #: what a send slot sends; :data:`_RECV` for a receive slot
+        self.payloads = payloads
+        #: the size every send of the batch claims (None: measured)
+        self.nbytes = nbytes
+        self.handle = handle
+        if handle is None:
+            self.values: List[Any] = [_PENDING] * len(peers)
+            #: reserved completion keys (raw words: no int per slot)
+            self.dues = array.array("q", bytes(8 * len(peers)))
+        #: slots granted the host CPU so far (see MPIEndpoint._cpu_end)
+        self.claimed = 0
+        self.waiting = -1
+        self.waiter: Optional[Callable] = None
+
+    def complete(self, i: int, value: Any) -> None:
+        """Slot ``i`` is done: run its waiter's step at the entry its
+        completion takes, or reserve that entry's key."""
+        if self.handle is not None:
+            self.handle._complete(value)
+            return
+        self.values[i] = value
+        if i == self.waiting:
+            # (dropping the waiter breaks the batch <-> join cycle)
+            waiter, self.waiting, self.waiter = self.waiter, -1, None
+            self.engine.call_soon(waiter)
+        else:
+            self.dues[i] = self.engine.reserve()
+
+    def wait(self, i: int, fn: Callable) -> None:
+        """Run ``fn()`` once slot ``i`` is done, as a waiter on its
+        completion event would run: at its entry if it is still ahead,
+        else on a fresh queue pass."""
+        if self.values[i] is _PENDING:
+            self.waiting, self.waiter = i, fn
+            return
+        due = self.dues[i]
+        if self.engine.reserved_passed(due):
+            self.engine.call_soon(fn)
+        else:
+            self.engine.run_reserved(due, fn)
+
+
+class _Slot:
+    """A slot's ``finish`` callback, for the protocol steps that carry
+    one (a receive, a rendezvous send's data)."""
+
+    __slots__ = ("batch", "i")
+
+    def __init__(self, batch: _Batch, i: int) -> None:
+        self.batch = batch
+        self.i = i
+
+    def __call__(self, value: Any) -> None:
+        self.batch.complete(self.i, value)
+
+
+class _Requests(list):
+    """:meth:`MPIEndpoint.waitall`'s requests, joined like slots."""
+
+    def wait(self, i: int, fn: Callable) -> None:
+        req = self[i]
+        callbacks = req._waiters()
+        if callbacks is None:
+            req.engine.call_soon(fn)
+        else:
+            callbacks.append(fn)
+
+
+class _Join(_Wait):
+    """Joins a batch's slots (or :meth:`MPIEndpoint.waitall`'s
+    requests) one at a time, in ``order``, as a process yielding each
+    in turn would — waiting for one still in flight, re-delivering one
+    already done on a fresh queue pass — but as callbacks, so the
+    waiting process resumes once, when the last join step fires this
+    event in place.
+    """
+
+    __slots__ = ("_ops", "_order", "_next")
+
+    def __init__(self, engine: Engine, ops: Any, order, name: str) -> None:
+        super().__init__(engine, name)
+        self._ops = ops
+        self._order = order
         self._next = 0
         self._step()
 
     def _step(self, _ev: Any = None) -> None:
         i = self._next
-        if i == len(self._requests):
-            self._fire(None)
+        if i == len(self._order):
+            self._complete(None)
             return
         self._next = i + 1
-        callbacks = self._requests[i].callbacks
-        if callbacks is None:
-            self.engine.call_soon(self._step)
-        else:
-            callbacks.append(self._step)
+        self._ops.wait(self._order[i], self._step)
 
 
 class MPIEndpoint:
@@ -141,10 +249,9 @@ class MPIEndpoint:
         self.fabric = runtime.fabric
         #: host CPU serialising per-message software overheads — two
         #: concurrent isends cannot both burn the core at once; later
-        #: claims wait here, FIFO, as ``(step, args)`` (see _cpu)
+        #: claims wait here, FIFO, one entry per batch (see _claim)
         self._cpu_busy = False
-        self._cpu_queue: Deque[Tuple[Callable, tuple]] = (
-            collections.deque())
+        self._cpu_queue: Deque[_Batch] = collections.deque()
         # Matching queues, bucketed by (src, tag) so an arrival or a
         # specific receive looks at O(1) entries, not O(P).  Buckets hold
         # stamped items in stamp order; the per-endpoint stamp orders
@@ -179,6 +286,7 @@ class MPIEndpoint:
         self._send_name = f"send@{rank}"
         self._isend_name = f"isend @{rank}"
         self._irecv_name = f"irecv @{rank}"
+        self._waitall_name = f"waitall@{rank}"
         # shared series across endpoints; label picks apart the protocol
         self._obs_on = obsreg.enabled()
         if self._obs_on:
@@ -252,58 +360,75 @@ class MPIEndpoint:
             return
         self._stamp += 1
         arrival.stamp = self._stamp
-        self._unexpected.setdefault((src, tag), []).append(arrival)
+        _put(self._unexpected, (src, tag), arrival)
 
     def _next_send_seq(self, dest: int) -> int:
         seq = self._send_seq.get(dest, 0)
         self._send_seq[dest] = seq + 1
         return seq
 
-    # -- host CPU --------------------------------------------------------------
-    def _cpu(self, step: Callable, *args) -> None:
-        """Run ``step(*args)`` once the host CPU has spent one software
-        overhead (o in LogGP terms) on it, FIFO behind earlier claims.
+    # -- posting and the host CPU ------------------------------------------
+    def _post(self, batch: _Batch) -> None:
+        """Start a non-blocking batch on the next queue pass.
+
+        Its starts were one ``call_soon`` per operation, taking
+        consecutive sequence numbers, so nothing could run between
+        them: one entry at the first number runs them all, and the
+        others stay reserved."""
+        self.engine.call_soon(self._claim, batch)
+        self.engine.reserve(len(batch.peers) - 1)
+
+    def _claim(self, batch: _Batch) -> None:
+        """Claim the host CPU for every operation of ``batch``, in slot
+        order: each runs once the CPU has spent one software overhead
+        (o in LogGP terms) on it, FIFO behind earlier claims.
 
         A claim is granted at once on an idle CPU, else when the
         previous holder's overhead ends.  Each grant is a zero-delay
         wakeup, and the overhead ends ``o`` after the grant runs, not
         after the claim: claims and grants on different ranks can come
-        in different orders within one instant.
+        in different orders within one instant.  A batch's claims are
+        consecutive, so they wait as one queue entry.
         """
-        if self._cpu_busy:
-            self._cpu_queue.append((step, args))
-            return
-        self._cpu_busy = True
-        self.engine.call_soon(self._cpu_grant, step, args)
+        if not self._cpu_busy:
+            self._cpu_busy = True
+            batch.claimed = 1
+            self.engine.call_soon(self._cpu_grant, batch, 0)
+            if len(batch.peers) == 1:
+                return
+        self._cpu_queue.append(batch)
 
-    def _cpu_grant(self, step: Callable, args: tuple) -> None:
+    def _cpu_grant(self, batch: _Batch, i: int) -> None:
         self.engine.call_in(self.config.sw_overhead_s, self._cpu_end,
-                            step, args)
+                            batch, i)
 
-    def _cpu_end(self, step: Callable, args: tuple) -> None:
+    def _cpu_end(self, batch: _Batch, i: int) -> None:
         queue = self._cpu_queue
         if queue:
-            self.engine.call_soon(self._cpu_grant, *queue.popleft())
+            head = queue[0]
+            k = head.claimed
+            head.claimed = k + 1
+            if k + 1 == len(head.peers):
+                queue.popleft()
+            self.engine.call_soon(self._cpu_grant, head, k)
         else:
             self._cpu_busy = False
-        step(*args)
+        if batch.payloads[i] is _RECV:
+            self._start_recv(batch.peers[i], batch.tags[i],
+                             _Slot(batch, i))
+        elif batch.peers[i] == self.rank:
+            self._send_self(batch, i)
+        else:
+            self._send_wire(batch, i)
 
     # -- protocol steps (shared by the blocking and non-blocking calls) -----
-    def _start_send(self, dest: int, payload: Any, tag: int,
-                    nbytes: Optional[int], finish: Callable) -> None:
-        if dest == self.rank:
-            # self-sends short-circuit through the unexpected queue
-            if self._obs_on:
-                self._m_sends["self"].inc()
-            n = (nbytes if nbytes is not None
-                 else payload_nbytes(payload))
-            self._cpu(self._send_self, payload, tag, n, finish)
-            return
-        n = payload_nbytes(payload) if nbytes is None else int(nbytes)
-        self._cpu(self._send_wire, dest, payload, tag, n, finish)
-
-    def _send_self(self, payload: Any, tag: int, n: int,
-                   finish: Callable) -> None:
+    def _send_self(self, batch: _Batch, i: int) -> None:
+        """A self-send short-circuits through the unexpected queue."""
+        payload, tag = batch.payloads[i], batch.tags[i]
+        n = (batch.nbytes if batch.nbytes is not None
+             else payload_nbytes(payload))
+        if self._obs_on:
+            self._m_sends["self"].inc()
         self._on_fabric(self.rank, "eager",
                         (tag, -1, payload, self._next_send_seq(self.rank)),
                         n)
@@ -311,10 +436,12 @@ class MPIEndpoint:
                                src=self.rank, dest=self.rank, tag=tag,
                                nbytes=n, name=f"ib:self @{self.rank}")
         done._succeed_soon(None)
-        finish(done)
+        batch.complete(i, done)
 
-    def _send_wire(self, dest: int, payload: Any, tag: int, n: int,
-                   finish: Callable) -> None:
+    def _send_wire(self, batch: _Batch, i: int) -> None:
+        dest, payload, tag = batch.peers[i], batch.payloads[i], batch.tags[i]
+        n = (payload_nbytes(payload) if batch.nbytes is None
+             else int(batch.nbytes))
         if n <= self.config.eager_threshold_bytes:
             if self._obs_on:
                 self._m_sends["eager"].inc()
@@ -322,35 +449,37 @@ class MPIEndpoint:
                 self.rank, dest, n + _CONTROL_BYTES, kind="eager",
                 payload=(tag, -1, payload, self._next_send_seq(dest)))
             done.tag = tag      # fabric knows bytes; MPI supplies tags
-            finish(done)
+            # (a joined batch reads no send's value: keep no event alive)
+            batch.complete(i, done if batch.handle is not None else None)
             return
         # rendezvous: RTS now, the data once the receiver's CTS is back
         if self._obs_on:
             self._m_sends["rendezvous"].inc()
         rts_id = self.runtime.next_rts_id()
-        self._cts_waiters[rts_id] = (dest, payload, tag, n, rts_id,
-                                     finish)
+        self._cts_waiters[rts_id] = (batch, i, n, rts_id)
         self.fabric.transfer(
             self.rank, dest, _CONTROL_BYTES, kind="rts",
             payload=(tag, rts_id, None, self._next_send_seq(dest)))
 
-    def _handshake(self, dest: int, payload: Any, tag: int, n: int,
-                   rts_id: int, finish: Callable) -> None:
+    def _handshake(self, batch: _Batch, i: int, n: int,
+                   rts_id: int) -> None:
         self.engine.call_in(self.config.rendezvous_handshake_s,
-                            self._send_data, dest, payload, tag, n,
-                            rts_id, finish)
+                            self._send_data, batch, i, n, rts_id)
 
-    def _send_data(self, dest: int, payload: Any, tag: int, n: int,
-                   rts_id: int, finish: Callable) -> None:
-        done = self.fabric.transfer(self.rank, dest, n, kind="rdata",
-                                    payload=(rts_id, payload))
-        done.tag = tag
-        done.callbacks.append(finish)
+    def _send_data(self, batch: _Batch, i: int, n: int,
+                   rts_id: int) -> None:
+        done = self.fabric.transfer(self.rank, batch.peers[i], n,
+                                    kind="rdata",
+                                    payload=(rts_id, batch.payloads[i]))
+        done.tag = batch.tags[i]
+        done.callbacks.append(_Slot(batch, i))
 
     def _start_recv(self, src: int, tag: int, finish: Callable) -> None:
+        """A receive starts, its overhead spent; ``finish`` gets its
+        ``(data, src, tag)``."""
         if self._obs_on:
             self._m_recvs.inc()
-        self._cpu(self._post_recv, src, tag, finish)
+        self._post_recv(src, tag, finish)
 
     def _post_recv(self, src: int, tag: int, finish: Callable) -> None:
         """Match a receive against the unexpected queue, else post it."""
@@ -369,8 +498,7 @@ class MPIEndpoint:
             self._arrived(_take(unexpected, key), finish)
             return
         self._stamp += 1
-        self._recv_waiters.setdefault((src, tag), []).append(
-            (self._stamp, finish))
+        _put(self._recv_waiters, (src, tag), (self._stamp, finish))
 
     def _arrived(self, arrival: _Arrival, finish: Callable) -> None:
         """A receive met its message: copy an eager payload out, or
@@ -400,14 +528,16 @@ class MPIEndpoint:
         <repro.dv.api.DataVortexAPI.send_words>` returns on the DV side.
         """
         wait = _Wait(self.engine, self._send_name)
-        self._start_send(dest, payload, tag, nbytes, wait._fire)
+        self._claim(_Batch(self.engine, (dest,), (tag,), (payload,), nbytes,
+                           wait))
         return (yield wait)
 
     def recv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG
              ) -> Generator:
         """Blocking receive; generator value is ``(data, src, tag)``."""
         wait = _Wait(self.engine, self._recv_name)
-        self._start_recv(src, tag, wait._fire)
+        self._claim(_Batch(self.engine, (src,), (tag,), _ONE_RECV,
+                           handle=wait))
         return (yield wait)
 
     def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
@@ -422,24 +552,38 @@ class MPIEndpoint:
               nbytes: Optional[int] = None) -> Request:
         """Non-blocking send; returns a joinable :class:`Request`."""
         req = Request(self.engine, self._isend_name)
-        self.engine.call_soon(self._start_send, dest, payload, tag,
-                              nbytes, req._succeed_soon)
+        self._post(_Batch(self.engine, (dest,), (tag,), (payload,), nbytes,
+                          req))
         return req
 
     def irecv(self, src: int = ANY_SOURCE, *, tag: int = ANY_TAG
               ) -> Request:
         """Non-blocking receive; join it to obtain ``(data, src, tag)``."""
         req = Request(self.engine, self._irecv_name)
-        self.engine.call_soon(self._start_recv, src, tag,
-                              req._succeed_soon)
+        self._post(_Batch(self.engine, (src,), (tag,), _ONE_RECV,
+                          handle=req))
         return req
 
     def waitall(self, requests) -> Event:
         """One event that fires once every request has completed (read
         each result from its request's ``value``); yield it straight
         away.  The requests are joined in list order."""
-        return _Join(self.engine, list(requests),
-                     name=f"waitall@{self.rank}")
+        requests = _Requests(requests)
+        return _Join(self.engine, requests, range(len(requests)),
+                     self._waitall_name)
+
+    def _post_batch(self, peers, tags, payloads,
+                    nbytes: Optional[int] = None) -> _Batch:
+        """Post one batch of non-blocking operations (a send per
+        payload, a receive per :data:`_RECV`), started in slot order;
+        :meth:`_join` it and read ``values``."""
+        batch = _Batch(self.engine, peers, tags, payloads, nbytes)
+        self._post(batch)
+        return batch
+
+    def _join(self, batch: _Batch, order) -> Event:
+        """:meth:`waitall` over a batch's slots, in ``order``."""
+        return _Join(self.engine, batch, order, self._waitall_name)
 
     def sendrecv(self, dest: int, payload: Any,
                  src: int = ANY_SOURCE, *, sendtag: int = 0,
@@ -451,10 +595,11 @@ class MPIEndpoint:
 
     def _sendrecv(self, dest: int, payload: Any, src: int, sendtag: int,
                   recvtag: int, nbytes: Optional[int]) -> Generator:
-        s = self.isend(dest, payload, tag=sendtag, nbytes=nbytes)
-        r = self.irecv(src, tag=recvtag)
-        yield self.waitall((r, s))
-        return r.value
+        # the send starts first; the receive is joined first
+        batch = self._post_batch((dest, src), (sendtag, recvtag),
+                                 (payload, _RECV), nbytes)
+        yield self._join(batch, (1, 0))
+        return batch.values[1]
 
     # -- collectives ---------------------------------------------------------
     def _ctag(self) -> int:

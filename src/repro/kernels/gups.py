@@ -41,6 +41,10 @@ _COUNT_BASE = 0     #: DV-memory slots [_COUNT_BASE + src] hold counts
 
 _VAL_MASK = (1 << 32) - 1
 
+#: what MPI GUPS sends a peer that gets no updates in a window
+_NO_UPDATES = np.empty(0, np.uint64)
+_NO_UPDATES.flags.writeable = False
+
 
 def _make_updates(seed: int, rank: int, n_updates: int, table_words: int,
                   size: int, traffic=None) -> tuple:
@@ -367,10 +371,13 @@ def _mpi_gups(ctx: RankContext, table_words: int, n_updates: int,
     ctx.mark("t0")
     for o, li, v in _windows(idx, val, table_words, window):
         packed = _pack(li, v)
-        # one stable sort splits the window by owner, in update order
+        # one stable sort splits the window by owner, in update order;
+        # an owner that gets no updates is sent the shared empty array
         order = np.argsort(o, kind="stable")
-        chunks = np.split(packed[order],
-                          np.searchsorted(o[order], np.arange(1, P)))
+        packed = packed[order]
+        cuts = np.searchsorted(o[order], np.arange(P + 1)).tolist()
+        chunks = [packed[a:b] if a < b else _NO_UPDATES
+                  for a, b in zip(cuts, cuts[1:])]
         yield from ctx.compute(dispatches=1,
                                stream_bytes=packed.nbytes)
         got = yield from ctx.timed(

@@ -10,6 +10,7 @@ bound ``_process``.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import gc
 import heapq
@@ -53,6 +54,9 @@ class Engine:
         self._now = float(start)
         self._queue: List[Tuple[float, int, Any, tuple]] = []
         self._seq = 0
+        #: ``_seq`` when the clock last moved: every number above it was
+        #: taken at the current instant (:meth:`reserved_passed`)
+        self._seq0 = 0
         #: sequence number of the entry being processed (:meth:`passed`)
         self._cur = 0
         self._processed_count = 0
@@ -182,6 +186,37 @@ class Engine:
         an entry enqueued at the mark would already have run."""
         return (self._now, self._cur) > mark
 
+    def reserve(self, n: int = 1) -> int:
+        """Take ``n`` consecutive sequence numbers for zero-delay entries
+        that are not pushed; returns the last.
+
+        A wakeup that would have no effect reserves its key instead of
+        queueing: every later entry keeps the number it had, and
+        :meth:`run_reserved` puts the wakeup back at that key if a
+        waiter turns up before it has passed.
+        """
+        self._seq += n
+        return self._seq
+
+    def reserved_passed(self, seq: int) -> bool:
+        """True once a zero-delay entry reserved as ``seq`` would have
+        run: at an earlier instant, or earlier in this one."""
+        return seq <= self._seq0 or seq < self._cur
+
+    def run_reserved(self, seq: int, fn, *args) -> None:
+        """Schedule ``fn(*args)`` at the reserved, not yet passed key
+        ``(now, seq)``: in the lane at its place while running (as the
+        :meth:`call_soon` it stands for), else on the heap."""
+        if not self._running:
+            heapq.heappush(self._queue, (self._now, seq, fn, args))
+            return
+        soon = self._soon
+        if soon and soon[-1][0] > seq:
+            # (sequence numbers are unique: only they are compared)
+            bisect.insort(soon, (seq, fn, args))
+        else:
+            soon.append((seq, fn, args))
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._soon:
@@ -193,9 +228,11 @@ class Engine:
         if not self._queue:
             raise SimulationError("no scheduled events")
         t, seq, fn, args = heapq.heappop(self._queue)
-        if t < self._now:  # pragma: no cover - heap invariant guard
-            raise SimulationError("event scheduled in the past")
-        self._now = t
+        if t != self._now:
+            if t < self._now:  # pragma: no cover - heap invariant guard
+                raise SimulationError("event scheduled in the past")
+            self._now = t
+            self._seq0 = self._seq
         self._cur = seq
         self._processed_count += 1
         if self._obs_on:
@@ -234,6 +271,9 @@ class Engine:
         self._running = True
         try:
             self._run(until, max_events)
+            # the lane ran dry (or the clock moved to ``until``): every
+            # reserved key has passed
+            self._seq0 = self._seq
         finally:
             self._running = False
             if paused:
@@ -258,9 +298,11 @@ class Engine:
                         continue
                     return
                 t, seq, fn, args = pop(queue)
-                if t < self._now:  # pragma: no cover - heap invariant guard
-                    raise SimulationError("event scheduled in the past")
-                self._now = t
+                if t != self._now:
+                    if t < self._now:  # pragma: no cover - heap guard
+                        raise SimulationError("event scheduled in the past")
+                    self._now = t
+                    self._seq0 = self._seq
                 self._cur = seq
                 self._processed_count += 1
                 fn(*args)

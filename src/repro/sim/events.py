@@ -9,7 +9,8 @@ conditions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, List, Optional,
+                    Union)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
@@ -28,19 +29,27 @@ class Event:
       sits in the engine queue waiting to be processed;
     * *processed* — callbacks have run; waiting on a processed event
       resumes the waiter immediately.
+
+    A :meth:`_succeed_soon` with no callbacks to run queues nothing: its
+    ``_process`` entry would have no effect, so it only reserves that
+    entry's sequence number (:meth:`Engine.reserve
+    <repro.sim.engine.Engine.reserve>`), which ``callbacks`` then holds.
+    The event counts as processed once that key has passed; a waiter
+    that comes before puts the entry back at the key (:meth:`_waiters`).
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_processed", "name")
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "name")
 
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
         #: Callbacks invoked (in registration order) when the event is
         #: processed.  ``None`` once processed — late registrations are
-        #: invoked immediately by :meth:`add_callback`.
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: invoked immediately by :meth:`add_callback` — and the
+        #: reserved sequence number of a completion nobody waited on.
+        self.callbacks: Union[List[Callable[["Event"], None]], int,
+                              None] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        self._processed = False
         self.name = name
 
     # -- state inspection ------------------------------------------------
@@ -52,7 +61,10 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have been run."""
-        return self._processed
+        callbacks = self.callbacks
+        return callbacks is None or (
+            callbacks.__class__ is int
+            and self.engine.reserved_passed(callbacks))
 
     @property
     def ok(self) -> bool:
@@ -93,12 +105,16 @@ class Event:
         """:meth:`succeed`, processed through :meth:`Engine.call_soon
         <repro.sim.engine.Engine.call_soon>`: callbacks run at the
         position the queued event would pop at, without the heap trip
-        when none is needed."""
+        when none is needed, and with no entry at all while nobody
+        waits (the key is reserved)."""
         if self._value is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine.call_soon(self._process)
+        if self.callbacks:
+            self.engine.call_soon(self._process)
+        else:
+            self.callbacks = self.engine.reserve()
 
     # -- callback plumbing -------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -108,18 +124,33 @@ class Event:
         to run immediately (at the current simulation time) instead of
         being silently dropped.
         """
-        if self.callbacks is None:
+        callbacks = self._waiters()
+        if callbacks is None:
             # Already processed: deliver on a fresh queue pass so that the
             # caller never observes re-entrant execution.  The callback
             # still receives *this* event (waiters compare identity).
             self.engine.call_in(0.0, fn, self)
         else:
-            self.callbacks.append(fn)
+            callbacks.append(fn)
+
+    def _waiters(self) -> Optional[List[Callable[["Event"], None]]]:
+        """The callback list a new waiter joins, or ``None`` once the
+        event is processed.  A reserved completion whose key has not
+        passed gets its ``_process`` entry back at that key."""
+        callbacks = self.callbacks
+        if callbacks is None or callbacks.__class__ is list:
+            return callbacks
+        engine = self.engine
+        if engine.reserved_passed(callbacks):
+            self.callbacks = None
+            return None
+        engine.run_reserved(callbacks, self._process)
+        self.callbacks = []
+        return self.callbacks
 
     def _process(self) -> None:
         """Run callbacks.  Called by the engine only."""
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         if callbacks:
             for fn in callbacks:
                 fn(self)
@@ -129,7 +160,7 @@ class Event:
         return self.__class__.__name__
 
     def __repr__(self) -> str:
-        state = "processed" if self._processed else (
+        state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
         return f"<{self.name or self._label()} {state} at {id(self):#x}>"
 

@@ -122,8 +122,9 @@ class Process(Event):
             return
         self._waiting_on = target
         callbacks = target.callbacks
-        if callbacks is None:
-            # already processed: add_callback re-delivers on a fresh pass
-            target.add_callback(self._resume)
-        else:
+        if callbacks.__class__ is list:
             callbacks.append(self._resume)
+        else:
+            # processed, or a reserved completion: add_callback
+            # re-delivers on a fresh pass or restores the entry
+            target.add_callback(self._resume)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Engine, SimulationError
+from repro.sim.events import Event
 
 
 def test_clock_starts_at_zero():
@@ -242,6 +243,69 @@ def test_call_soon_keeps_call_in_order(until):
     heap_only, with_soon = trace(False), trace(True)
     assert with_soon[:3] == heap_only[:3]
     assert with_soon[3] < heap_only[3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reserved_completions_keep_the_queued_order(seed):
+    """A ``_succeed_soon`` nobody waits on only reserves its entry's
+    key.  Against events that always queue that entry, any mix of
+    completions and of waiters (callbacks and processes) arriving
+    before, at and after the key runs in one order, with the same
+    sequence numbers, heap entries and ``processed`` states."""
+    import random
+
+    class Queued(Event):
+        __slots__ = ()
+
+        def _succeed_soon(self, value=None):
+            self._ok = True
+            self._value = value
+            self.engine.call_soon(self._process)
+
+    def trace(cls):
+        eng = Engine()
+        rng = random.Random(seed)
+        log = []
+        events = [cls(eng) for _ in range(12)]
+        done = set()
+
+        def waiter(k):
+            yield eng.timeout(0.0)
+            value = yield events[k]
+            log.append(("resumed", eng.now, k, value))
+
+        def act(tag, depth):
+            log.append((eng.now, tag))
+            for j in range(rng.randrange(4) if depth < 4 else 0):
+                k = rng.randrange(len(events))
+                what = rng.random()
+                if what < 0.3 and k not in done:
+                    done.add(k)
+                    events[k]._succeed_soon((tag, j))
+                elif what < 0.6:
+                    events[k].add_callback(
+                        lambda ev, k=k: log.append(("cb", eng.now, k))
+                    )
+                elif what < 0.7:
+                    eng.process(waiter(k))
+                delay = rng.choice([0.0, 0.0, 1.0])
+                if delay:
+                    eng.call_in(delay, act, (tag, j), depth + 1)
+                else:
+                    eng.call_soon(act, (tag, j), depth + 1)
+            log.append((tag, [ev.processed for ev in events]))
+
+        for root in range(4):
+            eng.call_in(float(root % 2), act, root, 0)
+        eng.run()
+        for k in range(len(events)):
+            if k not in done:
+                events[k].succeed("late")
+        eng.run()
+        log.append([ev.processed for ev in events])
+        return log, eng.now, eng._seq, eng.events_processed
+
+    assert trace(Event) == trace(Queued)
 
 
 def test_call_soon_outside_run_uses_the_heap():
