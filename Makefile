@@ -17,7 +17,7 @@ FORMATTED = src/repro/golden src/repro/service \
             tests/test_mpi_batches.py \
             tests/test_dv_fanout.py tests/test_fft_memory.py \
             tests/test_fifo_deferral.py tests/test_gc_pause.py \
-            tests/test_dv_memory_chunks.py
+            tests/test_dv_memory_chunks.py tests/test_fft_host_path.py
 
 .PHONY: test test-all test-exec test-faults test-traffic test-agg \
         test-service test-tenancy bench obs help lint verify \

@@ -205,10 +205,10 @@ class FlowNetwork:
     exchange) in a handful of numpy operations whose rounding matches
     the scalar :meth:`transmit` recurrence exactly
     (``np.add.accumulate`` is sequential), and completes it with one
-    :class:`FanOut`.  :meth:`post_fifo` prices a fan-out of raw FIFO
-    words the same way, with no completion, and lets the destination
-    FIFO hold each delivery until it is observed.  All times it hands
-    the engine are Python floats.
+    :class:`FanOut`.  :meth:`post` prices a fan-out the same way with
+    no completion, and :meth:`post_fifo` a fan-out of raw FIFO words,
+    whose destination FIFO may hold each delivery until it is
+    observed.  All times it hands the engine are Python floats.
 
     Parameters
     ----------
@@ -424,12 +424,36 @@ class FlowNetwork:
         checked = self._check_batch(src, dests, counts, payloads)
         if checked is None:
             return FanOut(self.engine, src, [])
+        fan = FanOut(self.engine, src, payloads, int(checked[1].sum()))
+        self._queue_batch(src, checked, payloads, inject_rate,
+                          fan._delivered)
+        return fan
+
+    def post(self, src: int, dests: Sequence[int], counts: Sequence[int],
+             payloads: Sequence[Any],
+             inject_rate: Optional[float] = None) -> None:
+        """Send per-destination effect groups back to back from ``src``,
+        fire and forget.
+
+        Priced and delivered exactly as :meth:`transmit_batch`, but
+        with no completion: a group's payload is held only by its own
+        arrival and delivery entries, so it is freed when that group
+        lands (a :class:`FanOut` keeps every payload until the last
+        one does).
+        """
+        checked = self._check_batch(src, dests, counts, payloads)
+        if checked is not None:
+            self._queue_batch(src, checked, payloads, inject_rate, None)
+
+    def _queue_batch(self, src: int, checked: tuple,
+                     payloads: Sequence[Any], inject_rate: Optional[float],
+                     done: Optional[Callable[[Any], Any]]) -> None:
+        """Price a checked fan-out and queue each group's arrival, to
+        report its delivery through ``done(payload)``."""
         delays, floors, dl, cl = self._price_batch(src, *checked,
                                                    inject_rate)
         engine = self.engine
         now = engine._now
-        fan = FanOut(engine, src, payloads, sum(cl))
-        delivered = fan._delivered
         arrive = self._arrive
         # inlined Engine.call_in (same arithmetic: _now + delay)
         queue = engine._queue
@@ -437,8 +461,7 @@ class FlowNetwork:
             engine._seq += 1
             heappush(queue, (now + delays[k], engine._seq, arrive,
                              (src, dl[k], cl[k], floors[k], now,
-                              payloads[k], delivered)))
-        return fan
+                              payloads[k], done)))
 
     def post_fifo(self, src: int, dests: Sequence[int],
                   counts: Sequence[int], words: Sequence[np.ndarray],

@@ -174,13 +174,13 @@ class TenantVICView:
 class TenantNetworkView:
     """A flow network restricted to one tenant's rank window.
 
-    Ranks on both sides of :meth:`transmit`, :meth:`transmit_batch` and
-    :meth:`post_fifo` are tenant-local; the view translates them by the
-    partition base, bounds-checks destinations against the window,
-    validates every effect payload against the counter / memory
-    windows, and rewrites ``Query.reply_vic`` (the only payload field
-    naming a rank) to global space.  Everything else delegates to the
-    real network.
+    Ranks on both sides of :meth:`transmit`, :meth:`transmit_batch`,
+    :meth:`post` and :meth:`post_fifo` are tenant-local; the view
+    translates them by the partition base, bounds-checks destinations
+    against the window, validates every effect payload against the
+    counter / memory windows, and rewrites ``Query.reply_vic`` (the
+    only payload field naming a rank) to global space.  Everything
+    else delegates to the real network.
     """
 
     def __init__(self, network, partition: TenantPartition) -> None:
@@ -258,11 +258,25 @@ class TenantNetworkView:
     def transmit_batch(self, src: int, dests: Sequence[int],
                        counts: Sequence[int], payloads: Sequence[Any],
                        inject_rate: Optional[float] = None) -> Event:
+        return self._net.transmit_batch(
+            *self._effect_batch(src, dests, counts, payloads),
+            inject_rate=inject_rate)
+
+    def post(self, src: int, dests: Sequence[int], counts: Sequence[int],
+             payloads: Sequence[Any],
+             inject_rate: Optional[float] = None) -> None:
+        self._net.post(*self._effect_batch(src, dests, counts, payloads),
+                       inject_rate=inject_rate)
+
+    def _effect_batch(self, src: int, dests: Sequence[int],
+                      counts: Sequence[int],
+                      payloads: Sequence[Any]) -> tuple:
+        """Translate, check and count a fan-out of effect payloads:
+        ``(src, dests, counts, payloads)`` for the real network."""
         gsrc, gdests = self._xlate_batch(src, dests)
         payloads = [self._check_payload(p) for p in payloads]
         self._count(len(payloads), int(np.asarray(counts).sum()))
-        return self._net.transmit_batch(gsrc, gdests, counts, payloads,
-                                        inject_rate=inject_rate)
+        return gsrc, gdests, counts, payloads
 
     def post_fifo(self, src: int, dests: Sequence[int],
                   counts: Sequence[int], words: Sequence[np.ndarray],

@@ -10,6 +10,7 @@ with a heap entry per delivery: ``ReferenceFlowNetwork.post_fifo`` is
 one ``transmit`` of a ``FifoPush`` per group, and
 :class:`EagerFifoFlowNetwork` is the production model with
 ``post_fifo`` as ``transmit_batch`` with the fan-out dropped.
+``ReferenceFlowNetwork.post`` is one ``transmit`` per group.
 :class:`PerGroupFlowNetwork` and
 :class:`ReferenceDataVortexAPI` complete a DV fan-out as it was first
 written: one :class:`~repro.sim.events.CompletionEvent` per destination
@@ -152,6 +153,14 @@ class ReferenceFlowNetwork(FlowNetwork):
             self.engine, [self.transmit(src, int(d), int(c), payload=p,
                                         inject_rate=inject_rate)
                           for d, c, p in zip(dests, counts, payloads)])
+
+    def post(self, src: int, dests: Sequence[int], counts: Sequence[int],
+             payloads: Sequence[Any],
+             inject_rate: Optional[float] = None) -> None:
+        """One ``transmit`` per group, its event dropped."""
+        for d, c, p in zip(dests, counts, payloads):
+            self.transmit(src, int(d), int(c), payload=p,
+                          inject_rate=inject_rate)
 
     def post_fifo(self, src: int, dests: Sequence[int],
                   counts: Sequence[int], words: Sequence[np.ndarray],

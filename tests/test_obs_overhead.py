@@ -9,6 +9,7 @@ number of guard executions the run performs — must stay under 10% of
 the run's wall time, i.e. the obs-disabled instrumented switch is
 within 10% of its pre-instrumentation self."""
 
+import gc
 import time
 import timeit
 
@@ -65,18 +66,27 @@ def test_enabled_run_matches_disabled_and_collects():
     topo = DataVortexTopology(height=32, angles=2)
     plan = _uniform_plan(topo, packets_per_port=16)
 
-    _, ej_off, t_off = _run(topo, plan, enable_obs=False)
-    with obsreg.session() as reg:
-        sw = CycleSwitch(topo)
-        for s, d in plan:
-            sw.inject(s, d)
-        t0 = time.perf_counter()
-        ej_on = sw.run_until_drained()
-        t_on = time.perf_counter() - t0
-        assert reg.value("dv.switch.injected") == len(plan)
-        assert reg.value("dv.switch.ejected") == len(plan)
-        hist = reg.get("dv.switch.ejection_latency_cycles")
-        assert hist.count == len(plan)
+    # both runs are timed with the cyclic collector paused, as
+    # Engine.run pauses it: a full collection of the suite's live
+    # objects landing in one of them would dwarf a 0.02 s run
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        _, ej_off, t_off = _run(topo, plan, enable_obs=False)
+        with obsreg.session() as reg:
+            sw = CycleSwitch(topo)
+            for s, d in plan:
+                sw.inject(s, d)
+            t0 = time.perf_counter()
+            ej_on = sw.run_until_drained()
+            t_on = time.perf_counter() - t0
+            assert reg.value("dv.switch.injected") == len(plan)
+            assert reg.value("dv.switch.ejected") == len(plan)
+            hist = reg.get("dv.switch.ejection_latency_cycles")
+            assert hist.count == len(plan)
+    finally:
+        if paused:
+            gc.enable()
 
     key = lambda e: (e.cycle, e.port, e.pkt_id, e.hops, e.deflections)
     assert sorted(map(key, ej_on)) == sorted(map(key, ej_off))

@@ -342,6 +342,23 @@ def test_network_view_rejects_out_of_window_counter():
         view.transmit(0, 1, 1, payload=CounterDec(index=bad_idx))
 
 
+def test_network_view_post_guards_ranks_and_payloads():
+    from repro.dv.vic import MemWrite
+    engine, net, vics, part, view = _raw_views()
+
+    def write(addr):
+        return MemWrite(addrs=np.array([addr]), values=np.array([7]))
+
+    with pytest.raises(TenantIsolationError, match="rank 6"):
+        view.post(0, [1, 6], [1, 1], [write(3), write(3)])
+    with pytest.raises(TenantIsolationError, match="memory"):
+        view.post(0, [1, 2], [1, 1], [write(3), write(100)])
+    view.post(0, [1, 2], [1, 1], [write(3), write(4)])
+    engine.run()
+    assert vics[1].memory.read_word(3) == 7
+    assert vics[2].memory.read_word(4) == 7
+
+
 def test_vic_view_guards_counters_and_memory():
     from repro.tenancy.views import TenantVICView
     engine, net, vics, part, view = _raw_views()
