@@ -63,8 +63,8 @@ AGG_TAG = 1 << 20
 #: 20/21 and 30/31; the barrier reserves 61/62).
 _CTR_AGG = 40
 
-#: DV-memory base for the count-exchange slots: three P-wide ranges
-#: (final words, forwarded words, extra) indexed by source rank.  Far
+#: DV-memory base for the count-exchange slots: three words (final
+#: words, forwarded words, extra) per source rank, rank-major.  Far
 #: above the kernels' scratch slots; DV memory is 4M words.
 _SLOT_BASE = 1 << 10
 
@@ -491,29 +491,12 @@ class DVAggChannel(_AggChannelBase):
             return 0, 0, extra
         yield from api.set_counter(_CTR_AGG, 3 * (P - 1))
         yield from self.ctx.barrier()
-        others = np.array([d for d in range(P) if d != me])
-        dests = np.repeat(others, 3)
-        addrs = np.tile([_SLOT_BASE + me, _SLOT_BASE + P + me,
-                         _SLOT_BASE + 2 * P + me], others.size)
-        vals = np.empty(3 * others.size, np.uint64)
-        vals[0::3] = self._final_to[others]
-        vals[1::3] = self._fwd_via[others]
-        vals[2::3] = extra
-        yield from api.send_batch(dests, addrs, vals,
-                                  counter=_CTR_AGG,
-                                  cached_headers=True, via="dma")
-        yield from api.wait_counter_zero(_CTR_AGG)
-        final = api.vic.memory.read_range(_SLOT_BASE, P).astype(
-            np.int64)
-        fwd = api.vic.memory.read_range(_SLOT_BASE + P, P).astype(
-            np.int64)
-        extras = api.vic.memory.read_range(_SLOT_BASE + 2 * P,
-                                           P).astype(np.int64)
-        # slot [me] is never written remotely; fill in my own share
-        final[me] = 0
-        fwd[me] = 0
-        extras[me] = extra
-        return int(final.sum()), int(fwd.sum()), int(extras.sum())
+        words = np.column_stack([self._final_to, self._fwd_via,
+                                 np.full(P, extra, np.int64)])
+        words[me, :2] = 0  # my own share is the extra alone
+        slots = yield from api.exchange_words(words, base=_SLOT_BASE,
+                                              counter=_CTR_AGG)
+        return tuple(slots.astype(np.int64).sum(axis=0).tolist())
 
 
 def channel_for(ctx, spec: AggSpec, seed: int):

@@ -175,17 +175,10 @@ def _cg_program(ctx: RankContext, b_local: np.ndarray, grid, r: float,
             api = ctx.dv
             parity = s % 2
             ctr = _CTR_DOT_EVEN if parity == 0 else _CTR_DOT_ODD
-            base = dot_base + parity * P
-            word = np.float64(part).view(np.uint64)
-            others = np.array([d for d in range(P) if d != ctx.rank])
-            yield from api.send_batch(
-                others, np.full(others.size, base + ctx.rank),
-                np.full(others.size, word), counter=ctr,
-                cached_headers=True, via="dma")
-            yield from api.wait_counter_zero(ctr)
+            slot = yield from api.exchange_words(
+                np.float64(part).view(np.uint64),
+                base=dot_base + parity * P, counter=ctr)
             yield from api.set_counter(ctr, P - 1)
-            slot = api.vic.memory.read_range(base, P)
-            slot[ctx.rank] = word
             # rank-ordered summation, matching the serial reference
             return float(np.sum(slot.view(np.float64)))
         parts = yield from ctx.mpi.allgather(part)

@@ -225,17 +225,10 @@ def _heat_dv(ctx: RankContext, u: np.ndarray, grid, r: float,
         yield from ctx.compute(stream_bytes=8.0 * u.size, dispatches=1)
         if P > 1:
             rctr = _CTR_RES_EVEN if s % 2 == 0 else _CTR_RES_ODD
-            rbase = res_base + (s % 2) * P
-            others = np.array([d for d in range(P) if d != ctx.rank])
-            word = np.float64(res).view(np.uint64)
-            yield from api.send_batch(
-                others, np.full(others.size, rbase + ctx.rank),
-                np.full(others.size, word), counter=rctr,
-                cached_headers=True, via="dma")
-            yield from api.wait_counter_zero(rctr)
+            slot = yield from api.exchange_words(
+                np.float64(res).view(np.uint64),
+                base=res_base + (s % 2) * P, counter=rctr)
             yield from api.set_counter(rctr, P - 1)  # recycle for s + 2
-            slot = api.vic.memory.read_range(rbase, P)
-            slot[ctx.rank] = word
             # non-negative IEEE doubles order like their bit patterns
             res = float(slot.max().view(np.float64))
         u = u_new

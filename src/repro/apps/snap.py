@@ -282,17 +282,10 @@ def run_snap_iterative(spec: ClusterSpec, fabric: str, *,
                 api = ctx.dv
                 yield from api.set_counter(59, max(ctx.size - 1, 0))
                 yield from ctx.barrier()
-                word = np.float64(local_res).view(np.uint64)
                 if ctx.size > 1:
-                    others = np.array([d for d in range(ctx.size)
-                                       if d != ctx.rank])
-                    yield from api.send_batch(
-                        others, np.full(others.size, 512 + ctx.rank),
-                        np.full(others.size, word), counter=59,
-                        cached_headers=True, via="dma")
-                    yield from api.wait_counter_zero(59)
-                    slot = api.vic.memory.read_range(512, ctx.size)
-                    slot[ctx.rank] = word
+                    slot = yield from api.exchange_words(
+                        np.float64(local_res).view(np.uint64),
+                        base=512, counter=59)
                     residual = float(slot.max().view(np.float64))
                 else:
                     residual = local_res

@@ -272,7 +272,9 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     GUPS MPI, 1024 38.6          663
     ============== ============= ==================
 
-    BFS over MPI at 1024 nodes runs past 300 s (docs/scaling.md).
+    BFS at 1024 nodes took 98.7 s and 992 MB over DV and 111.7 s and
+    1.10 GB over MPI, each measured once while other jobs shared the
+    host (docs/scaling.md).
     """
     from repro.exec import Executor
     # reject a key some requested kernel does not take before any

@@ -115,20 +115,16 @@ class DataVortexAPI:
     def send_batch(self, dests, addrs, values, *,
                    counter: Optional[int] = None,
                    cached_headers: bool = True,
-                   via: str = "dma",
-                   aggregate_source: bool = True) -> Generator:
+                   via: str = "dma") -> Generator:
         """Scatter words to *many* destinations ("source aggregation").
 
-        With ``aggregate_source=True`` (the paper's optimisation) the
-        whole batch crosses PCIe as one DMA and the VIC fans packets out
-        to per-destination groups.  With it disabled, each destination
-        group pays its own PCIe transaction — the ablation benchmark
-        measures exactly this difference.
+        The whole batch crosses PCIe as one DMA and the VIC fans packets
+        out to per-destination groups, in destination order (the
+        paper's optimisation).
 
-        Returns (as the generator's value) one event that fires when
-        every group has been delivered: the batch's joined
-        :class:`~repro.dv.flow.FanOut`, or an ``AllOf`` over the
-        per-group transfers when ``aggregate_source`` is off.
+        Returns (as the generator's value) the batch's joined
+        :class:`~repro.dv.flow.FanOut`, which fires when every group has
+        been delivered.
         """
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
         addrs = np.atleast_1d(np.asarray(addrs, dtype=np.int64))
@@ -137,48 +133,67 @@ class DataVortexAPI:
             raise ValueError("dests, addrs, values must align")
         if dests.size == 0:
             raise ValueError("empty batch")
-        yield from self._overhead()
-
         order = np.argsort(dests, kind="stable")
         dests_s, addrs_s, values_s = dests[order], addrs[order], values[order]
         uniq, starts = np.unique(dests_s, return_index=True)
         group_counts = np.diff(np.append(starts, dests_s.size))
         starts = starts.tolist()
-        bounds = starts[1:] + [dests_s.size]
-        rate = self._inject_rate(via, cached_headers)
+        payloads = [MemWrite(addrs=addrs_s[lo:hi], values=values_s[lo:hi],
+                             counter=counter)
+                    for lo, hi in zip(starts, starts[1:] + [dests_s.size])]
+        return (yield from self._send_groups(uniq, group_counts, payloads,
+                                             dests.size, via,
+                                             cached_headers))
 
-        if aggregate_source:
-            # One PCIe crossing for the whole batch, then per-dest groups
-            # stream into the switch back to back (batched: the flow
-            # engine prices the whole fan-out vectorised and completes
-            # it with one FanOut).
-            if uniq.size == dests_s.size:
-                # one word per group (count exchanges, one-word
-                # scatters): scalars instead of two one-element views
-                group_payloads = [MemWrite(addrs=a, values=v,
-                                           counter=counter)
-                                  for a, v in zip(addrs_s.tolist(),
-                                                  values_s.tolist())]
-            else:
-                group_payloads = [MemWrite(addrs=addrs_s[lo:hi],
-                                           values=values_s[lo:hi],
-                                           counter=counter)
-                                  for lo, hi in zip(starts, bounds)]
-            done = self.network.transmit_batch(
-                self.rank, uniq, group_counts, group_payloads,
-                inject_rate=rate)
-            yield from self._charge_tx(via, dests.size, cached_headers)
-            return done.join()
-        events = []
-        for d, lo, hi in zip(uniq, starts, bounds):
-            events.append(self.network.transmit(
-                self.rank, int(d), hi - lo,
-                payload=MemWrite(addrs=addrs_s[lo:hi],
-                                 values=values_s[lo:hi],
-                                 counter=counter),
-                inject_rate=rate))
-            yield from self._charge_tx(via, hi - lo, cached_headers)
-        return self.engine.all_of(events)
+    def exchange_words(self, words, *, base: int,
+                       counter: int) -> Generator:
+        """All-gather ``k`` words per rank through DV memory (paper §III:
+        peers write straight into your DV memory and a preset group
+        counter says when they have all landed).
+
+        ``words`` broadcasts to a P×k ``uint64`` table whose row ``d``
+        goes to peer ``d``; a scalar or a length-P vector is one word
+        per peer.  Peer ``s``'s row lands at ``base + k*s`` through
+        ``base + k*s + k - 1`` as one range write, so the slot table is
+        rank-major.  The caller presets (and recycles) ``counter`` to
+        ``k * (P - 1)`` and places any barrier; this call sends one
+        group to every peer (none at P = 1), waits on ``counter`` and
+        reads the slot table back.
+
+        Returns the P×k ``uint64`` table: row ``s`` is what peer ``s``
+        sent, and this rank's own row is ``words[rank]``.
+        """
+        P, me = self.network.n_ports, self.rank
+        # a private copy: the payloads hold views of its rows
+        words = np.array(words, dtype=np.uint64)
+        if words.ndim < 2:
+            words = words.reshape(-1, 1)
+        table = np.broadcast_to(words, (P, words.shape[1]))
+        k = table.shape[1]
+        if P > 1:
+            peers = [d for d in range(P) if d != me]
+            start = int(base) + k * me
+            rows = table[:, 0].tolist() if k == 1 else table
+            payloads = [MemWrite(addrs=start, values=rows[d],
+                                 counter=counter) for d in peers]
+            yield from self._send_groups(peers, [k] * (P - 1), payloads,
+                                         k * (P - 1), "dma", True)
+        yield from self.wait_counter_zero(counter)
+        slots = self.vic.memory.read_range(base, P * k).reshape(P, k)
+        slots[me] = table[me]
+        return slots
+
+    def _send_groups(self, dests, counts, payloads, n_words: int,
+                     via: str, cached_headers: bool) -> Generator:
+        """The tail of every multi-destination send: the call overhead,
+        the fan-out, the PCIe share of all ``n_words``, then the
+        fan-out's joined completion as the generator's value."""
+        yield from self._overhead()
+        done = self.network.transmit_batch(
+            self.rank, dests, counts, payloads,
+            inject_rate=self._inject_rate(via, cached_headers))
+        yield from self._charge_tx(via, n_words, cached_headers)
+        return done.join()
 
     def send_fifo(self, dest: int, values, *,
                   counter: Optional[int] = None,

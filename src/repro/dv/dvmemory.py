@@ -94,25 +94,18 @@ class DVMemory:
         if not 0 <= addr < self.n_words:
             raise IndexError(f"address {addr} out of range")
         chunk = self._chunk(addr // _CHUNK_WORDS)
-        chunk[addr % _CHUNK_WORDS] = np.uint64(value & (2**64 - 1))
+        chunk[addr % _CHUNK_WORDS] = value & (2**64 - 1)
 
     # -- vector ops ----------------------------------------------------------
     def scatter(self, addrs: np.ndarray, values: np.ndarray) -> None:
         """Write ``values[i]`` to ``addrs[i]``; later entries win ties
-        (matching last-writer semantics).  A one-word write may pass a
-        Python ``int`` address and value (a scalar :class:`MemWrite
-        <repro.dv.vic.MemWrite>`)."""
-        if addrs.__class__ is int and values.__class__ is int:
-            if not 0 <= addrs < self.n_words:
-                raise self._out_of_range(addrs, addrs)
-            self._chunk(addrs // _CHUNK_WORDS)[addrs % _CHUNK_WORDS] = values
-            return
+        (matching last-writer semantics)."""
         addrs = np.asarray(addrs, dtype=np.int64)
         values = np.asarray(values, dtype=np.uint64)
         if addrs.shape != values.shape:
             raise ValueError("addrs and values must have identical shapes")
         if addrs.size == 1:
-            # one word (count exchanges, query replies): skip the
+            # one word (query replies, one-word scatters): skip the
             # reductions and fancy indexing
             addr = addrs.item()
             if not 0 <= addr < self.n_words:

@@ -56,8 +56,8 @@ def apply_flow_faults(fsite, effect, src: int, dest: int,
                               or fsite.link_down(dest, now)):
         return None
     if isinstance(effect, MemWrite):
-        addrs = np.atleast_1d(np.asarray(effect.addrs))
-        values = np.atleast_1d(np.asarray(effect.values, np.uint64))
+        # a range write draws its k words like an address array of k
+        addrs, values = effect.expanded()
         mask = fsite.keep_mask(addrs.size)
         if mask is not None:
             addrs = addrs[mask]

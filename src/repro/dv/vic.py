@@ -14,7 +14,7 @@ events.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -51,10 +51,15 @@ class MemWrite(_Effect):
     """Write ``values[i]`` to DV memory ``addrs[i]``; optionally decrement
     a group counter by the number of words delivered.
 
-    A one-word effect may carry a Python ``int`` address and value
-    instead of two one-element arrays (:meth:`DataVortexAPI.send_batch
-    <repro.dv.api.DataVortexAPI.send_batch>` does, for one-word groups);
-    every consumer of the effect accepts both forms alike."""
+    ``addrs`` is either an address array, one entry per value, or a
+    Python ``int``: the start of a contiguous range that ``values``
+    fills word by word (a *range write*, as
+    :meth:`DataVortexAPI.exchange_words
+    <repro.dv.api.DataVortexAPI.exchange_words>` sends).  A range
+    write's ``values`` is a ``uint64`` array, or a Python ``int`` for
+    one word, which costs a quarter of a one-element array view
+    (exchanges send P(P-1) of them).  Past the VIC's delivery,
+    consumers see one form through :meth:`span` and :meth:`expanded`."""
 
     __slots__ = ("addrs", "values", "counter")
 
@@ -66,9 +71,27 @@ class MemWrite(_Effect):
 
     @property
     def n_packets(self) -> int:
-        if self.addrs.__class__ is int:
-            return 1
-        return int(np.asarray(self.addrs).size)
+        if self.addrs.__class__ is not int:
+            return int(np.asarray(self.addrs).size)
+        return 1 if self.values.__class__ is int else self.values.size
+
+    def span(self) -> Tuple[int, int]:
+        """The lowest address written and one past the highest (the
+        write must carry at least one word)."""
+        a = self.addrs
+        if a.__class__ is int:
+            return a, a + self.n_packets
+        a = np.asarray(a)
+        return int(a.min()), int(a.max()) + 1
+
+    def expanded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The write as flat ``int64`` addresses and ``uint64`` values,
+        one entry per word."""
+        values = np.atleast_1d(np.asarray(self.values, np.uint64))
+        a = self.addrs
+        if a.__class__ is int:
+            return np.arange(a, a + values.size, dtype=np.int64), values
+        return np.atleast_1d(np.asarray(a, np.int64)), values
 
 
 class FifoPush(_Effect):
@@ -209,7 +232,13 @@ class VIC:
             if effect.counter is not None:
                 self.counters.decrement(effect.counter, effect.n_packets)
         elif kind is MemWrite:
-            self.memory.scatter(effect.addrs, effect.values)
+            addrs, values = effect.addrs, effect.values
+            if addrs.__class__ is not int:
+                self.memory.scatter(addrs, values)
+            elif values.__class__ is int:
+                self.memory.write_word(addrs, values)
+            else:
+                self.memory.write_range(addrs, values)
             if self._obs_on:
                 self._m_mem_words.inc(effect.n_packets)
             if effect.counter is not None:

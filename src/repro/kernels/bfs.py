@@ -178,6 +178,15 @@ def _expand(ctx: RankContext, g: _LocalGraph, frontier: np.ndarray):
     return owner, packed, children.size
 
 
+def _by_owner(owner: np.ndarray, packed: np.ndarray,
+              size: int) -> List[np.ndarray]:
+    """``packed`` cut into one chunk per owner rank, each chunk in
+    input order: one stable sort, not a mask per rank."""
+    order = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[order], np.arange(1, size))
+    return np.split(packed[order], cuts)
+
+
 def _frontier_bitmap(g: _LocalGraph, frontier_local: np.ndarray,
                      n_vertices: int) -> np.ndarray:
     """This rank's share of the global frontier bitmap (uint64 words)."""
@@ -249,25 +258,12 @@ def _dv_bfs(ctx: RankContext, g: _LocalGraph, root: int,
         if P > 1:
             yield from api.set_counter(_CTR_COUNTS, 2 * (P - 1))
             yield from ctx.barrier()
-            others = np.array([d for d in range(P) if d != ctx.rank])
-            dests = np.repeat(others, 2)
-            addrs = np.tile([_SLOT_COUNTS + 2 * ctx.rank,
-                             _SLOT_COUNTS + 2 * ctx.rank + 1],
-                            others.size)
-            vals = np.empty(2 * others.size, np.uint64)
-            vals[0::2] = sent_to[others]
-            vals[1::2] = frontier.size
-            yield from api.send_batch(dests, addrs, vals,
-                                      counter=_CTR_COUNTS,
-                                      cached_headers=True, via="dma")
-            yield from api.wait_counter_zero(_CTR_COUNTS)
-            slots = api.vic.memory.read_range(
-                _SLOT_COUNTS, 2 * P).astype(np.int64)
-            counts, sizes = slots[0::2].copy(), slots[1::2].copy()
-            counts[ctx.rank] = 0
-            sizes[ctx.rank] = frontier.size
-            expected = int(counts.sum())
-            global_frontier = int(sizes.sum())
+            words = np.column_stack(
+                [sent_to, np.full(P, frontier.size, np.int64)])
+            slots = yield from api.exchange_words(
+                words, base=_SLOT_COUNTS, counter=_CTR_COUNTS)
+            expected, global_frontier = slots.astype(np.int64).sum(
+                axis=0).tolist()
         else:
             expected = 0
             global_frontier = int(frontier.size)
@@ -330,7 +326,7 @@ def _mpi_bfs(ctx: RankContext, g: _LocalGraph, root: int) -> Generator:
         edges_traversed += n_edges
         yield from ctx.compute(stream_bytes=packed.nbytes * 3,
                                dispatches=1)
-        chunks = [packed[owner == d] for d in range(P)]
+        chunks = _by_owner(owner, packed, P)
         got = yield from mpi.alltoallv(chunks)
         local_new = []
         applied = 0
@@ -451,7 +447,7 @@ def _mpi_bfs_diropt(ctx: RankContext, g: _LocalGraph, root: int,
             edges += n_edges
             yield from ctx.compute(stream_bytes=packed.nbytes * 3,
                                    dispatches=1)
-            chunks = [packed[owner == d] for d in range(P)]
+            chunks = _by_owner(owner, packed, P)
             got = yield from mpi.alltoallv(chunks)
             local_new = []
             applied = 0
@@ -490,16 +486,9 @@ def _dv_bfs_diropt(ctx: RankContext, g: _LocalGraph, root: int,
         if P > 1:
             yield from api.set_counter(_CTR_COUNTS, P - 1)
             yield from ctx.barrier()
-            others = np.array([d for d in range(P) if d != ctx.rank])
-            yield from api.send_batch(
-                others, np.full(others.size, _SLOT_COUNTS + ctx.rank),
-                np.full(others.size, frontier.size, np.uint64),
-                counter=_CTR_COUNTS, cached_headers=True, via="dma")
-            yield from api.wait_counter_zero(_CTR_COUNTS)
-            sizes = api.vic.memory.read_range(
-                _SLOT_COUNTS, P).astype(np.int64)
-            sizes[ctx.rank] = frontier.size
-            total = int(sizes.sum())
+            sizes = yield from api.exchange_words(
+                frontier.size, base=_SLOT_COUNTS, counter=_CTR_COUNTS)
+            total = int(sizes.astype(np.int64).sum())
         else:
             total = int(frontier.size)
         if total == 0:
@@ -519,8 +508,7 @@ def _dv_bfs_diropt(ctx: RankContext, g: _LocalGraph, root: int,
                 api.network.transmit(
                     ctx.rank, d, bm_words,
                     payload=MemWrite(
-                        addrs=base + ctx.rank * bm_words
-                        + np.arange(bm_words),
+                        addrs=base + ctx.rank * bm_words,
                         values=bm_local, counter=_CTR_DATA),
                     inject_rate=rate)
             if P > 1:
@@ -555,19 +543,9 @@ def _dv_bfs_diropt(ctx: RankContext, g: _LocalGraph, root: int,
             if P > 1:
                 yield from api.set_counter(_CTR_COUNTS, P - 1)
                 yield from ctx.barrier()
-                others = np.array([d for d in range(P)
-                                   if d != ctx.rank])
-                yield from api.send_batch(
-                    others,
-                    np.full(others.size, _SLOT_COUNTS + ctx.rank),
-                    sent_to[others].astype(np.uint64),
-                    counter=_CTR_COUNTS, cached_headers=True,
-                    via="dma")
-                yield from api.wait_counter_zero(_CTR_COUNTS)
-                counts = api.vic.memory.read_range(
-                    _SLOT_COUNTS, P).astype(np.int64)
-                counts[ctx.rank] = 0
-                expected = int(counts.sum())
+                counts = yield from api.exchange_words(
+                    sent_to, base=_SLOT_COUNTS, counter=_CTR_COUNTS)
+                expected = int(counts.astype(np.int64).sum())
             else:
                 expected = 0
             local_new = []

@@ -173,16 +173,10 @@ def _dv_gups(ctx: RankContext, table_words: int, n_updates: int,
     yield from api.set_counter(_CTR_COUNTS, P - 1)
     yield from ctx.barrier()
     sent_to = np.bincount(idx // table_words, minlength=P)
-    if P > 1:
-        others = np.array([d for d in range(P) if d != ctx.rank])
-        yield from api.send_batch(
-            others, np.full(others.size, _COUNT_BASE + ctx.rank),
-            sent_to[others].astype(np.uint64), counter=_CTR_COUNTS,
-            cached_headers=True, via="dma")
-    yield from api.wait_counter_zero(_CTR_COUNTS)
-    counts = api.vic.memory.read_range(_COUNT_BASE, P).astype(np.int64)
-    counts[ctx.rank] = 0
-    expected = int(counts.sum())
+    sent_to[ctx.rank] = 0  # my own updates never crossed the network
+    counts = yield from api.exchange_words(sent_to, base=_COUNT_BASE,
+                                           counter=_CTR_COUNTS)
+    expected = int(counts.astype(np.int64).sum())
     # drain until everything that was addressed to us has been applied
     while True:
         arrived = api.fifo_take()

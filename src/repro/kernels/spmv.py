@@ -108,9 +108,17 @@ def run_spmv(spec: ClusterSpec, fabric: str, *, scale: int = 10,
     rng = rng_for(spec.seed, "spmv-x0")
     x0 = rng.random(n)
 
+    # the static halo schedule of every rank, computed once
+    plans = [_exchange_plan(a, r, P) for r in range(P)]
+    # halo words each rank receives: the stride of its parity-doubled
+    # halo region
+    strides = [max(sum(w.size for q, w in enumerate(plan[1]) if q != r), 1)
+               for r, plan in enumerate(plans)]
+    # every rank's norm slots sit above the largest halo region
+    norm_base = 2 * max(strides)
+
     def program(ctx: RankContext):
-        needed, wanted, (lo, hi, block) = _exchange_plan(
-            a, ctx.rank, ctx.size)
+        needed, wanted, (lo, hi, block) = plans[ctx.rank]
         rows = a[lo:hi]
         nnz = rows.nnz
         x_full = np.zeros(n)
@@ -128,9 +136,8 @@ def run_spmv(spec: ClusterSpec, fabric: str, *, scale: int = 10,
                 for g in idxs:
                     slot_of[int(g)] = off
                     off += 1
-            stride = max(off, 1)
+            stride = strides[ctx.rank]
             expected = off
-            my_norm_base = 2 * stride
 
             # Static setup: my entries' addresses inside every peer's
             # (parity-doubled) halo region and that peer's strides.  In
@@ -138,9 +145,8 @@ def run_spmv(spec: ClusterSpec, fabric: str, *, scale: int = 10,
             # rank derives them from the shared matrix, outside the
             # timed region.
             send_plan = []   # (peer, my_indices, addrs0, peer_stride)
-            peer_stride = {}
             for p in peers:
-                pw = _exchange_plan(a, p, ctx.size)[1]
+                pw = plans[p][1]
                 addr_map = {}
                 o = 0
                 for q in range(P):
@@ -149,14 +155,12 @@ def run_spmv(spec: ClusterSpec, fabric: str, *, scale: int = 10,
                     for g in pw[q]:
                         addr_map[int(g)] = o
                         o += 1
-                peer_stride[p] = max(o, 1)
                 mine_for_p = needed[p]
                 if not mine_for_p.size:
                     continue
                 addrs0 = np.array([addr_map[int(g)]
                                    for g in mine_for_p], np.int64)
-                send_plan.append((p, mine_for_p, addrs0,
-                                  peer_stride[p]))
+                send_plan.append((p, mine_for_p, addrs0, strides[p]))
             slot_idx = np.array(sorted(slot_of, key=slot_of.get),
                                 np.int64)
 
@@ -189,27 +193,16 @@ def run_spmv(spec: ClusterSpec, fabric: str, *, scale: int = 10,
                 yield from ctx.compute(flops=2.0 * nnz,
                                        stream_bytes=12.0 * nnz,
                                        dispatches=1)
-                # norm: all-to-all single-word partial sums, landing at
-                # each peer's own norm region (2 * its stride)
+                # norm: all-to-all single-word partial sums, landing in
+                # every rank's norm slots
                 part = float(y @ y)
                 if P > 1:
                     nctr = (_CTR_NORM_EVEN if parity == 0
                             else _CTR_NORM_ODD)
-                    word = np.float64(part).view(np.uint64)
-                    dests, naddrs = [], []
-                    for p in peers:
-                        dests.append(p)
-                        naddrs.append(2 * peer_stride[p] + parity * P
-                                      + ctx.rank)
-                    yield from api.send_batch(
-                        np.array(dests), np.array(naddrs),
-                        np.full(len(dests), word), counter=nctr,
-                        cached_headers=True, via="dma")
-                    yield from api.wait_counter_zero(nctr)
+                    slot = yield from api.exchange_words(
+                        np.float64(part).view(np.uint64),
+                        base=norm_base + parity * P, counter=nctr)
                     yield from api.set_counter(nctr, P - 1)
-                    nb = my_norm_base + parity * P
-                    slot = api.vic.memory.read_range(nb, P)
-                    slot[ctx.rank] = word
                     norm = float(np.sqrt(
                         slot.view(np.float64).sum()))
                 else:

@@ -179,15 +179,16 @@ class TenantNetworkView:
     translates them by the partition base, bounds-checks destinations
     against the window, validates every effect payload against the
     counter / memory windows, and rewrites ``Query.reply_vic`` (the
-    only payload field naming a rank) to global space.  Everything
-    else delegates to the real network.
+    only payload field naming a rank) to global space.  ``n_ports`` is
+    the window's rank count.  Everything else delegates to the real
+    network.
     """
 
     def __init__(self, network, partition: TenantPartition) -> None:
         self._net = network
         self._part = partition
         self._base = partition.base
-        self._n = partition.n_ranks
+        self.n_ports = partition.n_ranks
         tid = partition.tenant_id
         self._obs_on = obsreg.enabled()
         if self._obs_on:
@@ -198,17 +199,18 @@ class TenantNetworkView:
 
     # -- rank / payload validation ----------------------------------------
     def _xlate(self, rank: int, role: str) -> int:
-        if not 0 <= rank < self._n:
+        if not 0 <= rank < self.n_ports:
             raise TenantIsolationError(
                 f"tenant {self._part.tenant_id!r}: {role} rank {rank} "
-                f"outside its {self._n}-rank window")
+                f"outside its {self.n_ports}-rank window")
         return rank + self._base
 
     def _check_payload(self, payload: Any) -> Any:
         if payload is None:
             return None
         if isinstance(payload, MemWrite):
-            self._check_addrs(payload.addrs)
+            if payload.n_packets:
+                self._check(*payload.span())
             self._check_counter(payload.counter)
         elif isinstance(payload, FifoPush):
             self._check_counter(payload.counter)
@@ -232,11 +234,6 @@ class TenantNetworkView:
                 f"tenant {part.tenant_id!r}: remote DV-memory access "
                 f"[{lo}, {hi}) outside its window "
                 f"[{part.mem_lo}, {part.mem_hi})")
-
-    def _check_addrs(self, addrs) -> None:
-        a = np.asarray(addrs)
-        if a.size:
-            self._check(int(a.min()), int(a.max()) + 1)
 
     def _check_counter(self, idx: Optional[int]) -> None:
         if idx is not None and idx not in self._part.allowed_counters:
@@ -291,11 +288,11 @@ class TenantNetworkView:
         """Translate and bounds-check a fan-out's ranks."""
         gsrc = self._xlate(src, "source")
         d = np.asarray(dests, dtype=np.int64)
-        if d.size and (d.min() < 0 or d.max() >= self._n):
-            bad = int(d[(d < 0) | (d >= self._n)][0])
+        if d.size and (d.min() < 0 or d.max() >= self.n_ports):
+            bad = int(d[(d < 0) | (d >= self.n_ports)][0])
             raise TenantIsolationError(
                 f"tenant {self._part.tenant_id!r}: destination rank "
-                f"{bad} outside its {self._n}-rank window")
+                f"{bad} outside its {self.n_ports}-rank window")
         return gsrc, d + self._base
 
     def _count(self, transfers: int, packets: int) -> None:

@@ -235,46 +235,17 @@ class PerGroupFlowNetwork(FlowNetwork):
 
 
 class ReferenceDataVortexAPI(DataVortexAPI):
-    """``send_batch`` as first written: the per-group events of the
-    fan-out joined by an ``AllOf`` once the PCIe share is charged."""
+    """The multi-destination send tail as first written: the per-group
+    events of the fan-out joined by an ``AllOf`` once the PCIe share is
+    charged.  ``send_batch`` and ``exchange_words`` both end in it."""
 
-    def send_batch(self, dests, addrs, values, *, counter=None,
-                   cached_headers=True, via="dma", aggregate_source=True):
-        dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
-        addrs = np.atleast_1d(np.asarray(addrs, dtype=np.int64))
-        values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
-        if not (dests.size == addrs.size == values.size):
-            raise ValueError("dests, addrs, values must align")
-        if dests.size == 0:
-            raise ValueError("empty batch")
+    def _send_groups(self, dests, counts, payloads, n_words, via,
+                     cached_headers):
         yield from self._overhead()
-
-        order = np.argsort(dests, kind="stable")
-        dests_s, addrs_s, values_s = dests[order], addrs[order], values[order]
-        uniq, starts = np.unique(dests_s, return_index=True)
-        bounds = list(starts[1:]) + [dests_s.size]
-        rate = self._inject_rate(via, cached_headers)
-
-        events = []
-        if aggregate_source:
-            group_counts = np.diff(np.append(starts, dests_s.size))
-            group_payloads = [MemWrite(addrs=addrs_s[lo:hi],
-                                       values=values_s[lo:hi],
-                                       counter=counter)
-                              for lo, hi in zip(starts, bounds)]
-            events = self.network.transmit_batch(
-                self.rank, uniq, group_counts, group_payloads,
-                inject_rate=rate)
-            yield from self._charge_tx(via, dests.size, cached_headers)
-        else:
-            for d, lo, hi in zip(uniq, starts, bounds):
-                events.append(self.network.transmit(
-                    self.rank, int(d), int(hi - lo),
-                    payload=MemWrite(addrs=addrs_s[lo:hi],
-                                     values=values_s[lo:hi],
-                                     counter=counter),
-                    inject_rate=rate))
-                yield from self._charge_tx(via, int(hi - lo), cached_headers)
+        events = self.network.transmit_batch(
+            self.rank, dests, counts, payloads,
+            inject_rate=self._inject_rate(via, cached_headers))
+        yield from self._charge_tx(via, n_words, cached_headers)
         return self.engine.all_of(events)
 
 

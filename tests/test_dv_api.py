@@ -101,27 +101,44 @@ def test_send_batch_scatter_many_destinations():
         assert mc.vics[d].memory.read_range(0, 2).tolist() == [base, base + 1]
 
 
-def test_send_batch_aggregation_is_faster():
-    """Source aggregation (one PCIe DMA for the whole multi-destination
-    batch) must beat per-destination transfers — the paper's central DV
-    optimisation."""
-    def run_mode(aggregate):
-        mc = MiniCluster(8)
-        n = 512
-        rng = np.random.default_rng(1)
-        dests = rng.integers(1, 8, n)
-        addrs = np.arange(n)
-        vals = np.arange(n, dtype=np.uint64)
+@pytest.mark.parametrize("n", [1, 3])
+def test_exchange_words_gathers_rank_major_table(n):
+    """Peer ``s``'s row for ``d`` lands at ``base + k*s`` in ``d``'s DV
+    memory; every rank gets the whole table back, its own row filled
+    in from its own words."""
+    mc = MiniCluster(n)
+    base, k, ctr = 100, 2, 7
+    sent = [np.arange(n * k, dtype=np.uint64).reshape(n, k) + 10 * r
+            for r in range(n)]
 
-        def prog(api):
-            ev = yield from api.send_batch(dests, addrs, vals,
-                                           aggregate_source=aggregate)
-            yield ev
+    def prog(api):
+        yield from api.set_counter(ctr, k * (n - 1))
+        yield from api.barrier()
+        table = yield from api.exchange_words(sent[api.rank], base=base,
+                                              counter=ctr)
+        return table.tolist()
 
-        mc.run(prog(mc.apis[0]))
-        return mc.engine.now
+    tables = mc.run(*(prog(api) for api in mc.apis))
+    for d in range(n):
+        assert tables[d] == [sent[s][d].tolist() for s in range(n)]
+        if n > 1:
+            # nobody writes this rank's own row
+            assert mc.vics[d].memory.read_range(base + k * d, k).tolist() \
+                == [0] * k
+    assert [v.counters.value(ctr) for v in mc.vics] == [0] * n
 
-    assert run_mode(True) < run_mode(False)
+
+def test_exchange_words_broadcasts_a_scalar():
+    mc = MiniCluster(4)
+
+    def prog(api):
+        yield from api.set_counter(3, 3)
+        yield from api.barrier()
+        table = yield from api.exchange_words(5 + api.rank, base=0,
+                                              counter=3)
+        return table.ravel().tolist()
+
+    assert mc.run(*(prog(api) for api in mc.apis)) == [[5, 6, 7, 8]] * 4
 
 
 def test_fifo_send_and_receive():

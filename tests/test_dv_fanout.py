@@ -34,7 +34,7 @@ from repro.dv.config import DVConfig
 from repro.dv.counters import GroupCounters
 from repro.dv.fifo import SurpriseFIFO
 from repro.dv.flow import FanOut, FlowNetwork
-from repro.dv.vic import VIC, FifoPush
+from repro.dv.vic import VIC, FifoPush, MemWrite
 from repro.faults.plan import FaultPlan
 from repro.kernels.bfs import run_bfs
 from repro.kernels.gups import run_gups
@@ -257,8 +257,12 @@ def test_unjoined_fanout_fires_once_joined():
 # --------------------------------------------------- kernels and apps ---
 
 
-def _record(monkeypatch, reference, run):
-    """Run ``run()`` on one fan-out layer; return its record."""
+def _record(monkeypatch, reference, run, remap=None):
+    """Run ``run()`` on one fan-out layer; return its record.
+
+    ``remap(vic_id, effect, addrs)``, if given, returns the addresses a
+    delivered ``MemWrite`` is recorded under (to compare runs through a
+    documented DV-memory layout move)."""
     log = []
     nets = []
     names = {}
@@ -282,15 +286,21 @@ def _record(monkeypatch, reference, run):
     real_rx = VIC._on_delivery
 
     def words(v, dtype):
-        # one-word effects may carry scalars: compare every address and
-        # value bit for bit, whatever container carries it
         if v is None:
             return None
         return _digest(np.atleast_1d(np.asarray(v, dtype)))
 
     def rx(vic, src, effect, n):
-        addrs = words(getattr(effect, "addrs", None), np.int64)
-        values = words(getattr(effect, "values", None), np.uint64)
+        if type(effect) is MemWrite:
+            # a range write records as its address array, so both forms
+            # of one write compare equal
+            addrs, values = effect.expanded()
+            if remap is not None:
+                addrs = remap(vic.vic_id, effect, addrs)
+            addrs, values = _digest(addrs), _digest(values)
+        else:
+            addrs = None
+            values = words(getattr(effect, "values", None), np.uint64)
         kind = type(effect).__name__
         entry = (vic.engine.now, vic.vic_id, src, n, kind, addrs, values)
         log.append(("rx",) + entry)

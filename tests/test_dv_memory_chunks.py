@@ -30,7 +30,7 @@ from repro.tenancy.spec import (
     TenantSpec,
     resolve_partitions,
 )
-from repro.tenancy.views import TenantVICView
+from repro.tenancy.views import TenantNetworkView, TenantVICView
 
 N_WORDS = 6 * CHUNK + 123  # many chunks and a ragged last one
 WINDOW = (CHUNK - 40, 4 * CHUNK + 17)  # a tenant window across chunks
@@ -364,55 +364,102 @@ def test_gups_commits_one_chunk_per_vic(monkeypatch):
     assert [vic.memory.touched_bytes for vic in vics] == [CHUNK * 8] * 8
 
 
-def test_one_word_memwrite_scalars_match_arrays():
-    """A one-word ``MemWrite`` may carry a Python ``int`` address and
-    value: it leaves the same DV memory and counters as the
-    one-element-array form and degrades to the same effect under
+def _vic():
+    """VIC 0 of N_WORDS words on a two-port network."""
+    cfg = DVConfig(dv_memory_bytes=N_WORDS * 8)
+    engine = Engine()
+    return VIC(engine, cfg, 0, FlowNetwork(engine, cfg, 2))
+
+
+#: what the 16 fault plans below do to a range write of k words
+OUTCOMES = {
+    1: {"lost", "intact", "corrupted"},
+    5: {"dropped", "intact", "corrupted"},
+}
+
+
+@pytest.mark.parametrize("k,one_int", [(1, True), (1, False), (5, False)])
+def test_range_memwrite_matches_arrays(k, one_int):
+    """A range ``MemWrite`` (an ``int`` start and ``k`` values, one
+    word maybe as an ``int``) leaves the same DV memory and counters as
+    the address-array form of the same write, across a chunk boundary
+    too, and degrades to the same survivors and corruptions under
     faults."""
-    addr, value = CHUNK + 5, 2**64 - 3
-    scalar = MemWrite(addrs=addr, values=value, counter=7)
+    start = CHUNK - 2
+    values = MASK - np.arange(k, dtype=np.uint64)
+    words = int(values[0]) if one_int else values
+    ranged = MemWrite(addrs=start, values=words, counter=7)
     arrays = MemWrite(
-        addrs=np.array([addr], np.int64),
-        values=np.array([value], np.uint64),
+        addrs=np.arange(start, start + k, dtype=np.int64),
+        values=values.copy(),
         counter=7,
     )
+    assert ranged.span() == arrays.span() == (start, start + k)
+    assert ranged.n_packets == arrays.n_packets == k
 
     def delivered(effect):
-        cfg = DVConfig()
-        engine = Engine()
-        vic = VIC(engine, cfg, 0, FlowNetwork(engine, cfg, 2))
-        vic.counters.set(7, 3)
+        vic = _vic()
+        vic.counters.set(7, 9)
         vic._on_delivery(1, effect, effect.n_packets)
         return (
-            vic.memory.read_range(addr - 2, 5).tolist(),
+            vic.memory.read_range(start - 2, k + 4).tolist(),
             sorted(vic.memory._chunks),
             vic.counters.value(7),
             vic.packets_received,
         )
 
-    assert delivered(scalar) == delivered(arrays)
-    assert delivered(scalar) == ([0, 0, value, 0, 0], [1], 2, 1)
+    image = [0, 0, *values.tolist(), 0, 0]
+    chunks = [0, 1] if k > 2 else [0]
+    assert delivered(ranged) == delivered(arrays)
+    assert delivered(ranged) == (image, chunks, 9 - k, k)
 
     def degraded(plan, effect):
         with faults.session(plan):
-            out = apply_flow_faults(
-                fltreg.site("dv.flow"), effect, 0, 1, 0.0, 0.0
-            )
+            site = fltreg.site("dv.flow")
+            out = apply_flow_faults(site, effect, 0, 1, 0.0, 0.0)
         if out is None:
             return None
-        return (
-            np.atleast_1d(out.addrs).tolist(),
-            np.atleast_1d(np.asarray(out.values, np.uint64)).tolist(),
-            out.counter,
-        )
+        addrs, vals = out.expanded()
+        return addrs.tolist(), vals.tolist(), out.counter
 
     outcomes = set()
     for seed in range(16):
         plan = FaultPlan(seed=seed, drop_prob=0.3, corrupt_prob=0.5)
-        got = degraded(plan, scalar)
+        got = degraded(plan, ranged)
         assert got == degraded(plan, arrays)
         if got is None:
             outcomes.add("lost")
-        else:
-            outcomes.add("kept" if got[1] == [value] else "corrupted")
-    assert outcomes == {"lost", "kept", "corrupted"}
+            continue
+        if len(got[0]) < k:
+            outcomes.add("dropped")
+        kept = [int(values[a - start]) for a in got[0]]
+        outcomes.add("corrupted" if got[1] != kept else "intact")
+    assert outcomes == OUTCOMES[k]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_range_memwrite_past_the_end_raises(k):
+    """A range write whose last word lies past the DV memory raises
+    before it writes a word."""
+    vic = _vic()
+    effect = MemWrite(addrs=N_WORDS - k + 1, values=np.ones(k, np.uint64))
+    with pytest.raises(IndexError, match="out of range"):
+        vic._on_delivery(1, effect, effect.n_packets)
+    assert vic.memory._chunks == {}
+
+
+def test_tenant_view_refuses_a_range_past_its_window():
+    """A tenant's network view checks a range write's whole span, not
+    its start alone."""
+    vic = _vic()
+    tenant = TenantSpec("t", workload="gups", n_ranks=1, dv_slots=WINDOW)
+    (part,) = resolve_partitions([tenant], 2, vic.config)
+    view = TenantNetworkView(vic.network, part)
+    hi = WINDOW[1]
+    words = np.ones(3, np.uint64)
+    view.transmit(0, 0, 3, payload=MemWrite(addrs=hi - 3, values=words))
+    spill = MemWrite(addrs=hi - 2, values=words)
+    with pytest.raises(TenantIsolationError, match=rf"\[{hi - 2}, {hi + 1}\)"):
+        view.transmit(0, 0, 3, payload=spill)
+    vic.engine.run()
+    assert vic.memory.read_range(hi - 4, 4).tolist() == [0, 1, 1, 1]

@@ -52,8 +52,8 @@ def _effect_digest(eff):
     if isinstance(eff, FifoPush):
         return ("fifo", eff.values.tolist(), eff.counter)
     if isinstance(eff, MemWrite):
-        return ("mem", np.asarray(eff.addrs).tolist(),
-                np.asarray(eff.values).tolist(), eff.counter)
+        addrs, values = eff.expanded()
+        return ("mem", addrs.tolist(), values.tolist(), eff.counter)
     return ("other", repr(eff))
 
 
@@ -85,7 +85,8 @@ def _drive_flow(net_cls, n_ports, seed, n_rounds=120):
             elif op == 1:
                 dest = rng.randrange(n_ports)
                 n = rng.randrange(1, 4)
-                addrs = np.arange(n, dtype=np.int64)
+                # odd sizes go as a range write, even as an address array
+                addrs = 0 if n % 2 else np.arange(n, dtype=np.int64)
                 vals = np.full(n, rng.randrange(99), np.uint64)
                 net.transmit(src, dest, n,
                              payload=MemWrite(addrs=addrs, values=vals))
