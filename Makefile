@@ -9,11 +9,11 @@ REPRO    = PYTHONPATH=src $(PYTHON) -m repro.cli
 # The files `ruff format --check` gates (formatting is adopted
 # incrementally, starting with the golden subsystem); keep in sync
 # with .github/workflows/ci.yml.
-FORMATTED = src/repro/golden src/repro/service \
+FORMATTED = src/repro/golden \
             tests/test_golden_store.py \
             tests/test_golden_policy.py tests/test_golden_harness.py \
             tests/test_golden_drift.py tests/test_cli_smoke.py \
-            tests/test_service.py tests/test_mpi_requests.py \
+            tests/test_mpi_requests.py \
             tests/test_mpi_batches.py \
             tests/test_dv_fanout.py tests/test_fft_memory.py \
             tests/test_fifo_deferral.py tests/test_gc_pause.py \
@@ -21,7 +21,7 @@ FORMATTED = src/repro/golden src/repro/service \
             tests/test_dv_exchange_pin.py
 
 .PHONY: test test-all test-exec test-faults test-traffic test-agg \
-        test-service test-tenancy bench obs help lint verify \
+        test-tenancy bench obs help lint verify \
         golden-record ci scaleout skew agg interference
 
 help:
@@ -33,7 +33,6 @@ help:
 	@echo "make test-faults   - fault-injection + reliable-transport suite only"
 	@echo "make test-traffic  - traffic models + statistical validation suite only"
 	@echo "make test-agg      - aggregation runtime suite only (docs/aggregation.md)"
-	@echo "make test-service  - experiment service suite only (docs/service.md)"
 	@echo "make test-tenancy  - multi-tenant co-scheduling + api 2.0 suites (docs/tenancy.md)"
 	@echo "make skew          - fig_skew: GUPS vs destination skew (docs/traffic.md)"
 	@echo "make agg           - fig_agg: aggregated IB vs DV crossover sweep"
@@ -81,9 +80,6 @@ test-traffic:
 
 test-agg:
 	$(PYTEST) -x -q tests/test_agg.py tests/test_fabric_symmetry.py
-
-test-service:
-	$(PYTEST) -x -q tests/test_service.py tests/test_cli_smoke.py
 
 test-tenancy:
 	$(PYTEST) -x -q tests/test_tenancy.py tests/test_api_v2.py

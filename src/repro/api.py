@@ -1,11 +1,10 @@
-"""The stable programmatic facade over the repro stack (api 3.0).
+"""The stable programmatic facade over the repro stack (api 4.0).
 
-One spec, two verbs.  Everything a driver needs — regenerating paper
-figures, named parameter sweeps, 64-1024-node projections, skew /
-aggregation / interference matrices, golden gating, the experiment
-service — is expressed as a versioned :class:`ExperimentSpec` and
-handed to :func:`run` (in-process) or :func:`submit` (a stored,
-golden-gated service job):
+One spec, one run verb.  Everything a driver needs — regenerating
+paper figures, named parameter sweeps, 64-1024-node projections, skew
+/ aggregation / interference matrices — is expressed as a versioned
+:class:`ExperimentSpec` and handed to :func:`run`;
+:func:`verify_goldens` is the golden gate:
 
 >>> import repro.api as api
 >>> t = api.run(spec=api.ExperimentSpec(
@@ -25,14 +24,16 @@ a silent no-op in the pool workers.
 
 The facade is versioned independently of the package
 (:data:`__api_version__`, semver).  2.0.0 was the spec-surface
-redesign; 3.0.0 removed the six 1.x entry points it had kept as shims
-and the experiment service's daemon options (docs/api.md has the
-migration table).  Only names in :data:`__all__` are covered by the
-contract.  Every public callable takes keyword-only arguments
-(enforced by ``tools/check_api_signatures.py`` in ``make lint``).
-Heavy imports happen inside the functions: ``import repro.api`` is
-cheap, and the lazy imports also break the cycle with the golden
-harness, which routes its figure runs back through :func:`run`.
+redesign; 3.0.0 removed the six 1.x entry points it had kept as shims;
+4.0.0 removed the synchronous experiment service (``submit``,
+``poll``, ``collect``), whose jobs were plain :func:`run` calls
+(docs/api.md has the migration tables).  Only names in
+:data:`__all__` are covered by the contract.  Every public callable
+takes keyword-only arguments (enforced by
+``tools/check_api_signatures.py`` in ``make lint``).  Heavy imports
+happen inside the functions: ``import repro.api`` is cheap, and the
+lazy imports also break the cycle with the golden harness, which
+routes its figure runs back through :func:`run`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-__api_version__ = "3.0.0"
+__api_version__ = "4.0.0"
 
 __all__ = [
     "__api_version__",
@@ -52,11 +53,8 @@ __all__ = [
     "build_cluster",
     "build_traffic",
     "run",
-    "submit",
     "run_figures",
     "verify_goldens",
-    "poll",
-    "collect",
 ]
 
 #: Spec schema version :func:`run` understands (bumped whenever the
@@ -184,9 +182,9 @@ def _executor(options: Optional[RunOptions]) -> "Executor":
 # ------------------------------------------------- spec serialisation ---
 
 def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
-    """The spec as a JSON-able mapping (the ``repro submit
-    --spec-file`` wire format).  ``traffic`` models are live objects
-    with no stable wire form and raise."""
+    """The spec as a JSON-able mapping (the ``repro run --spec-file``
+    wire format).  ``traffic`` models are live objects with no stable
+    wire form and raise."""
     import dataclasses
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"spec must be an ExperimentSpec, "
@@ -328,7 +326,10 @@ def run(*, spec: ExperimentSpec,
     """Run one :class:`ExperimentSpec` in-process and return its table.
 
     Resolution: ``exp_id`` is looked up in the experiment registry,
-    then in the named sweeps (``sweep:<name>`` forces the latter).
+    then in the named sweeps (``sweep:<name>`` forces the latter).  A
+    ``params`` (or ``cluster``) key the runner's signature does not
+    take raises ``ValueError`` before anything runs; runners with
+    ``**kwargs`` check their own keys.
 
     Field threading — for each non-default spec field, in order:
 
@@ -381,6 +382,12 @@ def run(*, spec: ExperimentSpec,
         return kw in sig.parameters or has_kwargs
 
     params = _merged_params(spec)
+    unknown = sorted(k for k in params if not accepts(k))
+    if unknown:
+        raise ValueError(
+            f"experiment {exp_id!r} takes no param(s) "
+            f"{', '.join(map(repr, unknown))}; it takes "
+            f"{', '.join(sig.parameters)}")
 
     def thread(kw: str, value: Any, label: str) -> bool:
         """Put ``value`` in ``params[kw]`` when the runner takes it;
@@ -471,85 +478,3 @@ def verify_goldens(*, mode: str = "compare",
     ok = all(r.ok for r in reports) and all(r.ok for r in axis_reports)
     return GoldenVerdict(ok=ok, reports=reports,
                          axis_reports=axis_reports)
-
-
-# -------------------------------------------------- experiment service ---
-
-def _service(state_dir: str, goldens_dir: str) -> "ExperimentService":
-    from repro.service import ExperimentService
-    return ExperimentService(state_dir, goldens_dir=goldens_dir)
-
-
-def submit(*, spec: ExperimentSpec,
-           state_dir: str = ".repro-service",
-           goldens_dir: str = "goldens") -> Dict[str, Any]:
-    """Run one :class:`ExperimentSpec` as an experiment-service job.
-
-    The job runs to completion in this process under ``state_dir``
-    (result cache, golden-gated store, event log; docs/service.md) and
-    this returns its status mapping (``job_id``, ``state``,
-    ``published``, ...).
-
-    Service jobs are stored as (exp_id, params), so the session-scoped
-    spec fields must be expressible as runner keywords: ``tenants``
-    threads to runners with a ``tenants=`` keyword (workload names
-    only), and ``traffic`` / ``faults`` / ``aggregation`` are
-    rejected — run those through :func:`run`.
-    """
-    import inspect
-    if not isinstance(spec, ExperimentSpec):
-        raise TypeError(f"spec must be an ExperimentSpec, "
-                        f"got {type(spec).__name__}")
-    blocked = [n for n, v in (("traffic", spec.traffic),
-                              ("faults", spec.faults),
-                              ("aggregation", spec.aggregation))
-               if v is not None]
-    if blocked:
-        raise ValueError(
-            f"spec field(s) {', '.join(blocked)} cannot ride a "
-            f"service job (jobs are stored as exp_id + params); "
-            f"use api.run for those")
-    params = _merged_params(spec)
-    if spec.tenants:
-        if not all(isinstance(t, str) for t in spec.tenants):
-            raise ValueError(
-                "service jobs take tenants as workload names only "
-                "(TenantSpec objects do not serialise into a job)")
-        from repro.core.experiments import REGISTRY
-        exp = REGISTRY.get(spec.exp_id)
-        if exp is None or exp.runner is None or "tenants" not in \
-                inspect.signature(exp.runner).parameters:
-            raise ValueError(
-                f"experiment {spec.exp_id!r} does not take tenants")
-        if "tenants" in params:
-            raise ValueError(
-                "spec.tenants conflicts with params['tenants']; "
-                "pick one")
-        params["tenants"] = list(spec.tenants)
-    return _service(state_dir, goldens_dir).submit(spec.exp_id, params)
-
-
-def poll(*, job_id: str, state_dir: str = ".repro-service",
-         goldens_dir: str = "goldens") -> Dict[str, Any]:
-    """The current status mapping of a submitted job."""
-    return _service(state_dir, goldens_dir).status(job_id)
-
-
-def collect(*, job_id: str, state_dir: str = ".repro-service",
-            goldens_dir: str = "goldens",
-            require_published: bool = True) -> "Table":
-    """The finished job's result table.
-
-    A result the golden gate refused to publish raises
-    ``ServiceError`` with the cell diffs unless
-    ``require_published=False``.
-    """
-    from repro.core.report import Table
-    from repro.service import ServiceError
-    record = _service(state_dir, goldens_dir).collect(job_id)
-    if require_published and not record.get("published"):
-        diffs = record.get("golden", {}).get("diffs", [])
-        raise ServiceError(
-            f"job {job_id!r} result was not published "
-            f"(golden gate refused): " + "; ".join(diffs))
-    return Table.from_dict(record["table"])

@@ -13,8 +13,6 @@ Usage::
     repro bench                                     # perf trajectory
     repro cache --cache .repro-cache --clear
     repro verify --compare                          # golden gate (CI)
-    repro submit fig4 --golden-config               # service job
-    repro collect --job JOB --verify-golden
     repro list                                      # verbs and ids
 
 ``python -m repro.cli`` is the same program.
@@ -28,12 +26,11 @@ ids).  With no spec flag the runner's registry defaults apply, so
 ``ExperimentSpec("fig4")``.  ``--workers N`` fans independent points
 across a process pool and ``--cache DIR`` memoises finished points on
 disk; both leave the printed tables bit-identical to a serial, uncached
-run (see docs/execution.md).
+run (see docs/execution.md).  A ``--params`` key the runner does not
+take is a usage error (exit 2), raised before anything runs.
 
-``submit`` builds its spec with the same flags and runs it as a
-golden-gated experiment-service job under ``--state-dir``; ``status``,
-``watch`` and ``collect`` read back what it stored (docs/service.md).
-Each verb accepts only its own flags.
+``verify`` is the one gate: it recomputes the pinned golden configs
+and exits 1 on any divergence.  Each verb accepts only its own flags.
 """
 
 from __future__ import annotations
@@ -244,85 +241,6 @@ def cmd_verify(args) -> int:
     return 0 if verdict.ok else 1
 
 
-def _service(args):
-    """The experiment service on --state-dir (docs/service.md)."""
-    from repro.service import ExperimentService
-    return ExperimentService(args.state_dir)
-
-
-def cmd_submit(args) -> int:
-    """Submit one experiment; prints the job id (and nothing else, so
-    shells can capture it)."""
-    import repro.api as api
-    from repro.service import ServiceError
-    spec = _spec(args, args.exp_id)
-    try:
-        job = api.submit(spec=spec, state_dir=args.state_dir,
-                         goldens_dir=args.goldens)
-    except (ServiceError, ValueError, KeyError) as err:
-        print(f"submit: {err}", file=sys.stderr)
-        return 1
-    print(job["job_id"])
-    return 0
-
-
-def cmd_status(args) -> int:
-    """Print a submitted job's status mapping as JSON."""
-    from repro.service import ServiceError
-    try:
-        status = _service(args).status(args.job)
-    except ServiceError as err:
-        print(f"status: {err}", file=sys.stderr)
-        return 1
-    print(json.dumps(status, indent=2, sort_keys=True))
-    return 0
-
-
-def cmd_watch(args) -> int:
-    """Print a job's progress events (one JSON line each), replaying
-    from --from-seq."""
-    from repro.service import ServiceError
-    try:
-        for event in _service(args).watch(args.job,
-                                          from_seq=args.from_seq):
-            print(json.dumps(event, sort_keys=True), flush=True)
-    except ServiceError as err:
-        print(f"watch: {err}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_collect(args) -> int:
-    """Fetch a finished job's result from the store.  --out writes the
-    full record JSON; --verify-golden additionally demands the result
-    was golden-gated and published (exit 1 on divergence)."""
-    from repro.service import ServiceError
-    try:
-        record = _service(args).collect(args.job)
-    except ServiceError as err:
-        print(f"collect: {err}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    if args.verify_golden:
-        golden = record.get("golden", {})
-        if not (record.get("published") and golden.get("checked")
-                and golden.get("ok")):
-            print("collect: golden verification FAILED "
-                  f"(checked={golden.get('checked')}, "
-                  f"published={record.get('published')})",
-                  file=sys.stderr)
-            for diff in golden.get("diffs", []):
-                print(f"  {diff}", file=sys.stderr)
-            return 1
-        print(f"collect: published, matches committed golden "
-              f"({record['exp_id']})")
-    _print_tables([Table.from_dict(record["table"])], args.csv)
-    return 0
-
-
 COMMANDS = {
     "run": cmd_run,
     "obs": cmd_obs,
@@ -330,10 +248,6 @@ COMMANDS = {
     "cache": cmd_cache,
     "list": cmd_list,
     "verify": cmd_verify,
-    "submit": cmd_submit,
-    "status": cmd_status,
-    "watch": cmd_watch,
-    "collect": cmd_collect,
 }
 
 
@@ -409,19 +323,6 @@ def _goldens_flag(p) -> None:
                    help="golden-snapshot directory (default ./goldens)")
 
 
-def _state_flag(p) -> None:
-    p.add_argument("--state-dir", default=".repro-service",
-                   metavar="DIR",
-                   help="service state root (result cache, store, "
-                        "event logs)")
-
-
-def _job_flags(p) -> None:
-    p.add_argument("--job", required=True, metavar="JOB_ID",
-                   help="the job to query")
-    _state_flag(p)
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
     from repro.golden import AXES
@@ -488,24 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"of {','.join(AXES)}; 'all' = every "
                              f"axis, the default; 'none' = skip)")
 
-    submit = verb("submit", "run one experiment as a golden-gated "
-                  "service job", _spec_flags, _goldens_flag, _state_flag)
-    submit.add_argument("exp_id", nargs="?", metavar="EXP_ID",
-                        help="registry id (see 'repro list')")
-
-    verb("status", "a submitted job's status as JSON", _job_flags)
-    watch = verb("watch", "a job's progress events, one JSON line each",
-                 _job_flags)
-    watch.add_argument("--from-seq", type=int, default=0,
-                       help="replay events after this sequence number")
-    collect = verb("collect", "a finished job's result table",
-                   _job_flags, _csv_flag)
-    collect.add_argument("--out", metavar="FILE",
-                         help="also write the full result record JSON "
-                              "here")
-    collect.add_argument("--verify-golden", action="store_true",
-                         help="exit 1 unless the result was "
-                              "golden-gated and published")
     return p
 
 

@@ -238,8 +238,8 @@ class Engine:
         if self._obs_on:
             self._m_events.inc()
             self._m_qdepth.set_max(len(self._queue) + 1)
-            # the live simulation clock: progress streams (repro.service)
-            # read the peak as "how far has simulated time advanced"
+            # the live simulation clock: its peak reads as "how far
+            # has simulated time advanced"
             self._m_clock.set_max(t)
         fn(*args)
 

@@ -1,11 +1,10 @@
-"""The api contract: one spec, two verbs.
+"""The api contract: one spec, one run verb.
 
-Everything the 2.0 redesign promised (docs/api.md), as kept by 3.0:
+Everything the 2.0 redesign promised (docs/api.md), as kept by 4.0:
 :class:`ExperimentSpec` carries the whole request; :func:`api.run`
-threads each field to the runner's keyword or a scoped session;
-:func:`api.submit` runs the same spec as a stored service job; and the
-spec has an exact JSON round-trip (the ``repro submit --spec-file``
-format).
+threads each field to the runner's keyword or a scoped session and
+refuses keys the runner does not take; and the spec has an exact JSON
+round-trip (the ``repro run --spec-file`` format).
 """
 
 import json
@@ -44,6 +43,26 @@ def test_run_routes_bare_sweep_name_and_sweep_prefix():
 def test_run_rejects_unknown_exp_id_naming_both_registries():
     with pytest.raises(KeyError, match="known experiments.*known sweeps"):
         api.run(spec=api.ExperimentSpec(exp_id="fig999"))
+
+
+def test_run_rejects_unknown_params_before_running(monkeypatch):
+    """A key the runner's signature does not take fails as a spec
+    error naming it and the accepted keys, before any simulation, not
+    as a TypeError from inside the executor."""
+    import repro.core.experiments as experiments
+
+    def never(*args, **kwargs):
+        raise AssertionError("the runner must not start")
+
+    monkeypatch.setattr(experiments, "run_experiment", never)
+    spec = api.ExperimentSpec(exp_id="fig4",
+                              params={"nodes": [2], "bogus_param": 1})
+    with pytest.raises(ValueError, match=r"'fig4' takes no param\(s\) "
+                       r"'bogus_param'; it takes seed, nodes"):
+        api.run(spec=spec)
+    with pytest.raises(ValueError, match="'n_nodes'"):
+        api.run(spec=api.ExperimentSpec(exp_id="fig4",
+                                        cluster={"n_nodes": 4}))
 
 
 def test_run_rejects_params_cluster_clash():
@@ -170,47 +189,12 @@ def test_cluster_spec_has_no_shards_field():
         ClusterSpec(shards=2)
 
 
-# ------------------------------------------------------------- submit ---
-
-def test_submit_inline_end_to_end(tmp_path):
-    state = str(tmp_path / "svc")
-    status = api.submit(spec=api.ExperimentSpec(
-        exp_id="fig4", params={"seed": 1, "nodes": [2]}),
-        state_dir=state)
-    assert status["state"] == "done"
-    table = api.collect(job_id=status["job_id"], state_dir=state)
-    assert table.columns[0] == "nodes"
-
-
-def test_submit_rejects_session_scoped_fields(tmp_path):
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              faults=FaultPlan(seed=3, drop_prob=0.1))
-    with pytest.raises(ValueError, match="cannot ride a service job"):
-        api.submit(spec=spec, state_dir=str(tmp_path))
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              aggregation=AggSpec(watermark=8))
-    with pytest.raises(ValueError, match="aggregation"):
-        api.submit(spec=spec, state_dir=str(tmp_path))
-
-
-def test_submit_rejects_tenant_spec_objects(tmp_path):
-    spec = api.ExperimentSpec(
-        exp_id="fig_interference",
-        tenants=(TenantSpec(tenant_id="t", workload="gups",
-                            n_ranks=4),))
-    with pytest.raises(ValueError, match="workload names only"):
-        api.submit(spec=spec, state_dir=str(tmp_path))
-
-
-def test_submit_rejects_tenants_on_non_tenant_experiment(tmp_path):
-    spec = api.ExperimentSpec(exp_id="fig4", tenants=("gups", "fft"))
-    with pytest.raises(ValueError, match="does not take tenants"):
-        api.submit(spec=spec, state_dir=str(tmp_path))
-
-
 # ------------------------------------------------------------ version ---
 
-def test_api_version_is_three():
-    assert api.__api_version__.split(".")[0] == "3"
+def test_api_version_is_four():
+    assert api.__api_version__.split(".")[0] == "4"
+    # 4.0 removed the synchronous experiment service (docs/api.md)
+    for gone in ("submit", "poll", "collect"):
+        assert gone not in api.__all__ and not hasattr(api, gone)
     # spec version 3 dropped the shard count (docs/api.md)
     assert api.SPEC_VERSION == 3

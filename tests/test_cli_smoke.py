@@ -140,12 +140,58 @@ def test_run_spec_file(tmp_path, capsys):
     assert lines[1].startswith("2,")
 
 
+def test_run_requires_exp_id(capsys):
+    assert cli.main(["run"]) == 2
+    assert "--spec-file" in capsys.readouterr().err
+
+
+def test_run_spec_file_conflicts_with_exp(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3}))
+    assert cli.main(["run", "fig4", "--spec-file", str(spec_file)]) == 2
+    assert "--spec-file" in capsys.readouterr().err
+
+
+def test_run_spec_file_rejects_bad_document(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(
+        json.dumps({"exp_id": "fig4", "version": 3, "bogus_field": 1})
+    )
+    assert cli.main(["run", "--spec-file", str(spec_file)]) == 2
+    assert "bad spec file" in capsys.readouterr().err
+
+
+def test_run_rejects_unknown_golden_config(capsys):
+    assert cli.main(["run", "fig_faults", "--golden-config"]) == 2
+    assert "no golden config" in capsys.readouterr().err
+
+
+def test_run_rejects_unknown_param(capsys):
+    """A key the runner does not take exits 2 with one line naming it
+    and the accepted keys: no traceback."""
+    argv = ["run", "fig4", "--params", '{"bogus_param": 1}']
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and err.count("\n") == 1
+    assert "'bogus_param'" in err and "seed, nodes" in err
+
+
+def test_interference_tenants_expand_to_ordered_pairs(capsys):
+    params = '{"tenants": ["gups", "fft"], "fabrics": ["mpi"]}'
+    assert cli.main(["run", "fig_interference", "--params", params,
+                     "--csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("victim,aggressor")
+    assert "mpi_slowdown" in lines[0]
+    # both ordered pairs of the two tenants, no self-pairs
+    pairs = {tuple(line.split(",")[:2]) for line in lines[1:]}
+    assert pairs == {("gups", "fft"), ("fft", "gups")}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--watermarks", "1"],
     ["run", "fig4", "--job", "x"],
-    ["submit", "fig4", "--workers", "2"],
     ["list", "--csv"],
-    ["status", "--job", "x", "--goldens", "goldens"],
 ])
 def test_foreign_flag_exits_two(argv, capsys):
     """Each verb accepts only its own flags (the old parser took all 39
@@ -154,10 +200,12 @@ def test_foreign_flag_exits_two(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["status", "watch", "collect"])
-def test_job_is_required(verb, capsys):
-    assert cli.main([verb]) == 2
-    assert "--job" in capsys.readouterr().err
+@pytest.mark.parametrize("verb", ["submit", "status", "watch", "collect"])
+def test_removed_service_verb_exits_two(verb, capsys):
+    """The experiment-service verbs are gone: `run` is the one run
+    path and `verify` the one gate."""
+    assert cli.main([verb, "fig4"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_verify_axes_help_names_every_axis(capsys):
@@ -233,7 +281,7 @@ def test_bench_reads_shared_schema_sections(section, capsys):
 def test_list_exits_zero(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "verify" in out
+    assert out.startswith("commands: run obs bench cache list verify\n")
 
 
 def test_cache_subcommand_exits_zero(tmp_path, capsys):
@@ -324,136 +372,3 @@ def test_verify_rejects_unknown_axis(tmp_path, capsys):
 def test_verify_record_and_compare_mutually_exclusive(tmp_path):
     assert cli.main(["verify", "--record", "--compare",
                      "--goldens", str(tmp_path)]) == 2
-
-
-# ------------------------------------------------------------ service ---
-# `submit --state-dir` runs the job in-process and later subcommands
-# read the persisted state dir, which is exactly how the nightly
-# workflow drives it.  docs/service.md.
-
-def _submit_tiny(tmp_path, capsys):
-    state = str(tmp_path / "svc")
-    assert cli.main([
-        "submit", "fig4",
-        "--params", '{"seed": 1, "nodes": [2]}',
-        "--state-dir", state,
-    ]) == 0
-    job_id = capsys.readouterr().out.strip()
-    assert job_id  # bare id on stdout so shells can capture it
-    return state, job_id
-
-
-def test_submit_then_status_inline(tmp_path, capsys):
-    state, job_id = _submit_tiny(tmp_path, capsys)
-    assert cli.main(["status", "--job", job_id,
-                     "--state-dir", state]) == 0
-    status = json.loads(capsys.readouterr().out)
-    assert status["state"] == "done"
-    assert status["published"] is True
-
-
-def test_watch_streams_event_lines_inline(tmp_path, capsys):
-    state, job_id = _submit_tiny(tmp_path, capsys)
-    assert cli.main(["watch", "--job", job_id,
-                     "--state-dir", state]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    events = [json.loads(line) for line in lines]
-    assert len(events) >= 3
-    assert events[0]["kind"] == "queued"
-    assert events[-1]["kind"] == "finished"
-
-
-def test_collect_renders_table_inline(tmp_path, capsys):
-    state, job_id = _submit_tiny(tmp_path, capsys)
-    out_path = tmp_path / "record.json"
-    assert cli.main(["collect", "--job", job_id, "--state-dir", state,
-                     "--out", str(out_path)]) == 0
-    assert "nodes" in capsys.readouterr().out
-    record = json.loads(out_path.read_text())
-    assert record["published"] is True
-    assert job_id in record["job_ids"]
-
-
-def test_pinned_figure_submit_watch_collect_verifies_golden(
-    tmp_path, capsys
-):
-    """The service's end-to-end contract: submit fig4 at its pinned
-    golden config, replay >= 3 events ending in "finished", and collect
-    with --verify-golden, which exits 1 unless the stored result is
-    published and matches the committed golden snapshot."""
-    state = str(tmp_path / "svc")
-    common = ["--state-dir", state]
-    assert cli.main(["submit", "fig4", "--golden-config",
-                     "--goldens", REPO_GOLDENS, *common]) == 0
-    job_id = capsys.readouterr().out.strip()
-    assert cli.main(["watch", "--job", job_id, *common]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) >= 3
-    assert json.loads(lines[-1])["kind"] == "finished"
-    assert cli.main(["collect", "--job", job_id, "--verify-golden",
-                     *common]) == 0
-    assert "matches committed golden" in capsys.readouterr().out
-
-
-def test_submit_requires_exp(capsys):
-    assert cli.main(["submit"]) == 2
-    assert "--exp" in capsys.readouterr().err
-
-
-def test_interference_tenants_expand_to_ordered_pairs(capsys):
-    params = '{"tenants": ["gups", "fft"], "fabrics": ["mpi"]}'
-    assert cli.main(["run", "fig_interference", "--params", params,
-                     "--csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("victim,aggressor")
-    assert "mpi_slowdown" in lines[0]
-    # both ordered pairs of the two tenants, no self-pairs
-    pairs = {tuple(line.split(",")[:2]) for line in lines[1:]}
-    assert pairs == {("gups", "fft"), ("fft", "gups")}
-
-
-def test_submit_spec_file_inline(tmp_path, capsys):
-    """The spec wire format: an ExperimentSpec JSON document through
-    `repro submit --spec-file`."""
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({
-        "exp_id": "fig4", "version": 3,
-        "params": {"seed": 1, "nodes": [2]},
-    }))
-    state = str(tmp_path / "svc")
-    assert cli.main(["submit", "--spec-file", str(spec_file),
-                     "--state-dir", state]) == 0
-    job_id = capsys.readouterr().out.strip()
-    assert job_id
-    assert cli.main(["status", "--job", job_id,
-                     "--state-dir", state]) == 0
-    assert json.loads(capsys.readouterr().out)["state"] == "done"
-
-
-def test_submit_spec_file_conflicts_with_exp(tmp_path, capsys):
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3}))
-    assert cli.main(["submit", "fig4", "--spec-file",
-                     str(spec_file)]) == 2
-    assert "--spec-file" in capsys.readouterr().err
-
-
-def test_submit_spec_file_rejects_bad_document(tmp_path, capsys):
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3,
-                                     "bogus_field": 1}))
-    assert cli.main(["submit", "--spec-file", str(spec_file),
-                     "--state-dir", str(tmp_path / "svc")]) == 2
-    assert "bad spec file" in capsys.readouterr().err
-
-
-def test_status_unknown_job_exits_one(tmp_path, capsys):
-    assert cli.main(["status", "--job", "nope",
-                     "--state-dir", str(tmp_path / "svc")]) == 1
-    assert "unknown job" in capsys.readouterr().err
-
-
-def test_submit_rejects_unknown_golden_config(tmp_path, capsys):
-    assert cli.main(["submit", "fig_faults", "--golden-config",
-                     "--state-dir", str(tmp_path / "svc")]) == 2
-    assert "no golden config" in capsys.readouterr().err
