@@ -21,11 +21,11 @@ FORMATTED = src/repro/golden \
             tests/test_dv_exchange_pin.py
 
 .PHONY: test test-all test-exec test-faults test-traffic test-agg \
-        test-tenancy bench obs help lint verify \
+        test-tenancy bench obs help lint verify claims \
         golden-record ci scaleout skew agg interference
 
 help:
-	@echo "make ci            - what CI runs: lint -> tier-1 tests -> golden gate"
+	@echo "make ci            - what CI runs: lint -> tier-1 tests -> golden gate -> paper claims"
 	@echo "make lint          - ruff check + format --check (skips if ruff missing)"
 	@echo "make test          - fast test suite (excludes tests marked 'slow')"
 	@echo "make test-all      - full test suite, slow overhead guards included"
@@ -38,14 +38,16 @@ help:
 	@echo "make agg           - fig_agg: aggregated IB vs DV crossover sweep"
 	@echo "make interference  - fig_interference: co-tenant slowdown matrix (docs/tenancy.md)"
 	@echo "make verify        - golden compare + 6-axis determinism harness"
+	@echo "make claims        - the non-slow paper-claim benchmarks (EXPERIMENTS.md asserts)"
 	@echo "make golden-record - refresh goldens/ after an intentional figure change"
 	@echo "make bench         - perf regression benchmarks; updates BENCH_exec.json"
 	@echo "make scaleout      - 64-1024-node cluster projection (docs/scaling.md)"
 	@echo "make obs           - example unified observability report (JSON)"
 
 # Mirrors .github/workflows/ci.yml step for step (lint job, test job,
-# golden-gate job) so local runs and CI cannot diverge.
-ci: lint test verify
+# golden-gate job, paper-claims job) so local runs and CI cannot
+# diverge.
+ci: lint test verify claims
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -60,6 +62,9 @@ verify:
 
 golden-record:
 	$(REPRO) verify --record
+
+claims:
+	$(PYTEST) benchmarks -m "not slow" -q
 
 test:
 	$(PYTEST) -x -q -m "not slow"

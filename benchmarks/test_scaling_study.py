@@ -11,7 +11,8 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.core import Table
-from repro.core.scaling import (cluster_scaling, switch_scaling,
+from repro.core.experiments import run_experiment
+from repro.core.scaling import (scaleout_sweep, switch_scaling,
                                 verify_scaling_claim)
 
 
@@ -43,19 +44,25 @@ def test_switch_scaling_cycle_accurate(benchmark, results_dir):
 
 @pytest.mark.benchmark(group="scaling")
 def test_cluster_scaling_beyond_32_nodes(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: cluster_scaling(node_counts=(8, 16, 32, 64, 128)),
-        rounds=1, iterations=1)
+    nodes = (8, 16, 32, 64, 128)
+
+    def study():
+        # the DV barrier is fig4's dv column; GUPS/PE is the DV
+        # scale-out point at a 2^12-word table and 2^11 updates
+        fig4 = run_experiment("fig4", nodes=nodes)
+        gups = scaleout_sweep(workloads=("gups",), nodes=nodes,
+                              fabrics=("dv",), table_words=1 << 12,
+                              n_updates=1 << 11, window=1024)
+        return fig4.column("dv"), [r["per_pe"] for r in gups]
+
+    barrier, gups = benchmark.pedantic(study, rounds=1, iterations=1)
 
     t = Table("Scale-up (SS IX): DV cluster beyond the paper's 32 nodes",
               ["nodes", "barrier (us)", "GUPS/PE (MUPS)"])
-    for n, v in rows.items():
-        t.add_row(n, v["barrier_us"], v["gups_mups_per_pe"])
+    for row in zip(nodes, barrier, gups):
+        t.add_row(*row)
     emit(t, results_dir, "scaling_cluster")
 
-    nodes = sorted(rows)
-    barrier = [rows[n]["barrier_us"] for n in nodes]
-    gups = [rows[n]["gups_mups_per_pe"] for n in nodes]
     # barrier latency stays flat-ish out to 128 nodes
     assert barrier[-1] < 3.0 * barrier[0]
     # per-PE GUPS rate is preserved within ~35%

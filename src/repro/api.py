@@ -1,8 +1,9 @@
-"""The stable programmatic facade over the repro stack (api 4.0).
+"""The stable programmatic facade over the repro stack (api 5.0).
 
 One spec, one run verb.  Everything a driver needs — regenerating
-paper figures, named parameter sweeps, 64-1024-node projections, skew
-/ aggregation / interference matrices — is expressed as a versioned
+paper figures, 64-1024-node projections, skew / aggregation /
+interference matrices — is a registry experiment
+(:data:`repro.core.experiments.REGISTRY`), expressed as a versioned
 :class:`ExperimentSpec` and handed to :func:`run`;
 :func:`verify_goldens` is the golden gate:
 
@@ -12,36 +13,39 @@ paper figures, named parameter sweeps, 64-1024-node projections, skew
 >>> t.columns
 ['nodes', 'dv', 'dv_fast', 'mpi']
 
-The spec carries the *whole* request: registry id (or named sweep),
-runner params, cluster overrides, a traffic model, a fault plan, an
-aggregation spec, and co-scheduled tenants.  :func:`run` threads
-each field to the experiment runner when its signature accepts the
-matching keyword (``plan=``, ``tenants=``) and falls back to the
-scoped session overrides (:func:`repro.faults.session`,
-:func:`repro.agg.session`) otherwise — sessions are process-global, so
-combining them with ``RunOptions(workers>1)`` is an error rather than
-a silent no-op in the pool workers.
+The spec carries the *whole* request: registry id, runner params,
+cluster overrides, a fault plan, an aggregation spec, and co-scheduled
+tenant workloads.  :func:`run` threads each field to the experiment
+runner when its signature accepts the matching keyword (``plan=``,
+``tenants=``) and falls back to the scoped session overrides
+(:func:`repro.faults.session`, :func:`repro.agg.session`) otherwise —
+sessions are process-global, so combining them with
+``RunOptions(workers>1)`` is an error rather than a silent no-op in
+the pool workers.
 
 The facade is versioned independently of the package
 (:data:`__api_version__`, semver).  2.0.0 was the spec-surface
 redesign; 3.0.0 removed the six 1.x entry points it had kept as shims;
 4.0.0 removed the synchronous experiment service (``submit``,
-``poll``, ``collect``), whose jobs were plain :func:`run` calls
-(docs/api.md has the migration tables).  Only names in
-:data:`__all__` are covered by the contract.  Every public callable
-takes keyword-only arguments (enforced by
-``tools/check_api_signatures.py`` in ``make lint``).  Heavy imports
-happen inside the functions: ``import repro.api`` is cheap, and the
-lazy imports also break the cycle with the golden harness, which
-routes its figure runs back through :func:`run`.
+``poll``, ``collect``), whose jobs were plain :func:`run` calls;
+5.0.0 removed the named sweeps, which recomputed registry figures,
+and the spec inputs no runner could take (``traffic``,
+:class:`~repro.tenancy.TenantSpec` tenants).  docs/api.md has the
+migration tables.  Only names in :data:`__all__` are covered by the
+contract.  Every public callable takes keyword-only arguments
+(enforced by ``tools/check_api_signatures.py`` in ``make lint``).
+Heavy imports happen inside the functions: ``import repro.api`` is
+cheap, and the lazy imports also break the cycle with the golden
+harness, which runs its figures through :func:`_figure_point`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
-__api_version__ = "4.0.0"
+__api_version__ = "5.0.0"
 
 __all__ = [
     "__api_version__",
@@ -69,30 +73,25 @@ class ExperimentSpec:
     """One experiment request, complete.
 
     ``exp_id`` names a registry experiment
-    (:data:`repro.core.experiments.REGISTRY`) or a named sweep
-    (:data:`repro.core.sweep.NAMED_SWEEPS`; prefix with ``sweep:`` to
-    force the sweep namespace).  ``params`` go to the runner verbatim;
-    ``cluster`` is a convenience mapping merged into them (a key in
-    both is an error, not a silent override).
+    (:data:`repro.core.experiments.REGISTRY`).  ``params`` go to the
+    runner verbatim; ``cluster`` is a convenience mapping merged into
+    them (a key in both is an error, not a silent override).
 
     The remaining fields are optional: a
-    :class:`~repro.traffic.TrafficModel`, a
     :class:`~repro.faults.FaultPlan`, an :class:`~repro.agg.AggSpec`,
-    and ``tenants`` — workload names (the
-    ``fig_interference`` idiom) or full
-    :class:`~repro.tenancy.TenantSpec` objects for runners that
-    co-schedule.  :func:`run` threads each to the runner's matching
-    keyword or a scoped session; see its docstring for the rules.
+    and ``tenants`` — workload names for runners that co-schedule
+    (the ``fig_interference`` idiom).  :func:`run` threads each to the
+    runner's matching keyword or a scoped session; see its docstring
+    for the rules.
     """
 
     exp_id: str
     params: Mapping[str, Any] = field(default_factory=dict)
     version: int = SPEC_VERSION
     cluster: Mapping[str, Any] = field(default_factory=dict)
-    traffic: Optional["TrafficModel"] = None
     faults: Optional["FaultPlan"] = None
     aggregation: Optional["AggSpec"] = None
-    tenants: Tuple[Any, ...] = ()
+    tenants: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.exp_id:
@@ -102,12 +101,6 @@ class ExperimentSpec:
                 f"ExperimentSpec version {self.version} is not "
                 f"supported by api {__api_version__} "
                 f"(expected {SPEC_VERSION})")
-        if self.traffic is not None:
-            from repro.traffic.model import TrafficModel
-            if not isinstance(self.traffic, TrafficModel):
-                raise TypeError(
-                    "traffic must be a repro.traffic.TrafficModel "
-                    f"(got {type(self.traffic).__name__})")
         if self.faults is not None:
             from repro.faults import FaultPlan
             if not isinstance(self.faults, FaultPlan):
@@ -121,14 +114,12 @@ class ExperimentSpec:
                     "aggregation must be a repro.agg.AggSpec "
                     f"(got {type(self.aggregation).__name__})")
         object.__setattr__(self, "tenants", tuple(self.tenants))
-        if self.tenants:
-            from repro.tenancy import TenantSpec
-            for t in self.tenants:
-                if not isinstance(t, (str, TenantSpec)):
-                    raise TypeError(
-                        "tenants entries must be workload names or "
-                        "repro.tenancy.TenantSpec objects "
-                        f"(got {type(t).__name__})")
+        for t in self.tenants:
+            if not isinstance(t, str):
+                raise TypeError(
+                    "tenants entries must be workload names "
+                    f"(got {type(t).__name__}; co-schedule TenantSpec "
+                    f"objects with repro.tenancy.run_cotenants)")
 
 
 @dataclass(frozen=True)
@@ -183,16 +174,11 @@ def _executor(options: Optional[RunOptions]) -> "Executor":
 
 def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
     """The spec as a JSON-able mapping (the ``repro run --spec-file``
-    wire format).  ``traffic`` models are live objects with no stable
-    wire form and raise."""
+    wire format)."""
     import dataclasses
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"spec must be an ExperimentSpec, "
                         f"got {type(spec).__name__}")
-    if spec.traffic is not None:
-        raise ValueError(
-            "ExperimentSpec.traffic is not serialisable; rebuild it "
-            "at the receiving end with api.build_traffic")
     out: Dict[str, Any] = {"exp_id": spec.exp_id,
                            "version": spec.version,
                            "params": dict(spec.params)}
@@ -203,10 +189,7 @@ def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
     if spec.aggregation is not None:
         out["aggregation"] = dataclasses.asdict(spec.aggregation)
     if spec.tenants:
-        from repro.tenancy import spec_to_dict as _tenant_to_dict
-        out["tenants"] = [t if isinstance(t, str)
-                          else _tenant_to_dict(t)
-                          for t in spec.tenants]
+        out["tenants"] = list(spec.tenants)
     return out
 
 
@@ -218,6 +201,7 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
         "version": int(data.pop("version", SPEC_VERSION)),
         "params": dict(data.pop("params", {}) or {}),
         "cluster": dict(data.pop("cluster", {}) or {}),
+        "tenants": tuple(data.pop("tenants", None) or ()),
     }
     faults = data.pop("faults", None)
     if faults is not None:
@@ -231,12 +215,6 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
     if aggregation is not None:
         from repro.agg import AggSpec
         kwargs["aggregation"] = AggSpec(**dict(aggregation))
-    tenants = data.pop("tenants", None)
-    if tenants:
-        from repro.tenancy import spec_from_dict as _tenant_from_dict
-        kwargs["tenants"] = tuple(
-            t if isinstance(t, str) else _tenant_from_dict(t)
-            for t in tenants)
     if data:
         raise ValueError(
             f"unknown ExperimentSpec field(s): {sorted(data)}")
@@ -297,39 +275,50 @@ def _merged_params(spec: ExperimentSpec) -> Dict[str, Any]:
     return merged
 
 
-def _run_sweep_spec(spec: ExperimentSpec, name: str,
-                    options: Optional[RunOptions]) -> "Table":
-    """The named-sweep arm of :func:`run`: params are ``axes`` /
-    ``fixed`` mappings, the session-scoped spec fields stay empty."""
-    from repro.core.sweep import NAMED_SWEEPS, named_sweep
-    if (spec.traffic is not None or spec.faults is not None
-            or spec.aggregation is not None or spec.tenants):
-        raise ValueError(
-            "named sweeps take only params={'axes': ..., 'fixed': ...}; "
-            "traffic/faults/aggregation/tenants do not apply")
+def _checked_params(spec: ExperimentSpec
+                    ) -> Tuple[Dict[str, Any], Callable[[str], bool]]:
+    """``spec``'s merged params, checked against its registry runner's
+    signature, and the runner's keyword test.
+
+    Raises before anything runs: ``KeyError`` for an unknown id,
+    ``ValueError`` for a runner-less id or a key the runner does not
+    take.  ``executor`` is never a params key (:class:`RunOptions`
+    owns it); runners with ``**kwargs`` check their own other keys.
+    """
+    import inspect
+    from repro.core.experiments import REGISTRY
+
+    exp = REGISTRY.get(spec.exp_id)
+    if exp is None:
+        raise KeyError(f"unknown experiment {spec.exp_id!r}; "
+                       f"known: {sorted(REGISTRY)}")
+    if exp.runner is None:
+        raise ValueError(f"{spec.exp_id} has no table runner "
+                         f"(see {exp.bench})")
+    sig = inspect.signature(exp.runner)
+    has_kwargs = any(p.kind is inspect.Parameter.VAR_KEYWORD
+                     for p in sig.parameters.values())
+
+    def accepts(kw: str) -> bool:
+        return kw != "executor" and (kw in sig.parameters or has_kwargs)
+
     params = _merged_params(spec)
-    axes = params.pop("axes", None)
-    fixed = params.pop("fixed", None)
-    if params:
+    unknown = sorted(k for k in params if not accepts(k))
+    if unknown:
         raise ValueError(
-            f"unknown sweep param(s) {sorted(params)}; named sweeps "
-            f"take 'axes' and 'fixed'")
-    sw_spec = NAMED_SWEEPS[name]
-    sw = named_sweep(name, axes=dict(axes) if axes else None,
-                     fixed=dict(fixed) if fixed else None)
-    return sw.run_table(sw_spec["title"], sw_spec["columns"],
-                        executor=_executor(options))
+            f"experiment {spec.exp_id!r} takes no param(s) "
+            f"{', '.join(map(repr, unknown))}; it takes "
+            f"{', '.join(p for p in sig.parameters if p != 'executor')}")
+    return params, accepts
 
 
 def run(*, spec: ExperimentSpec,
         options: Optional[RunOptions] = None) -> "Table":
     """Run one :class:`ExperimentSpec` in-process and return its table.
 
-    Resolution: ``exp_id`` is looked up in the experiment registry,
-    then in the named sweeps (``sweep:<name>`` forces the latter).  A
-    ``params`` (or ``cluster``) key the runner's signature does not
-    take raises ``ValueError`` before anything runs; runners with
-    ``**kwargs`` check their own keys.
+    ``exp_id`` is looked up in the experiment registry.  A ``params``
+    (or ``cluster``) key the runner's signature does not take raises
+    ``ValueError`` before anything runs.
 
     Field threading — for each non-default spec field, in order:
 
@@ -338,56 +327,21 @@ def run(*, spec: ExperimentSpec,
     * ``tenants`` → the runner's ``tenants=`` keyword; there is no
       tenancy session, so a runner without one rejects the field;
     * ``aggregation`` → a scoped :func:`repro.agg.session` (no runner
-      takes it directly);
-    * ``traffic`` → the runner's ``traffic=`` keyword; models are
-      process-local objects, so there is no session fallback.
+      takes it directly).
 
     Scoped sessions are process-global and invisible to pool workers,
     so any session fallback combined with ``RunOptions(workers > 1)``
     raises instead of silently dropping the field.
     """
     import contextlib
-    import inspect
 
     if not isinstance(spec, ExperimentSpec):
         raise TypeError(f"spec must be an ExperimentSpec, "
                         f"got {type(spec).__name__}")
-    from repro.core.experiments import REGISTRY, run_experiment
-    from repro.core.sweep import NAMED_SWEEPS
+    from repro.core.experiments import run_experiment
 
     exp_id = spec.exp_id
-    if exp_id.startswith("sweep:"):
-        name = exp_id[len("sweep:"):]
-        if name not in NAMED_SWEEPS:
-            raise KeyError(f"unknown sweep {name!r}; known: "
-                           f"{', '.join(sorted(NAMED_SWEEPS))}")
-        return _run_sweep_spec(spec, name, options)
-    if exp_id not in REGISTRY:
-        if exp_id in NAMED_SWEEPS:
-            return _run_sweep_spec(spec, exp_id, options)
-        raise KeyError(
-            f"unknown experiment {exp_id!r}; known experiments: "
-            f"{sorted(REGISTRY)}; known sweeps: "
-            f"{sorted(NAMED_SWEEPS)}")
-
-    runner = REGISTRY[exp_id].runner
-    if runner is None:
-        raise ValueError(f"{exp_id} has no table runner "
-                         f"(see {REGISTRY[exp_id].bench})")
-    sig = inspect.signature(runner)
-    has_kwargs = any(p.kind is inspect.Parameter.VAR_KEYWORD
-                     for p in sig.parameters.values())
-
-    def accepts(kw: str) -> bool:
-        return kw in sig.parameters or has_kwargs
-
-    params = _merged_params(spec)
-    unknown = sorted(k for k in params if not accepts(k))
-    if unknown:
-        raise ValueError(
-            f"experiment {exp_id!r} takes no param(s) "
-            f"{', '.join(map(repr, unknown))}; it takes "
-            f"{', '.join(sig.parameters)}")
+    params, accepts = _checked_params(spec)
 
     def thread(kw: str, value: Any, label: str) -> bool:
         """Put ``value`` in ``params[kw]`` when the runner takes it;
@@ -419,13 +373,6 @@ def run(*, spec: ExperimentSpec,
             from repro import agg
             stack.enter_context(agg.session(spec.aggregation))
             sessions.append("aggregation")
-        if spec.traffic is not None and not thread("traffic",
-                                                   spec.traffic,
-                                                   "traffic"):
-            raise ValueError(
-                f"experiment {exp_id!r} does not take a traffic "
-                f"model (no traffic= keyword); build the ClusterSpec "
-                f"yourself via api.build_cluster(traffic=...)")
         if sessions and options is not None and options.workers > 1:
             raise ValueError(
                 f"spec field(s) {', '.join(sessions)} fall back to "
@@ -435,14 +382,29 @@ def run(*, spec: ExperimentSpec,
                               **params)
 
 
+def _figure_point(fig: str, **params: Any) -> "Table":
+    """One whole figure as an executor point: :func:`run` on
+    ``ExperimentSpec(fig, params)``.
+
+    Module-level so figure grids pickle into pool workers; it is the
+    one point :func:`run_figures` and the golden harness both map, so
+    the goldens pin exactly what the public surface computes.
+    """
+    return run(spec=ExperimentSpec(exp_id=fig, params=params))
+
+
 def run_figures(*, exp_ids: Sequence[str],
                 options: Optional[RunOptions] = None,
                 **params: Any) -> Dict[str, "Table"]:
     """Several figures at once, fanned across the options' worker pool
-    (each figure is one point)."""
-    from repro.core.experiments import run_experiments
-    return run_experiments(exp_ids, executor=_executor(options),
-                           **params)
+    (each figure is one point, all sharing ``params``).  Every id's
+    params pass :func:`run`'s key check before any figure runs."""
+    for exp_id in exp_ids:
+        _checked_params(ExperimentSpec(exp_id=exp_id, params=params))
+    tables = _executor(options).map(
+        _figure_point, [{"fig": e, **params} for e in exp_ids],
+        name="experiment.batch")
+    return dict(zip(exp_ids, tables))
 
 
 def verify_goldens(*, mode: str = "compare",

@@ -6,7 +6,6 @@ Usage::
     repro run fig4 --params '{"nodes": [2, 4]}' --plot
     repro run fig4 --golden-config --csv            # the pinned golden
     repro run fig4 fig6a --workers 2                # several, pooled
-    repro run sweep:gups --params '{"axes": {"nodes": [4, 8]}}'
     repro run fig_scaleout --params '{"nodes": [1024]}' --workers 2
     repro run --spec-file spec.json                 # ExperimentSpec JSON
     repro obs --nodes 4 --csv                       # metrics report
@@ -26,8 +25,9 @@ ids).  With no spec flag the runner's registry defaults apply, so
 ``ExperimentSpec("fig4")``.  ``--workers N`` fans independent points
 across a process pool and ``--cache DIR`` memoises finished points on
 disk; both leave the printed tables bit-identical to a serial, uncached
-run (see docs/execution.md).  A ``--params`` key the runner does not
-take is a usage error (exit 2), raised before anything runs.
+run (see docs/execution.md).  A ``--params`` key the runner (with
+several ids: any of their runners) does not take is a usage error
+(exit 2), raised before anything runs.
 
 ``verify`` is the one gate: it recomputes the pinned golden configs
 and exits 1 on any divergence.  Each verb accepts only its own flags.
@@ -184,14 +184,11 @@ def cmd_cache(args) -> int:
 def cmd_list(args) -> int:
     """The verbs, then every id ``repro run`` accepts."""
     from repro.core.experiments import REGISTRY
-    from repro.core.sweep import NAMED_SWEEPS
     print("commands: " + " ".join(COMMANDS))
     print("experiments (repro run EXP_ID):")
     for exp_id, exp in sorted(REGISTRY.items()):
         note = "" if exp.runner else f" (no table runner; {exp.bench})"
         print(f"  {exp_id:<20}{exp.title}{note}")
-    for name, sweep in sorted(NAMED_SWEEPS.items()):
-        print(f"  {'sweep:' + name:<20}{sweep['title']}")
     return 0
 
 
@@ -345,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = verb("run", "run registered experiments and print their "
                "tables", _spec_flags, _exec_flags, _csv_flag)
     run.add_argument("exp_ids", nargs="*", metavar="EXP_ID",
-                     help="registry id or sweep:<name> (see "
-                          "'repro list'); several ids share --params")
+                     help="registry id (see 'repro list'); several "
+                          "ids share --params")
     run.add_argument("--plot", action="store_true",
                      help="also render an ASCII chart of each table")
 

@@ -424,32 +424,6 @@ def run_experiment(exp_id: str, executor=None, **kwargs) -> Table:
     return executor.call(runner, name=f"experiment.{exp_id}", **kwargs)
 
 
-def _experiment_point(exp_id: str, **kwargs) -> Table:
-    """Module-level runner so figure grids pickle into pool workers."""
-    return REGISTRY[exp_id].runner(**kwargs)
-
-
-def run_experiments(exp_ids, executor=None, **kwargs) -> Dict[str, Table]:
-    """Regenerate several experiments, fanning whole figures across the
-    executor's worker pool (each figure is one point)."""
-    from repro.exec import Executor
-    executor = executor or Executor()
-    runnable = []
-    for exp_id in exp_ids:
-        exp = REGISTRY.get(exp_id)
-        if exp is None:
-            raise KeyError(f"unknown experiment {exp_id!r}; "
-                           f"known: {sorted(REGISTRY)}")
-        if exp.runner is None:
-            raise ValueError(f"{exp_id} has no table runner "
-                             f"(see {exp.bench})")
-        runnable.append(exp_id)
-    grid = [{"exp_id": e, **kwargs} for e in runnable]
-    tables = executor.map(_experiment_point, grid,
-                          name="experiment.batch")
-    return dict(zip(runnable, tables))
-
-
 def index_table() -> Table:
     """The DESIGN.md experiment index as a renderable table."""
     t = Table("Experiment index", ["id", "artifact", "bench"])

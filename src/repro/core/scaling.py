@@ -13,9 +13,6 @@ This module develops exactly that simulation, at two levels:
   ports under saturating uniform-random load: measures mean latency
   (expected: + ~1 hop per doubling) and per-port drain throughput
   (expected: flat);
-* :func:`cluster_scaling` — flow-level clusters beyond the paper's 32
-  nodes running the barrier and GUPS kernels, checking that the flat
-  barrier and per-PE GUPS curves extend;
 * :func:`scaleout_sweep` — the full cluster projection: GUPS, BFS and
   FFT on **both** fabrics from 64 up to 1024 nodes, riding the
   vectorised flow engines (:mod:`repro.dv.flow` / :mod:`repro.ib.fabric`)
@@ -129,38 +126,6 @@ def verify_scaling_claim(points: List[SwitchScalePoint],
             b.mean_hops - a.mean_hops for a, b in zip(points, points[1:])],
         "throughput_spread": spread,
     }
-
-
-def cluster_scale_point(n_nodes: int, seed: int = 2017
-                        ) -> Dict[str, float]:
-    """One flow-level cluster size: DV barrier latency + GUPS per PE."""
-    from repro.kernels.barrier_bench import run_barrier_bench
-    from repro.kernels.gups import run_gups
-
-    spec = ClusterSpec(n_nodes=n_nodes, seed=seed)
-    barrier = run_barrier_bench(spec, "dv", iters=8)
-    gups = run_gups(spec, "dv", table_words=1 << 12, n_updates=1 << 11)
-    return {
-        "barrier_us": barrier["latency_us"],
-        "gups_mups_per_pe": gups["mups_per_pe"],
-    }
-
-
-def cluster_scaling(node_counts: Sequence[int] = (8, 16, 32, 64, 128),
-                    seed: int = 2017,
-                    executor: Optional["Executor"] = None
-                    ) -> Dict[int, Dict[str, float]]:
-    """Flow-level extrapolation beyond the paper's 32 nodes.
-
-    For each cluster size, measures the DV hardware-barrier latency and
-    the DV GUPS per-PE rate (weak scaling).  The §IX claim extends the
-    paper's Fig. 4 and Fig. 6a flatness to larger machines.
-    """
-    from repro.exec import Executor
-    executor = executor or Executor()
-    grid = [{"n_nodes": n, "seed": seed} for n in node_counts]
-    rows = executor.map(cluster_scale_point, grid)
-    return {n: row for n, row in zip(node_counts, rows)}
 
 
 # ------------------------------------------------- scale-out projection ---

@@ -15,8 +15,8 @@ bit-identical to a serial run:
   ``invalidate``/``stats`` APIs; a corrupted entry is recomputed, never
   a crash;
 * :mod:`repro.exec.runner` — the :class:`Executor` glue that
-  ``Sweep.run``, ``switch_scaling``/``cluster_scaling``,
-  ``run_experiment`` and the CLI all route through, feeding per-point
+  ``switch_scaling``, ``scaleout_sweep``, ``run_experiment``,
+  ``api.run_figures`` and the CLI all route through, feeding per-point
   wall-times and cache hit/miss counters into :mod:`repro.obs`.
 
 Quick use::

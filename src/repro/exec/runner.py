@@ -1,8 +1,8 @@
 """The Executor: cache-aware parallel dispatch + observability glue.
 
 Everything that executes a grid of experiment points —
-``Sweep.run``, ``switch_scaling``/``cluster_scaling``,
-``run_experiment`` and ``repro run`` — routes through one
+``switch_scaling``, ``scaleout_sweep``, ``run_experiment``,
+``api.run_figures`` and ``repro run`` — routes through one
 :class:`Executor`, so parallelism, caching and per-point metrics live
 in exactly one place:
 

@@ -39,6 +39,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.api import _figure_point
 from repro.core.report import Table
 from repro.golden.policy import (CellDiff, FigPolicy, compare_tables,
                                  policy_for)
@@ -98,17 +99,6 @@ AXES: Tuple[str, ...] = ("workers", "cache", "obs", "faults", "agg",
                          "tenancy")
 
 
-def _golden_point(fig: str, **params: Any) -> Table:
-    """Module-level runner so golden grids pickle into pool workers.
-
-    Routes through the :mod:`repro.api` facade (lazily — the facade
-    imports this module back for :func:`repro.api.verify_goldens`), so
-    the goldens pin exactly what the public surface computes.
-    """
-    import repro.api as api
-    return api.run(spec=api.ExperimentSpec(exp_id=fig, params=params))
-
-
 def _config_for(fig: str,
                 overrides: Optional[Mapping[str, Any]] = None
                 ) -> Dict[str, Any]:
@@ -128,8 +118,8 @@ def run_golden_fig(fig: str, executor: Optional["Executor"] = None,
     given, so ``--workers``/``--cache`` apply)."""
     params = _config_for(fig, overrides)
     if executor is None:
-        return _golden_point(fig, **params)
-    return executor.call(_golden_point, name="golden.figure",
+        return _figure_point(fig, **params)
+    return executor.call(_figure_point, name="golden.figure",
                          fig=fig, **params)
 
 
@@ -142,7 +132,7 @@ def run_goldens(figs: Optional[Iterable[str]] = None,
     figs = list(figs) if figs else sorted(GOLDEN_CONFIGS)
     grid = [{"fig": f, **_config_for(f)} for f in figs]
     executor = executor or Executor()
-    tables = executor.map(_golden_point, grid, name="golden.figure")
+    tables = executor.map(_figure_point, grid, name="golden.figure")
     return dict(zip(figs, tables))
 
 
@@ -242,8 +232,8 @@ _EXACT_POLICY = FigPolicy()      # bit-identity for every axis
 
 
 def _pid_golden_point(fig: str, **params: Any) -> Tuple[int, Table]:
-    """:func:`_golden_point` and the id of the process that ran it."""
-    return os.getpid(), _golden_point(fig, **params)
+    """:func:`_figure_point` and the id of the process that ran it."""
+    return os.getpid(), _figure_point(fig, **params)
 
 
 def _axis_workers(fig: str,
@@ -265,10 +255,10 @@ def _axis_cache(fig: str, params: Dict[str, Any],
     from repro.exec import Executor, ResultCache
     point = {"fig": fig, **params}
     cold_cache = ResultCache(cache_dir)
-    cold = Executor(cache=cold_cache).map(_golden_point, [point],
+    cold = Executor(cache=cold_cache).map(_figure_point, [point],
                                           name="golden.axis.cache")
     warm_cache = ResultCache(cache_dir)
-    warm = Executor(cache=warm_cache).map(_golden_point, [dict(point)],
+    warm = Executor(cache=warm_cache).map(_figure_point, [dict(point)],
                                           name="golden.axis.cache")
     if warm_cache.hits == 0:
         raise AssertionError(
@@ -280,14 +270,14 @@ def _axis_cache(fig: str, params: Dict[str, Any],
 def _axis_obs(fig: str, params: Dict[str, Any]) -> List[Table]:
     from repro.obs import registry as obsreg
     with obsreg.session(True):
-        return [_golden_point(fig, **params)]
+        return [_figure_point(fig, **params)]
 
 
 def _axis_faults(fig: str, params: Dict[str, Any]) -> List[Table]:
     from repro import faults
     from repro.faults import FaultPlan
     with faults.session(FaultPlan(seed=GOLDEN_SEED)):   # all-zero plan
-        return [_golden_point(fig, **params)]
+        return [_figure_point(fig, **params)]
 
 
 def _axis_agg(fig: str, params: Dict[str, Any]) -> List[Table]:
@@ -301,7 +291,7 @@ def _axis_agg(fig: str, params: Dict[str, Any]) -> List[Table]:
     from repro import agg
     from repro.agg import AggSpec
     with agg.session(AggSpec(watermark=64)):
-        return [_golden_point(fig, **params) for _ in range(2)]
+        return [_figure_point(fig, **params) for _ in range(2)]
 
 
 def _axis_tenancy(fig: str, params: Dict[str, Any]) -> List[Table]:
@@ -312,7 +302,7 @@ def _axis_tenancy(fig: str, params: Dict[str, Any]) -> List[Table]:
     translated payloads must be invisible at full width."""
     from repro import tenancy
     with tenancy.shadow_session():
-        return [_golden_point(fig, **params)]
+        return [_figure_point(fig, **params)]
 
 
 def check_axis(fig: str, axis: str, baseline: Optional[Table] = None,
@@ -325,7 +315,7 @@ def check_axis(fig: str, axis: str, baseline: Optional[Table] = None,
     params = _config_for(fig, overrides)
     seed = int(params.get("seed", GOLDEN_SEED))
     if baseline is None and axis != "agg":
-        baseline = _golden_point(fig, **params)
+        baseline = _figure_point(fig, **params)
     if axis == "workers":
         ran = _axis_workers(fig, params)
         if any(pid == os.getpid() for pid, _ in ran):
@@ -380,7 +370,7 @@ def run_harness(figs: Optional[Iterable[str]] = None,
     reports: List[AxisReport] = []
     for fig in figs:
         params = _config_for(fig)
-        baseline = _golden_point(fig, **params)
+        baseline = _figure_point(fig, **params)
         for axis in axes:
             reports.append(check_axis(fig, axis, baseline=baseline))
     return reports

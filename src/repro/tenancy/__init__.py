@@ -28,8 +28,7 @@ from contextlib import contextmanager
 
 from repro.tenancy.spec import (TenancyError, TenantIsolationError,
                                 TenantPartition, TenantSpec, WORKLOADS,
-                                merge_fault_plans, resolve_partitions,
-                                spec_from_dict, spec_to_dict)
+                                merge_fault_plans, resolve_partitions)
 
 __all__ = [
     "TenancyError",
@@ -39,8 +38,6 @@ __all__ = [
     "WORKLOADS",
     "merge_fault_plans",
     "resolve_partitions",
-    "spec_to_dict",
-    "spec_from_dict",
     "run_cotenants",
     "TenancyResult",
     "shadow_session",

@@ -37,8 +37,6 @@ __all__ = [
     "resolve_partitions",
     "merge_fault_plans",
     "tenant_seed",
-    "spec_to_dict",
-    "spec_from_dict",
 ]
 
 #: Workloads the tenancy layer knows how to build (regular x irregular
@@ -247,50 +245,3 @@ def merge_fault_plans(tenants: Sequence[TenantSpec],
                 "fault knobs are fabric-global and must agree")
         merged[name] = setters[0][1] if setters else default
     return FaultPlan(**merged)
-
-
-# ------------------------------------------------------- JSON round-trip ---
-
-def spec_to_dict(tenant: TenantSpec) -> Dict[str, Any]:
-    """A JSON-able description of ``tenant`` (traffic models, which are
-    live objects, are not serialised and must be re-attached)."""
-    if tenant.traffic is not None:
-        raise TenancyError(
-            f"tenant {tenant.tenant_id!r}: traffic models are not "
-            "JSON-serialisable; attach them after spec_from_dict")
-    out: Dict[str, Any] = {
-        "tenant_id": tenant.tenant_id,
-        "workload": tenant.workload,
-        "params": dict(tenant.params),
-    }
-    for name in ("n_ranks", "share", "seed", "ib_credits"):
-        if getattr(tenant, name) is not None:
-            out[name] = getattr(tenant, name)
-    for name in ("counters", "dv_slots"):
-        if getattr(tenant, name) is not None:
-            out[name] = list(getattr(tenant, name))
-    if tenant.plan is not None:
-        from dataclasses import asdict
-        out["plan"] = asdict(tenant.plan)
-    if tenant.aggregation is not None:
-        from dataclasses import asdict
-        out["aggregation"] = asdict(tenant.aggregation)
-    return out
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> TenantSpec:
-    """Inverse of :func:`spec_to_dict`."""
-    kw: Dict[str, Any] = dict(data)
-    for name in ("counters", "dv_slots"):
-        if kw.get(name) is not None:
-            kw[name] = tuple(kw[name])
-    if kw.get("plan") is not None:
-        plan = dict(kw["plan"])
-        for name in _OUTAGE_FIELDS:
-            if name in plan:
-                plan[name] = tuple(tuple(w) for w in plan[name])
-        kw["plan"] = FaultPlan(**plan)
-    if kw.get("aggregation") is not None:
-        from repro.agg import AggSpec
-        kw["aggregation"] = AggSpec(**dict(kw["aggregation"]))
-    return TenantSpec(**kw)

@@ -1,10 +1,11 @@
 """The api contract: one spec, one run verb.
 
-Everything the 2.0 redesign promised (docs/api.md), as kept by 4.0:
+Everything the 2.0 redesign promised (docs/api.md), as kept by 5.0:
 :class:`ExperimentSpec` carries the whole request; :func:`api.run`
-threads each field to the runner's keyword or a scoped session and
-refuses keys the runner does not take; and the spec has an exact JSON
-round-trip (the ``repro run --spec-file`` format).
+resolves only registry ids, threads each field to the runner's keyword
+or a scoped session and refuses keys the runner does not take; and the
+spec has an exact JSON round-trip (the ``repro run --spec-file``
+format).
 """
 
 import json
@@ -30,18 +31,9 @@ def test_run_executes_registry_experiment():
     assert len(t.rows) == 1
 
 
-def test_run_routes_bare_sweep_name_and_sweep_prefix():
-    spec = api.ExperimentSpec(exp_id="sweep:barrier",
-                              params={"axes": {"nodes": [2]}})
-    prefixed = api.run(spec=spec)
-    bare = api.run(spec=api.ExperimentSpec(
-        exp_id="barrier", params={"axes": {"nodes": [2]}}))
-    assert prefixed.columns == ["nodes", "latency_us"]
-    assert _rows(prefixed) == _rows(bare)
-
-
-def test_run_rejects_unknown_exp_id_naming_both_registries():
-    with pytest.raises(KeyError, match="known experiments.*known sweeps"):
+def test_run_rejects_unknown_exp_id_naming_the_registry():
+    with pytest.raises(KeyError, match=r"unknown experiment 'fig999'; "
+                       r"known: \['fig3a'"):
         api.run(spec=api.ExperimentSpec(exp_id="fig999"))
 
 
@@ -63,6 +55,32 @@ def test_run_rejects_unknown_params_before_running(monkeypatch):
     with pytest.raises(ValueError, match="'n_nodes'"):
         api.run(spec=api.ExperimentSpec(exp_id="fig4",
                                         cluster={"n_nodes": 4}))
+    # RunOptions owns the executor, so it is no params key even for a
+    # runner whose signature names it
+    with pytest.raises(ValueError, match=r"'fig_skew' takes no "
+                       r"param\(s\) 'executor'; it takes seed, nodes"):
+        api.run(spec=api.ExperimentSpec(exp_id="fig_skew",
+                                        params={"executor": 1}))
+
+
+def test_run_figures_checks_every_id_before_running(monkeypatch):
+    """Several ids share one params mapping; a key any of their runners
+    does not take fails naming that figure, before any figure runs."""
+    from repro.exec import Executor
+
+    def never(*args, **kwargs):
+        raise AssertionError("no figure may start")
+
+    monkeypatch.setattr(Executor, "map", never)
+    with pytest.raises(ValueError, match=r"'fig4' takes no "
+                       r"param\(s\) 'bogus'"):
+        api.run_figures(exp_ids=["fig4", "fig7"],
+                        nodes=[2], bogus=1)
+    with pytest.raises(ValueError, match=r"'fig9' takes no "
+                       r"param\(s\) 'nodes'"):
+        api.run_figures(exp_ids=["fig4", "fig9"], nodes=[2])
+    with pytest.raises(KeyError, match="unknown experiment 'fig999'"):
+        api.run_figures(exp_ids=["fig4", "fig999"], nodes=[2])
 
 
 def test_run_rejects_params_cluster_clash():
@@ -95,13 +113,6 @@ def test_run_rejects_tenants_without_runner_keyword():
         api.run(spec=spec)
 
 
-def test_run_rejects_traffic_without_runner_keyword():
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              traffic=api.build_traffic())
-    with pytest.raises(ValueError, match="does not take a traffic"):
-        api.run(spec=spec)
-
-
 def test_run_faults_session_fallback_matches_explicit_session():
     """fig6a has no plan= keyword, so spec.faults must arrive via the
     scoped faults.session — identically to wrapping the call by hand."""
@@ -121,15 +132,6 @@ def test_run_session_fallback_refuses_pool_workers():
                               faults=FaultPlan(seed=3, pcie_delay_prob=0.2))
     with pytest.raises(ValueError, match="process-global sessions"):
         api.run(spec=spec, options=api.RunOptions(workers=2))
-
-
-def test_sweep_spec_rejects_session_fields_and_odd_params():
-    with pytest.raises(ValueError, match="do not apply"):
-        api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
-                                        aggregation=AggSpec(watermark=8)))
-    with pytest.raises(ValueError, match="unknown sweep param"):
-        api.run(spec=api.ExperimentSpec(exp_id="sweep:barrier",
-                                        params={"nodes": [2]}))
 
 
 # --------------------------------------------------------------- spec ---
@@ -161,17 +163,22 @@ def test_spec_json_round_trip_is_exact():
         faults=FaultPlan(seed=3, drop_prob=0.01,
                          link_outages=((1, 0.0, 1e-6),)),
         aggregation=AggSpec(watermark=32),
-        tenants=("gups",
-                 TenantSpec(tenant_id="t", workload="fft", n_ranks=4)))
+        tenants=("gups", "fft"))
     wire = json.loads(json.dumps(api.spec_to_dict(spec=spec)))
     assert api.spec_from_dict(data=wire) == spec
 
 
-def test_spec_to_dict_refuses_live_traffic_models():
-    spec = api.ExperimentSpec(exp_id="fig4",
-                              traffic=api.build_traffic())
-    with pytest.raises(ValueError, match="not serialisable"):
-        api.spec_to_dict(spec=spec)
+def test_spec_tenants_are_workload_names_only():
+    """A TenantSpec never reached a runner (fig_interference takes
+    workload names), so the spec refuses one up front, in either
+    form."""
+    with pytest.raises(TypeError, match="workload names.*run_cotenants"):
+        api.ExperimentSpec(exp_id="fig_interference", tenants=(
+            TenantSpec(tenant_id="t", workload="fft", n_ranks=4),))
+    with pytest.raises(TypeError, match="workload names"):
+        api.spec_from_dict(data={
+            "exp_id": "fig_interference",
+            "tenants": [{"tenant_id": "t", "workload": "fft"}]})
 
 
 def test_spec_from_dict_rejects_unknown_fields():
@@ -191,10 +198,15 @@ def test_cluster_spec_has_no_shards_field():
 
 # ------------------------------------------------------------ version ---
 
-def test_api_version_is_four():
-    assert api.__api_version__.split(".")[0] == "4"
+def test_api_version_is_five():
+    assert api.__api_version__.split(".")[0] == "5"
     # 4.0 removed the synchronous experiment service (docs/api.md)
     for gone in ("submit", "poll", "collect"):
         assert gone not in api.__all__ and not hasattr(api, gone)
+    # 5.0 narrowed the spec to the fields a runner takes (docs/api.md)
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(api.ExperimentSpec)] == [
+        "exp_id", "params", "version", "cluster", "faults",
+        "aggregation", "tenants"]
     # spec version 3 dropped the shard count (docs/api.md)
     assert api.SPEC_VERSION == 3

@@ -2,7 +2,7 @@
 
 The per-command tests elsewhere check *content*; this module is the
 breadth gate: every id ``repro run`` accepts (each registry experiment
-with a runner, each named sweep) must run at its smallest sensible
+with a runner) must run at its smallest sensible
 configuration and exit 0, and ``--golden-config`` must reproduce the
 committed goldens.  Rides in tier-1 CI.
 """
@@ -15,15 +15,13 @@ import pytest
 from repro import __version__, cli
 from repro.core.experiments import REGISTRY
 from repro.core.report import Table
-from repro.core.sweep import NAMED_SWEEPS
 from repro.golden import AXES, GOLDEN_CONFIGS, GoldenStore
 
 REPO_GOLDENS = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "goldens")
 
 #: Every id ``repro run`` can execute.
-RUNNABLE = sorted([e for e, x in REGISTRY.items() if x.runner is not None]
-                  + [f"sweep:{name}" for name in NAMED_SWEEPS])
+RUNNABLE = sorted(e for e, x in REGISTRY.items() if x.runner is not None)
 
 TINY = {
     "fig3a": {"sizes": [1, 8]},
@@ -42,13 +40,11 @@ TINY = {
     "fig_faults": {"drops": [0, 0.02], "workloads": ["gups"],
                    "nodes": 2},
     "fig_switch_scaling": {"heights": [4, 8], "per_port": 8},
-    "sweep:barrier": {"axes": {"nodes": [2]}},
-    "sweep:gups": {"axes": {"nodes": [2]}},
 }
 
 
 def test_smoke_table_covers_every_subcommand():
-    """Every runnable registry id and named sweep needs a tiny entry, so
+    """Every runnable registry id needs a tiny entry, so
     a new experiment cannot join the registry without a smoke run."""
     assert sorted(TINY) == RUNNABLE
 
@@ -174,6 +170,36 @@ def test_run_rejects_unknown_param(capsys):
     err = capsys.readouterr().err
     assert err.startswith("run: ") and err.count("\n") == 1
     assert "'bogus_param'" in err and "seed, nodes" in err
+    # RunOptions owns the executor, even for runners that take one
+    argv = ["run", "fig_skew", "--params", '{"executor": 1}']
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and err.count("\n") == 1
+    assert "'fig_skew' takes no param(s) 'executor'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (
+            ["fig4", "fig7", "--params", '{"nodes": [2], "bogus": 1}'],
+            ("'fig4'", "'bogus'"),
+        ),
+        (
+            ["fig4", "fig9", "--params", '{"nodes": [2]}'],
+            ("'fig9'", "'nodes'"),
+        ),
+    ],
+)
+def test_run_several_ids_checks_every_key_first(argv, named, capsys):
+    """Several ids share --params; a key any of their runners does not
+    take exits 2 with one line naming that figure and the key."""
+    assert cli.main(["run", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("run: ")
+    assert captured.err.count("\n") == 1
+    assert all(name in captured.err for name in named)
 
 
 def test_interference_tenants_expand_to_ordered_pairs(capsys):

@@ -1,11 +1,9 @@
-"""Tests for the scaling study, the sweep helper, and the CLI."""
+"""Tests for the switch scaling study and the CLI."""
 
 import pytest
 
-from repro.core.report import Table
-from repro.core.scaling import (SwitchScalePoint, cluster_scaling,
-                                switch_scaling, verify_scaling_claim)
-from repro.core.sweep import Sweep
+from repro.core.scaling import (SwitchScalePoint, switch_scaling,
+                                verify_scaling_claim)
 from repro import cli
 
 
@@ -50,46 +48,15 @@ def test_verify_scaling_claim_rejects_latency_blowup():
         verify_scaling_claim(fake)
 
 
-def test_cluster_scaling_returns_all_sizes():
-    rows = cluster_scaling(node_counts=(2, 4))
-    assert set(rows) == {2, 4}
-    for v in rows.values():
-        assert v["barrier_us"] > 0
-        assert v["gups_mups_per_pe"] > 0
-
-
-# ---------------------------------------------------------------- sweep ---
-
-def test_sweep_cartesian_points():
-    sw = Sweep(runner=lambda **kw: {}, axes={"a": [1, 2], "b": [3, 4]},
-               fixed={"c": 9})
-    pts = sw.points()
-    assert len(pts) == 4
-    assert {"a": 1, "b": 3, "c": 9} in pts
-
-
-def test_sweep_run_merges_params_and_results():
-    sw = Sweep(runner=lambda a, k: {"double": 2 * a},
-               axes={"a": [1, 5]}, fixed={"k": 0})
-    rows = sw.run()
-    assert rows == [{"a": 1, "double": 2}, {"a": 5, "double": 10}]
-
-
-def test_sweep_table():
-    sw = Sweep(runner=lambda a: {"sq": a * a}, axes={"a": [2, 3]})
-    t = sw.table("squares", ["a", "sq"])
-    assert isinstance(t, Table)
-    assert t.column("sq") == [4, 9]
-
-
 # ------------------------------------------------------------------ CLI ---
 
 def test_cli_list(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
     for name in ("run", "fig3a", "fig4", "fig9", "fig_faults",
-                 "fig_switch_scaling", "sweep:gups"):
+                 "fig_switch_scaling"):
         assert name in out
+    assert "sweep" not in out
 
 
 def test_cli_fig4_small(capsys):
@@ -118,18 +85,6 @@ def test_cli_plot_flag(capsys):
     assert "o=dv" in out            # chart legend rendered
 
 
-def test_cli_sweep_command(capsys):
-    assert cli.main(["run", "sweep:barrier",
-                     "--params", '{"axes": {"nodes": [2, 4]}}']) == 0
-    out = capsys.readouterr().out
-    assert "barrier latency" in out and "latency_us" in out
-
-
-def test_cli_sweep_unknown_name_rejected(capsys):
-    assert cli.main(["run", "sweep:nope"]) == 2
-    assert "unknown sweep 'nope'" in capsys.readouterr().err
-
-
 def test_cli_figures_selected(capsys):
     assert cli.main(["run", "fig4", "fig6a",
                      "--params", '{"nodes": [2]}']) == 0
@@ -151,8 +106,7 @@ def test_cli_scaling_with_workers_and_cache(tmp_path, capsys):
 
 def test_cli_cache_stats_and_clear(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    assert cli.main(["run", "sweep:barrier",
-                     "--params", '{"axes": {"nodes": [2]}}',
+    assert cli.main(["run", "fig4", "--params", '{"nodes": [2]}',
                      "--cache", cache]) == 0
     capsys.readouterr()
     assert cli.main(["cache", "--cache", cache]) == 0

@@ -5,7 +5,6 @@ import json
 import os
 
 from repro.core.report import Table
-from repro.core.sweep import Sweep
 from repro.exec import Executor, ResultCache
 from repro.exec.cache import cache_key
 
@@ -84,17 +83,20 @@ def test_unserialisable_value_is_skipped_not_crashed(tmp_path):
 
 # ------------------------------------------------- executor integration ---
 
+def _grid(a_values, marker_dir=None):
+    return [{"a": a, "_marker_dir": marker_dir} for a in a_values]
+
+
 def test_warm_sweep_performs_zero_runner_invocations(tmp_path):
     cache_dir = tmp_path / "cache"
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
-    sw = Sweep(runner=counting_runner, axes={"a": [1, 2, 3, 4]},
-               fixed={"_marker_dir": str(marker_dir)})
+    grid = _grid([1, 2, 3, 4], str(marker_dir))
 
-    cold = sw.run(Executor(cache_dir=str(cache_dir)))
+    cold = Executor(cache_dir=str(cache_dir)).map(counting_runner, grid)
     assert _invocations(marker_dir) == 4
 
-    warm = sw.run(Executor(cache_dir=str(cache_dir)))
+    warm = Executor(cache_dir=str(cache_dir)).map(counting_runner, grid)
     assert _invocations(marker_dir) == 4      # zero new invocations
     assert warm == cold
 
@@ -103,26 +105,26 @@ def test_warm_parallel_run_matches_cold_serial(tmp_path):
     cache_dir = str(tmp_path / "cache")
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
-    sw = Sweep(runner=counting_runner, axes={"a": list(range(8))},
-               fixed={"_marker_dir": str(marker_dir)})
-    cold = sw.run(Executor(workers=4, cache_dir=cache_dir))
+    grid = _grid(range(8), str(marker_dir))
+    cold = Executor(workers=4, cache_dir=cache_dir).map(counting_runner,
+                                                        grid)
     n_cold = _invocations(marker_dir)
     assert n_cold == 8
-    warm = sw.run(Executor(workers=4, cache_dir=cache_dir))
+    warm = Executor(workers=4, cache_dir=cache_dir).map(counting_runner,
+                                                        grid)
     assert _invocations(marker_dir) == n_cold
-    assert warm == cold == sw.run()
+    assert warm == cold == Executor().map(counting_runner, _grid(range(8)))
 
 
 def test_partial_cache_recomputes_only_missing_points(tmp_path):
     cache_dir = str(tmp_path / "cache")
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
-    fixed = {"_marker_dir": str(marker_dir)}
-    Sweep(runner=counting_runner, axes={"a": [1, 2]},
-          fixed=fixed).run(Executor(cache_dir=cache_dir))
+    Executor(cache_dir=cache_dir).map(counting_runner,
+                                      _grid([1, 2], str(marker_dir)))
     assert _invocations(marker_dir) == 2
-    rows = Sweep(runner=counting_runner, axes={"a": [1, 2, 3]},
-                 fixed=fixed).run(Executor(cache_dir=cache_dir))
+    rows = Executor(cache_dir=cache_dir).map(
+        counting_runner, _grid([1, 2, 3], str(marker_dir)))
     assert _invocations(marker_dir) == 3      # only a=3 ran
     assert [r["sq"] for r in rows] == [1, 4, 9]
 
@@ -156,10 +158,9 @@ def test_run_experiment_warm_cache_zero_work(tmp_path):
 def test_obs_counters_record_cache_traffic(tmp_path):
     from repro import obs
     with obs.session() as reg:
-        ex = Executor(cache_dir=str(tmp_path))
-        sw = Sweep(runner=counting_runner, axes={"a": [1, 2]})
-        sw.run(ex)
-        sw.run(Executor(cache_dir=str(tmp_path)))
+        grid = _grid([1, 2])
+        Executor(cache_dir=str(tmp_path)).map(counting_runner, grid)
+        Executor(cache_dir=str(tmp_path)).map(counting_runner, grid)
         assert reg.value("exec.cache.misses") == 2
         assert reg.value("exec.cache.hits") == 2
 

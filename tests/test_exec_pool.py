@@ -9,7 +9,6 @@ import pytest
 
 from repro import obs
 from repro.core.scaling import switch_scaling
-from repro.core.sweep import Sweep
 from repro.exec import Executor
 from repro.exec.pool import _auto_chunksize, run_points
 
@@ -168,19 +167,6 @@ def test_executor_map_matches_serial():
     serial = Executor(workers=1).map(point_runner, GRID)
     parallel = Executor(workers=4).map(point_runner, GRID)
     assert parallel == serial
-
-
-def test_sweep_rows_identical_serial_vs_parallel():
-    sw = Sweep(runner=point_runner, axes={"a": [1, 2, 3], "b": [5, 7]})
-    assert sw.run(Executor(workers=4)) == sw.run()
-
-
-def test_sweep_run_table_formats_rows_once():
-    sw = Sweep(runner=point_runner, axes={"a": [2, 4]}, fixed={"b": 3})
-    t = sw.run_table("sums", ["a", "sum"])
-    assert t.column("sum") == [5, 7]
-    # the legacy .table() alias goes through the same path
-    assert sw.table("sums", ["a", "sum"]).column("sum") == [5, 7]
 
 
 def test_switch_scaling_parallel_identical_to_serial():

@@ -109,14 +109,6 @@ def test_tenant_seed_inherits_cluster_seed():
     assert tenant_seed(t, SEED) == 7
 
 
-def test_tenant_spec_json_round_trip():
-    t = TenantSpec(tenant_id="a", workload="bfs", n_ranks=4,
-                   params={"scale": 9}, seed=5, counters=(0, 8),
-                   ib_credits=16, plan=FaultPlan(seed=3),
-                   aggregation=AggSpec(watermark=32))
-    assert tenancy.spec_from_dict(tenancy.spec_to_dict(t)) == t
-
-
 # ----------------------------------------------------------- fault merge ---
 
 def test_fault_merge_translates_tenant_local_outage_ports():
