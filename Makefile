@@ -56,6 +56,7 @@ lint:
 		echo "lint: ruff not installed; skipping (CI runs it)"; \
 	fi
 	$(PYTHON) tools/check_api_signatures.py
+	$(PYTHON) tools/check_unused_imports.py
 
 verify:
 	$(REPRO) verify --compare

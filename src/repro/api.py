@@ -305,10 +305,14 @@ def _checked_params(spec: ExperimentSpec
     params = _merged_params(spec)
     unknown = sorted(k for k in params if not accepts(k))
     if unknown:
+        named = [p.name for p in sig.parameters.values()
+                 if p.name != "executor"
+                 and p.kind is not inspect.Parameter.VAR_KEYWORD]
         raise ValueError(
             f"experiment {spec.exp_id!r} takes no param(s) "
             f"{', '.join(map(repr, unknown))}; it takes "
-            f"{', '.join(p for p in sig.parameters if p != 'executor')}")
+            f"{', '.join(named)}"
+            + ("; other keys go to its kernels" if has_kwargs else ""))
     return params, accepts
 
 

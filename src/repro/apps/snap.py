@@ -32,7 +32,7 @@ from typing import Dict, Generator
 
 import numpy as np
 
-from repro.core.cluster import ClusterSpec, run_spmd
+from repro.core.cluster import ClusterSpec, KernelJob, run_spmd
 from repro.core.context import RankContext
 
 _CTR_EVEN = 55
@@ -194,18 +194,25 @@ def _snap_dv(ctx: RankContext, source: np.ndarray, quad: np.ndarray,
     return {"elapsed": elapsed, "phi": phi}
 
 
-def run_snap(spec: ClusterSpec, fabric: str, *, nx: int = 16,
-             ny_per_rank: int = 8, nz: int = 16, n_angles: int = 32,
-             chunk: int = 4, sigma: float = 1.0, dy: float = 0.1,
-             validate: bool = False) -> Dict[str, object]:
-    """Run the SNAP sweep proxy on one fabric.
+def snap_job(n_ranks: int, fabric: str, seed: int, traffic=None,
+             agg_spec=None, *, nx: int = 16, ny_per_rank: int = 8,
+             nz: int = 16, n_angles: int = 32, chunk: int = 4,
+             sigma: float = 1.0, dy: float = 0.1,
+             validate: bool = False) -> KernelJob:
+    """The SNAP sweep proxy as a kernel job.
 
-    The global mesh is ``nx x (ny_per_rank * n_nodes) x nz`` with
-    ``n_angles`` directions swept in chunks of ``chunk``.
+    The global mesh is ``nx x (ny_per_rank * n_ranks) x nz`` with
+    ``n_angles`` directions swept in chunks of ``chunk``.  The
+    neighbour pattern is mesh-derived: a traffic model or an
+    aggregation spec raises.
     """
-    P = spec.n_nodes
-    ny = ny_per_rank * P
-    rng = np.random.default_rng(spec.seed)
+    if traffic is not None:
+        raise ValueError("the transport scan's neighbour pattern is "
+                         "mesh-derived; traffic models do not apply")
+    if agg_spec is not None:
+        raise ValueError("aggregation does not apply to the transport scan")
+    ny = ny_per_rank * n_ranks
+    rng = np.random.default_rng(seed)
     source = rng.random((ny, nx, nz))
     quad = angle_quadrature(n_angles)
 
@@ -217,21 +224,31 @@ def run_snap(spec: ClusterSpec, fabric: str, *, nx: int = 16,
                                         chunk))
         return (yield from _snap_mpi(ctx, local, quad, sigma, dy, chunk))
 
-    res = run_spmd(spec, program, fabric)
-    elapsed = max(v["elapsed"] for v in res.values)
-    out: Dict[str, object] = {
-        "fabric": fabric, "n_nodes": P, "elapsed_s": elapsed,
-        "mesh": (nx, ny, nz), "n_angles": n_angles,
-        "cell_angle_sweeps_per_s":
-            2 * nx * ny * nz * n_angles / elapsed,
-    }
-    if validate:
-        phi = np.concatenate([v["phi"] for v in res.values], axis=0)
-        ref = serial_sweep(source, quad, sigma, dy)
-        out["max_error"] = float(np.max(np.abs(phi - ref)))
-        out["valid"] = bool(np.allclose(phi, ref, atol=1e-12)
-                            and np.all(phi >= 0))
-    return out
+    def finish(runs) -> Dict[str, object]:
+        (values,) = runs
+        elapsed = max(v["elapsed"] for v in values)
+        out: Dict[str, object] = {
+            "fabric": fabric, "n_nodes": n_ranks, "elapsed_s": elapsed,
+            "mesh": (nx, ny, nz), "n_angles": n_angles,
+            "cell_angle_sweeps_per_s":
+                2 * nx * ny * nz * n_angles / elapsed,
+        }
+        if validate:
+            phi = np.concatenate([v["phi"] for v in values], axis=0)
+            ref = serial_sweep(source, quad, sigma, dy)
+            out["max_error"] = float(np.max(np.abs(phi - ref)))
+            out["valid"] = bool(np.allclose(phi, ref, atol=1e-12)
+                                and np.all(phi >= 0))
+        return out
+
+    return KernelJob((program,), finish)
+
+
+def run_snap(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
+    """Run the SNAP sweep proxy on one fabric; ``params`` are
+    :func:`snap_job`'s keywords."""
+    job = snap_job(spec.n_nodes, fabric, spec.seed, **params)
+    return job.finish([run_spmd(spec, job.programs[0], fabric).values])
 
 
 def run_snap_iterative(spec: ClusterSpec, fabric: str, *,

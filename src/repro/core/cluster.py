@@ -4,13 +4,18 @@
 every node has *both* a Data Vortex VIC and an FDR InfiniBand HCA — and
 :func:`run_spmd` executes one program on one fabric, building a fresh
 engine and fresh device state per run (runs never share state, as on the
-real machine where each benchmark invocation starts cold).
+real machine where each benchmark invocation starts cold).  The
+co-scheduler (:mod:`repro.tenancy`) shares its cluster builder,
+:func:`_run_groups`, giving each tenant a rank group behind partition
+views.  A kernel is a :class:`KernelJob`: rank programs plus a
+metrics ``finish``, run by its ``run_*`` entry point or a tenant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional
+from typing import (Any, Callable, Dict, Generator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.core.context import RankContext
 from repro.core.node import NodeModel
@@ -21,6 +26,7 @@ from repro.dv.config import DVConfig
 from repro.dv.flow import FlowNetwork
 from repro.dv.vic import VIC
 from repro.ib.config import IBConfig
+from repro.ib.fabric import IBFabric
 from repro.ib.mpi import MPIRuntime
 from repro.sim.engine import Engine
 
@@ -105,6 +111,105 @@ class RunResult:
         return max(self.values)
 
 
+class RankGroup(NamedTuple):
+    """One program over a window of the cluster's ranks."""
+
+    program: Program
+    seed: int
+    #: process names are ``f"{name_prefix}rank{r}"``
+    name_prefix: str = ""
+    #: a :class:`~repro.tenancy.spec.TenantPartition` whose views the
+    #: group's devices are wrapped in, or ``None``: every rank, on the
+    #: bare devices
+    partition: Any = None
+
+
+class KernelJob(NamedTuple):
+    """A kernel split for the runners.
+
+    ``programs`` are rank programs, each run on its own fresh cluster
+    (BFS runs one per search root, every other kernel one); ``finish``
+    turns their per-rank values, one list per program in order, into
+    the kernel's metrics dict.
+    """
+
+    programs: Tuple[Program, ...]
+    finish: Callable[[List[List[Any]]], Dict[str, Any]]
+
+
+def _run_groups(spec: ClusterSpec, groups: Sequence[RankGroup],
+                fabric: str, max_events: Optional[int]
+                ) -> List[RunResult]:
+    """Build one cluster, run every group on it, one result per group.
+
+    Groups take contiguous rank windows: each has its own APIs,
+    barriers and contexts over the shared network and devices.  The
+    construction order — network, every VIC, then per group (APIs in
+    rank order, hardware barrier, fast barrier, contexts), then every
+    process — is fixed because the engine breaks simultaneous-event
+    ties by creation sequence: one group spanning the cluster behind
+    identity views runs event for event as it does on the bare devices.
+    """
+    engine = Engine()
+    tracer = Tracer(enabled=spec.trace)
+    n = spec.n_nodes
+
+    context_groups: List[List[RankContext]] = []
+    if fabric == "dv":
+        network = FlowNetwork(engine, spec.dv, n)
+        vics = [VIC(engine, spec.dv, i, network) for i in range(n)]
+        for g in groups:
+            net, group_vics = ((network, vics) if g.partition is None
+                               else g.partition.dv_views(network, vics))
+            apis = [DataVortexAPI(engine, spec.dv, v, net)
+                    for v in group_vics]
+            hw_barrier = HardwareBarrier(engine, spec.dv, group_vics, net)
+            fast_barrier = FastBarrier(engine, spec.dv, group_vics, net)
+            for api in apis:
+                api.hw_barrier = hw_barrier
+                api.fast_barrier_impl = fast_barrier
+            context_groups.append([
+                RankContext(engine, r, len(apis), spec.node, tracer,
+                            g.seed, dv=api)
+                for r, api in enumerate(apis)])
+        net_stats = network.stats
+    else:
+        shared = IBFabric(engine, spec.ib, n, contention=spec.ib_contention)
+        for g in groups:
+            size, fab = ((n, shared) if g.partition is None
+                         else (g.partition.n_ranks,
+                               g.partition.ib_view(shared)))
+            runtime = MPIRuntime(engine, spec.ib, size,
+                                 contention=spec.ib_contention, fabric=fab)
+            context_groups.append([
+                RankContext(engine, r, size, spec.node, tracer, g.seed,
+                            mpi=runtime.endpoint(r))
+                for r in range(size)])
+        net_stats = shared.stats
+
+    proc_groups = [[engine.process(g.program(ctx),
+                                   name=f"{g.name_prefix}rank{ctx.rank}")
+                    for ctx in contexts]
+                   for g, contexts in zip(groups, context_groups)]
+    engine.run(max_events=max_events)
+
+    failures = []
+    for procs in proc_groups:
+        for p in procs:
+            if not p.triggered:
+                raise RuntimeError(
+                    f"deadlock: {p.name} never finished (fabric={fabric})")
+            if not p.ok:
+                failures.append(p)
+    if failures:
+        raise failures[0].value
+
+    return [RunResult(values=[p.value for p in procs], elapsed=engine.now,
+                      tracer=tracer, engine=engine, fabric=fabric,
+                      net_stats=net_stats)
+            for procs in proc_groups]
+
+
 def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
              max_events: Optional[int] = None) -> RunResult:
     """Run ``program`` once on every rank over the chosen fabric.
@@ -124,58 +229,15 @@ def run_spmd(spec: ClusterSpec, program: Program, fabric: str = "dv",
         raise ValueError(f'fabric must be "dv" or "mpi", got {fabric!r}')
 
     # Tenancy determinism axis: inside a tenancy.shadow_session() the
-    # whole run is routed through the co-scheduler as a single
-    # full-width identity tenant, which must be bit-identical to the
-    # serial body below (docs/tenancy.md).
+    # whole run is one full-width identity tenant of the co-scheduler,
+    # which must be bit-identical to the bare run (docs/tenancy.md).
     from repro import tenancy
     if tenancy.shadow_active():
         from repro.tenancy.runner import run_solo_shadow
         return run_solo_shadow(spec, program, fabric, max_events)
-
-    engine = Engine()
-    tracer = Tracer(enabled=spec.trace)
-    n = spec.n_nodes
-
-    contexts: List[RankContext] = []
-    net_stats: Any = None
-    if fabric == "dv":
-        network = FlowNetwork(engine, spec.dv, n)
-        vics = [VIC(engine, spec.dv, i, network) for i in range(n)]
-        apis = [DataVortexAPI(engine, spec.dv, v, network) for v in vics]
-        hw_barrier = HardwareBarrier(engine, spec.dv, vics, network)
-        fast_barrier = FastBarrier(engine, spec.dv, vics, network)
-        for api in apis:
-            api.hw_barrier = hw_barrier
-            api.fast_barrier_impl = fast_barrier
-        for r in range(n):
-            contexts.append(RankContext(engine, r, n, spec.node, tracer,
-                                        spec.seed, dv=apis[r]))
-        net_stats = network.stats
-    else:
-        runtime = MPIRuntime(engine, spec.ib, n,
-                             contention=spec.ib_contention)
-        for r in range(n):
-            contexts.append(RankContext(engine, r, n, spec.node, tracer,
-                                        spec.seed, mpi=runtime.endpoint(r)))
-        net_stats = runtime.fabric.stats
-
-    procs = [engine.process(program(ctx), name=f"rank{ctx.rank}")
-             for ctx in contexts]
-    engine.run(max_events=max_events)
-
-    failures = []
-    for p in procs:
-        if not p.triggered:
-            raise RuntimeError(
-                f"deadlock: {p.name} never finished (fabric={fabric})")
-        if not p.ok:
-            failures.append(p)
-    if failures:
-        raise failures[0].value
-
-    return RunResult(values=[p.value for p in procs], elapsed=engine.now,
-                     tracer=tracer, engine=engine, fabric=fabric,
-                     net_stats=net_stats)
+    (res,) = _run_groups(spec, [RankGroup(program, spec.seed)], fabric,
+                         max_events)
+    return res
 
 
 def run_both(spec: ClusterSpec, program: Program) -> dict:

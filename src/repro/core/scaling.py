@@ -143,12 +143,14 @@ SCALEOUT_FABRICS = ("dv", "mpi")
 def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
     """Default kernel parameters for one projection point.
 
-    Weak scaling, shrunk so the full 64-to-1024-node sweep stays
-    tractable on a laptop: GUPS keeps a fixed per-node table and update
-    count; BFS grows the Kronecker scale with ``log2(P)`` (constant
-    vertices per node); FFT holds the smallest problem the four-step
-    factorisation admits at each node count (``n1`` and ``n2`` must both
-    divide by ``P``).
+    Shrunk so the full 64-to-1024-node sweep stays tractable on a
+    laptop.  GUPS and BFS scale weakly: GUPS keeps a fixed per-node
+    table and update count; BFS grows the Kronecker scale with
+    ``log2(P)`` (constant vertices per node).  The FFT does not: it
+    holds the smallest problem the four-step factorisation admits at
+    each node count (``n1`` and ``n2`` must both divide by ``P``), so
+    ``log2_points`` stays at 16 from 64 to 256 nodes (strong scaling)
+    and grows as ``2*ceil(log2(P))`` only past that.
     """
     if workload == "gups":
         return {"table_words": 1 << 12, "n_updates": 1 << 7,
@@ -162,8 +164,12 @@ def scaleout_params(workload: str, n_nodes: int) -> Dict[str, int]:
 
 
 def _kernel(workload: str):
-    from repro.kernels import run_bfs, run_fft1d, run_gups
-    return {"gups": run_gups, "bfs": run_bfs, "fft": run_fft1d}[workload]
+    """A scale-out workload's ``(runner, job builder)``: the builder's
+    keyword-only parameters are the keys the runner takes."""
+    from repro.kernels import bfs, fft1d, gups
+    return {"gups": (gups.run_gups, gups.gups_job),
+            "bfs": (bfs.run_bfs, bfs.bfs_job),
+            "fft": (fft1d.run_fft1d, fft1d.fft1d_job)}[workload]
 
 
 def scaleout_point(workload: str, fabric: str, n_nodes: int,
@@ -186,7 +192,7 @@ def scaleout_point(workload: str, fabric: str, n_nodes: int,
     params.update(overrides)
     spec = ClusterSpec(n_nodes=n_nodes, seed=seed)
     with faults.session(plan) if plan is not None else _null():
-        r = _kernel(workload)(spec, fabric, **params)
+        r = _kernel(workload)[0](spec, fabric, **params)
     if workload == "gups":
         per_pe, total = r["mups_per_pe"], r["mups_total"]
     else:
@@ -246,7 +252,7 @@ def scaleout_sweep(workloads: Sequence[str] = SCALEOUT_WORKLOADS,
     # point runs (inside the pool it would surface as a TypeError)
     for w in workloads:
         scaleout_params(w, 1)           # unknown workload: ValueError
-        takes = inspect.signature(_kernel(w)).parameters
+        takes = inspect.signature(_kernel(w)[1]).parameters
         for key in overrides:
             if (key not in takes
                     or takes[key].kind is not inspect.Parameter.KEYWORD_ONLY):

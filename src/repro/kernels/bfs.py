@@ -32,7 +32,7 @@ from typing import Dict, Generator, List
 
 import numpy as np
 
-from repro.core.cluster import ClusterSpec, run_spmd
+from repro.core.cluster import ClusterSpec, KernelJob, run_spmd
 from repro.core.context import RankContext
 from repro.core.metrics import harmonic_mean, teps
 from repro.kernels.kronecker import degrees, kronecker_edges, to_csr
@@ -585,15 +585,17 @@ def _dv_bfs_diropt(ctx: RankContext, g: _LocalGraph, root: int,
     return edges
 
 
-def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
-            edgefactor: int = 16, n_roots: int = 4, window: int = 1024,
+def bfs_job(n_ranks: int, fabric: str, seed: int, traffic=None,
+            agg_spec=None, *, scale: int = 12, edgefactor: int = 16,
+            n_roots: int = 4, window: int = 1024,
             strategy: str = "topdown", beta: int = 16,
-            validate: bool = False) -> Dict[str, object]:
-    """Run the Graph500-style BFS benchmark.
+            validate: bool = False) -> KernelJob:
+    """The Graph500-style BFS benchmark as a kernel job.
 
-    Builds one Kronecker graph, performs ``n_roots`` searches from
-    random keys with at least one neighbour (per the spec), and reports
-    the harmonic-mean TEPS (the Graph500 statistic).
+    Builds one Kronecker graph and one program per search root — random
+    keys with at least one neighbour (per the spec), each searched on
+    its own fresh cluster — and reports the harmonic-mean TEPS (the
+    Graph500 statistic).
 
     ``strategy`` selects the traversal: ``"topdown"`` (the paper-era
     reference) or ``"diropt"`` (direction-optimising: levels whose
@@ -602,8 +604,6 @@ def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
     """
     if strategy not in ("topdown", "diropt"):
         raise ValueError('strategy must be "topdown" or "diropt"')
-    from repro import agg as aggmod
-    agg_spec = aggmod.resolve_spec(spec.aggregation)
     if agg_spec is not None and fabric == "verbs":
         raise ValueError(
             "aggregation is not supported on the raw verbs path "
@@ -613,39 +613,33 @@ def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
             "aggregation applies to the top-down traversal only "
             "(bottom-up levels exchange bitmaps, not per-destination "
             "updates)")
-    rng = rng_for(spec.seed, "graph500", scale)
+    rng = rng_for(seed, "graph500", scale)
     edges = kronecker_edges(scale, edgefactor, rng)
     n = 1 << scale
-    if spec.traffic is not None:
+    if traffic is not None:
         # BFS traffic is derived from vertex ownership, so the traffic
         # model shapes it through placement: relabel so each rank's
         # degree share tracks the destination pmf (docs/traffic.md).
         # Deterministic, RNG-free, and graph-isomorphic — validation
         # simply runs on the relabelled graph.
         from repro.traffic.placement import skewed_relabel
-        relabel = skewed_relabel(degrees(edges, n), spec.n_nodes,
-                                 spec.traffic.dist)
+        relabel = skewed_relabel(degrees(edges, n), n_ranks, traffic.dist)
         edges = relabel[edges]
     offsets, targets = to_csr(edges, n)
     deg = np.diff(offsets)
     candidates = np.flatnonzero(deg > 0)
-    roots = rng.choice(candidates, size=n_roots, replace=False)
+    roots = [int(r) for r in
+             rng.choice(candidates, size=n_roots, replace=False)]
 
-    per_root_teps = []
-    elapsed_s = 0.0
-    parents_ok = []
-    agg_dicts = []
-    for root in roots:
-        root = int(root)
-
-        def program(ctx, root=root):
+    def search(root: int):
+        def program(ctx):
             g = _LocalGraph(offsets, targets, ctx.rank, ctx.size)
             yield from ctx.barrier()
             ctx.mark("t0")
             agg_stats = None
             if agg_spec is not None:
                 traversed, agg_stats = yield from _agg_bfs(
-                    ctx, g, root, spec.seed, agg_spec)
+                    ctx, g, root, seed, agg_spec)
             elif fabric == "dv" and strategy == "diropt":
                 traversed = yield from _dv_bfs_diropt(ctx, g, root, n,
                                                       beta, window)
@@ -662,37 +656,52 @@ def run_bfs(spec: ClusterSpec, fabric: str, *, scale: int = 12,
             if agg_stats is not None:
                 out["agg"] = agg_stats
             return out
+        return program
 
-        res = run_spmd(spec, program, fabric)
-        elapsed = max(v["elapsed"] for v in res.values)
-        elapsed_s += elapsed
-        parent = np.concatenate([v["parent"] for v in res.values])[:n]
-        # Graph500 TEPS numerator: edges of the traversed component —
-        # a property of the graph and root, independent of the
-        # traversal algorithm (so top-down and direction-optimising
-        # runs are directly comparable)
-        visited = parent != _NO_PARENT
-        traversed = int(deg[visited].sum()) // 2
-        per_root_teps.append(teps(max(traversed, 1), elapsed))
+    def finish(runs) -> Dict[str, object]:
+        per_root_teps = []
+        elapsed_s = 0.0
+        parents_ok = []
+        for root, values in zip(roots, runs):
+            elapsed = max(v["elapsed"] for v in values)
+            elapsed_s += elapsed
+            parent = np.concatenate([v["parent"] for v in values])[:n]
+            # Graph500 TEPS numerator: edges of the traversed component
+            # — a property of the graph and root, independent of the
+            # traversal algorithm (so top-down and direction-optimising
+            # runs are directly comparable)
+            visited = parent != _NO_PARENT
+            traversed = int(deg[visited].sum()) // 2
+            per_root_teps.append(teps(max(traversed, 1), elapsed))
+            if validate:
+                parents_ok.append(
+                    validate_parent_tree(offsets, targets, root, parent))
+        out: Dict[str, object] = {
+            "fabric": fabric,
+            "n_nodes": n_ranks,
+            "scale": scale,
+            "edgefactor": edgefactor,
+            "harmonic_teps": harmonic_mean(per_root_teps),
+            "gteps": harmonic_mean(per_root_teps) / 1e9,
+            "per_root_teps": per_root_teps,
+            "elapsed_s": elapsed_s,
+        }
         if agg_spec is not None:
-            agg_dicts.extend(v["agg"] for v in res.values)
+            from repro.agg.runtime import merge_stats
+            out["agg"] = merge_stats(v["agg"] for values in runs
+                                     for v in values)
         if validate:
-            parents_ok.append(
-                validate_parent_tree(offsets, targets, root, parent))
+            out["valid"] = all(parents_ok)
+        return out
 
-    out: Dict[str, object] = {
-        "fabric": fabric,
-        "n_nodes": spec.n_nodes,
-        "scale": scale,
-        "edgefactor": edgefactor,
-        "harmonic_teps": harmonic_mean(per_root_teps),
-        "gteps": harmonic_mean(per_root_teps) / 1e9,
-        "per_root_teps": per_root_teps,
-        "elapsed_s": elapsed_s,
-    }
-    if agg_spec is not None:
-        from repro.agg.runtime import merge_stats
-        out["agg"] = merge_stats(agg_dicts)
-    if validate:
-        out["valid"] = all(parents_ok)
-    return out
+    return KernelJob(tuple(search(root) for root in roots), finish)
+
+
+def run_bfs(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
+    """Run the Graph500-style BFS benchmark: one fresh cluster per
+    search root.  ``params`` are :func:`bfs_job`'s keywords."""
+    from repro import agg as aggmod
+    job = bfs_job(spec.n_nodes, fabric, spec.seed, spec.traffic,
+                  aggmod.resolve_spec(spec.aggregation), **params)
+    return job.finish([run_spmd(spec, program, fabric).values
+                       for program in job.programs])

@@ -35,7 +35,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cluster import ClusterSpec, run_spmd
+from repro.core.cluster import ClusterSpec, KernelJob, run_spmd
 from repro.core.context import RankContext
 from repro.core.metrics import fft1d_flops, gflops_fft1d
 from repro.sim.rng import complex_normal
@@ -296,32 +296,48 @@ def _fft_program(ctx: RankContext, blocks: Sequence[np.ndarray], n1: int,
     return {"elapsed": elapsed, "out": mine}
 
 
-def run_fft1d(spec: ClusterSpec, fabric: str, *, log2_points: int = 16,
-              validate: bool = False) -> Dict[str, object]:
-    """Run the distributed FFT benchmark.
+def fft1d_job(n_ranks: int, fabric: str, seed: int, traffic=None,
+              agg_spec=None, *, log2_points: int = 16,
+              validate: bool = False) -> KernelJob:
+    """The distributed FFT benchmark as a kernel job.
 
     ``log2_points`` sets N = 2**log2_points (the paper used 2**33; the
     simulation default is scaled down, with the same four-step structure
-    and communication volume per point).
+    and communication volume per point).  The all-to-all pattern is
+    fixed: a traffic model or an aggregation spec raises.
     """
-    P = spec.n_nodes
+    if traffic is not None:
+        raise ValueError("the FFT has a fixed all-to-all pattern; "
+                         "traffic models do not apply")
+    if agg_spec is not None:
+        raise ValueError("aggregation does not apply to the FFT")
     N = 1 << log2_points
-    n1, n2, blocks, ref = _prepare(spec.seed, log2_points, P,
+    n1, n2, blocks, ref = _prepare(seed, log2_points, n_ranks,
                                    validate=validate)
 
     def program(ctx):
         return (yield from _fft_program(ctx, blocks, n1, n2, fabric))
 
-    res = run_spmd(spec, program, fabric)
-    elapsed = max(v["elapsed"] for v in res.values)
-    out: Dict[str, object] = {
-        "fabric": fabric,
-        "n_nodes": P,
-        "n_points": N,
-        "elapsed_s": elapsed,
-        "gflops": gflops_fft1d(N, elapsed),
-    }
-    if validate:
-        out["max_error"], out["valid"] = _check(
-            [v["out"] for v in res.values], ref, n1, n2)
-    return out
+    def finish(runs) -> Dict[str, object]:
+        (values,) = runs
+        elapsed = max(v["elapsed"] for v in values)
+        out: Dict[str, object] = {
+            "fabric": fabric,
+            "n_nodes": n_ranks,
+            "n_points": N,
+            "elapsed_s": elapsed,
+            "gflops": gflops_fft1d(N, elapsed),
+        }
+        if validate:
+            out["max_error"], out["valid"] = _check(
+                [v["out"] for v in values], ref, n1, n2)
+        return out
+
+    return KernelJob((program,), finish)
+
+
+def run_fft1d(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
+    """Run the distributed FFT benchmark; ``params`` are
+    :func:`fft1d_job`'s keywords."""
+    job = fft1d_job(spec.n_nodes, fabric, spec.seed, **params)
+    return job.finish([run_spmd(spec, job.programs[0], fabric).values])

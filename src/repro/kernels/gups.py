@@ -29,7 +29,7 @@ from typing import Dict, Generator, Optional
 
 import numpy as np
 
-from repro.core.cluster import ClusterSpec, run_spmd
+from repro.core.cluster import ClusterSpec, KernelJob, run_spmd
 from repro.core.context import RankContext
 from repro.core.metrics import mups
 from repro.obs import registry as obsreg
@@ -393,26 +393,21 @@ def _mpi_gups(ctx: RankContext, table_words: int, n_updates: int,
     return {"elapsed": elapsed, "table": table}
 
 
-def run_gups(spec: ClusterSpec, fabric: str, *, table_words: int = 1 << 14,
+def gups_job(n_ranks: int, fabric: str, seed: int, traffic=None,
+             agg_spec=None, *, table_words: int = 1 << 14,
              n_updates: Optional[int] = None, window: int = 1024,
-             aggregate: bool = True, validate: bool = False
-             ) -> Dict[str, object]:
-    """Run GUPS on one fabric; returns update rates (and tables when
-    validating).
+             aggregate: bool = True, validate: bool = False) -> KernelJob:
+    """GUPS on ``n_ranks`` ranks of one fabric, as a kernel job.
 
     Parameters mirror the HPCC setup scaled for simulation: the table has
     ``table_words`` words per node (weak scaling) and each rank issues
-    ``n_updates`` updates (default: table_words).
+    ``n_updates`` updates (default: table_words).  ``fabric="verbs"``
+    runs the one-sided RDMA version over the MPI cluster.
     """
     if n_updates is None:
         n_updates = table_words
     if window < 1 or window > 1024:
         raise ValueError("HPCC rules: look-ahead window must be <= 1024")
-    seed = spec.seed
-    traffic = spec.traffic
-
-    from repro import agg as aggmod
-    agg_spec = aggmod.resolve_spec(spec.aggregation)
     if agg_spec is not None and fabric == "verbs":
         raise ValueError(
             "aggregation is not supported on the raw verbs path "
@@ -437,21 +432,34 @@ def run_gups(spec: ClusterSpec, fabric: str, *, table_words: int = 1 << 14,
             return (yield from _mpi_gups(ctx, table_words, n_updates,
                                          window, seed, traffic))
 
-    res = run_spmd(spec, program, "dv" if fabric == "dv" else "mpi")
-    elapsed = max(v["elapsed"] for v in res.values)
-    total_updates = n_updates * spec.n_nodes
-    out: Dict[str, object] = {
-        "fabric": fabric,
-        "n_nodes": spec.n_nodes,
-        "elapsed_s": elapsed,
-        "mups_total": mups(total_updates, elapsed),
-        "mups_per_pe": mups(total_updates, elapsed) / spec.n_nodes,
-        "tracer": res.tracer,
-    }
-    if agg_spec is not None:
-        from repro.agg.runtime import merge_stats
-        out["agg"] = merge_stats(v["agg"] for v in res.values)
-    if validate:
-        out["valid"] = tables_valid([v["table"] for v in res.values], seed,
-                                    table_words, n_updates, traffic)
-    return out
+    def finish(runs) -> Dict[str, object]:
+        (values,) = runs
+        elapsed = max(v["elapsed"] for v in values)
+        total_updates = n_updates * n_ranks
+        out: Dict[str, object] = {
+            "fabric": fabric,
+            "n_nodes": n_ranks,
+            "elapsed_s": elapsed,
+            "mups_total": mups(total_updates, elapsed),
+            "mups_per_pe": mups(total_updates, elapsed) / n_ranks,
+        }
+        if agg_spec is not None:
+            from repro.agg.runtime import merge_stats
+            out["agg"] = merge_stats(v["agg"] for v in values)
+        if validate:
+            out["valid"] = tables_valid([v["table"] for v in values], seed,
+                                        table_words, n_updates, traffic)
+        return out
+
+    return KernelJob((program,), finish)
+
+
+def run_gups(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
+    """Run GUPS on one fabric; returns update rates, the run's
+    ``tracer`` and, when validating, the verdict.  ``params`` are
+    :func:`gups_job`'s keywords."""
+    from repro import agg as aggmod
+    job = gups_job(spec.n_nodes, fabric, spec.seed, spec.traffic,
+                   aggmod.resolve_spec(spec.aggregation), **params)
+    res = run_spmd(spec, job.programs[0], "dv" if fabric == "dv" else "mpi")
+    return {**job.finish([res.values]), "tracer": res.tracer}

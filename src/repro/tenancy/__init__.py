@@ -9,7 +9,9 @@ Public surface:
   concurrently on one cluster; returns a
   :class:`~repro.tenancy.runner.TenancyResult` with per-tenant metrics
   and ``tenant.<id>.*``-style obs series reconciled against the
-  cluster-wide totals.
+  cluster-wide totals.  It shares :func:`~repro.core.cluster.run_spmd`'s
+  cluster builder and the kernels' own job builders, so a tenant runs
+  the untenanted code behind its partition's views.
 * :func:`~repro.tenancy.experiments.interference_table` /
   ``fig_interference`` — the slowdown matrix (co-scheduled runtime over
   solo runtime, per fabric, across regular x irregular pairs).

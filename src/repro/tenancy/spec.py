@@ -125,6 +125,19 @@ class TenantPartition:
     def owns_rank(self, rank: int) -> bool:
         return self.base <= rank < self.base + self.n_ranks
 
+    def dv_views(self, network, vics) -> Tuple[Any, List[Any]]:
+        """This tenant's view of the shared DV ``network`` and of the
+        ``vics`` in its rank window (tenant-local ranks)."""
+        from repro.tenancy.views import TenantNetworkView, TenantVICView
+        return (TenantNetworkView(network, self),
+                [TenantVICView(vics[self.base + i], self, i)
+                 for i in range(self.n_ranks)])
+
+    def ib_view(self, fabric) -> Any:
+        """This tenant's view of the shared IB ``fabric``."""
+        from repro.tenancy.views import TenantFabricView
+        return TenantFabricView(fabric, self)
+
 
 def _infra_counters(dv_config) -> frozenset:
     """Counters every tenant may touch regardless of its window: the

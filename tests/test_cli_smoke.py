@@ -176,6 +176,14 @@ def test_run_rejects_unknown_param(capsys):
     err = capsys.readouterr().err
     assert err.startswith("run: ") and err.count("\n") == 1
     assert "'fig_skew' takes no param(s) 'executor'" in err
+    # a runner's **kwargs is not a key: it names the keys its kernels take
+    argv = ["run", "fig_scaleout", "--params", '{"executor": 1}']
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and err.count("\n") == 1
+    assert "it takes seed, nodes, workloads, fabrics;" in err
+    assert "other keys go to its kernels" in err
+    assert "overrides" not in err
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,6 @@ from repro.kernels.gups import run_gups
 from repro.kernels.spmv import run_spmv
 from repro.sim.engine import Engine
 from repro.sim.process import Process
-from repro.tenancy import runner as tenancy_runner
 from repro.tenancy.experiments import interference_point
 from tests.reference_engines import PerGroupFlowNetwork, ReferenceDataVortexAPI
 from tests.test_mpi_requests import _digest
@@ -267,11 +266,8 @@ def _record(monkeypatch, reference, run, remap=None):
     nets = []
     names = {}
     if reference:
-        for module in (cluster, tenancy_runner):
-            monkeypatch.setattr(module, "FlowNetwork", PerGroupFlowNetwork)
-            monkeypatch.setattr(
-                module, "DataVortexAPI", ReferenceDataVortexAPI
-            )
+        monkeypatch.setattr(cluster, "FlowNetwork", PerGroupFlowNetwork)
+        monkeypatch.setattr(cluster, "DataVortexAPI", ReferenceDataVortexAPI)
 
     def ident(obj):
         # holds obj, so no later object can take over its id

@@ -1,7 +1,6 @@
 """Cache semantics: hit/miss/invalidate, key stability, corruption
 tolerance, and the zero-invocation warm re-run guarantee."""
 
-import json
 import os
 
 from repro.core.report import Table

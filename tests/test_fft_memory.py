@@ -21,9 +21,14 @@ from repro import tenancy
 from repro.core.cluster import ClusterSpec, run_spmd
 from repro.core.metrics import gflops_fft1d
 from repro.kernels import fft1d, fft2d
-from repro.kernels.fft1d import _check, _fft_program, _prepare, run_fft1d
+from repro.kernels.fft1d import (
+    _check,
+    _fft_program,
+    _prepare,
+    fft1d_job,
+    run_fft1d,
+)
 from repro.sim.rng import complex_normal
-from repro.tenancy.workloads import build_workload
 from tests.reference_engines import (
     reference_fft_check,
     reference_fft_input,
@@ -145,25 +150,20 @@ def test_tenancy_fft_finish_equals_first_staging(fabric):
     log2_points = 12
     N = 1 << log2_points
     _, want_values = reference_run_fft1d(spec, fabric, log2_points=log2_points)
-    workload = build_workload(
-        "fft",
-        fabric=fabric,
-        n_ranks=4,
-        seed=6,
-        params={"log2_points": log2_points, "validate": True},
-    )
-    values = run_spmd(spec, workload.program, fabric).values
+    job = fft1d_job(4, fabric, 6, log2_points=log2_points, validate=True)
+    values = run_spmd(spec, job.programs[0], fabric).values
     _assert_same_values(values, want_values)
     elapsed = max(v["elapsed"] for v in want_values)
     x = reference_fft_input(6, N)
-    assert workload.finish(values) == {
-        "workload": "fft",
+    max_error, valid = reference_fft_check([v["out"] for v in want_values], x)
+    assert job.finish([values]) == {
         "fabric": fabric,
-        "n_ranks": 4,
+        "n_nodes": 4,
         "n_points": N,
         "elapsed_s": elapsed,
         "gflops": gflops_fft1d(N, elapsed),
-        "valid": reference_fft_check([v["out"] for v in want_values], x)[1],
+        "max_error": max_error,
+        "valid": valid,
     }
 
 

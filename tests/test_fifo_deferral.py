@@ -37,7 +37,6 @@ from repro.dv.vic import VIC, FifoPush
 from repro.faults.plan import FaultPlan
 from repro.kernels.gups import run_gups
 from repro.sim.engine import Engine
-from repro.tenancy import runner as tenancy_runner
 from repro.tenancy.experiments import interference_point
 from tests.reference_engines import EagerFifoFlowNetwork, ReferenceFlowNetwork
 from tests.test_mpi_requests import _digest
@@ -347,8 +346,7 @@ def _kernel(monkeypatch, oracle, run):
     """Run ``run()`` on one network; returns its results, statistics,
     per-VIC packets, final clock and (with obs on) metrics."""
     if oracle is not None:
-        for module in (cluster, tenancy_runner):
-            monkeypatch.setattr(module, "FlowNetwork", ORACLES[oracle])
+        monkeypatch.setattr(cluster, "FlowNetwork", ORACLES[oracle])
     nets, vics, engines = [], [], []
     real_net_init = FlowNetwork.__init__
     real_vic_init = VIC.__init__

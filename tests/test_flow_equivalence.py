@@ -24,7 +24,6 @@ from repro.dv.topology import DataVortexTopology
 from repro.dv.vic import FifoPush, MemWrite
 from repro.faults.plan import FaultPlan
 from repro.ib.config import IBConfig
-from repro.ib import mpi
 from repro.ib.fabric import IBFabric
 from repro.kernels.gups import run_gups
 from repro.sim.engine import Engine
@@ -243,7 +242,7 @@ def oracle_cluster(monkeypatch):
     production engines."""
     def use_oracles():
         monkeypatch.setattr(cluster, "FlowNetwork", ReferenceFlowNetwork)
-        monkeypatch.setattr(mpi, "IBFabric", ReferenceIBFabric)
+        monkeypatch.setattr(cluster, "IBFabric", ReferenceIBFabric)
     return use_oracles
 
 

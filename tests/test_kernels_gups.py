@@ -10,7 +10,6 @@ from repro.core import ClusterSpec
 from repro.core.cluster import run_spmd
 from repro.kernels import gups, run_gups
 from repro.kernels.gups import _apply, _pack, serial_gups_table
-from repro.tenancy.workloads import build_workload
 
 
 # ------------------------------------------------------------- packing ---
@@ -121,7 +120,7 @@ def test_gups_fabric_ordering():
 @pytest.mark.parametrize("rank", [0, 3])
 def test_one_flipped_bit_invalidates_the_run(monkeypatch, rank):
     """Each rank's table is checked against its own slice of the serial
-    replay, in the standalone runner and in the tenancy ``finish``."""
+    replay, in the standalone runner and in the job's ``finish``."""
     spec = ClusterSpec(n_nodes=4, seed=3)
     kw = dict(table_words=1 << 8, n_updates=1 << 8, validate=True)
     assert run_gups(spec, "dv", **kw)["valid"]
@@ -137,12 +136,11 @@ def test_one_flipped_bit_invalidates_the_run(monkeypatch, rank):
     assert not run_gups(spec, "dv", **kw)["valid"]
     monkeypatch.undo()
 
-    wl = build_workload("gups", fabric="dv", n_ranks=4, seed=3,
-                        params={"table_words": 1 << 8, "validate": True})
-    values = run_spmd(spec, wl.program, "dv").values
-    assert wl.finish(values)["valid"]
+    job = gups.gups_job(4, "dv", 3, table_words=1 << 8, validate=True)
+    values = run_spmd(spec, job.programs[0], "dv").values
+    assert job.finish([values])["valid"]
     values[rank]["table"][5] ^= np.uint64(1 << 17)
-    assert not wl.finish(values)["valid"]
+    assert not job.finish([values])["valid"]
 
 
 def test_validated_dv_run_memory_bound():

@@ -23,8 +23,7 @@ from repro.agg import AggSpec
 from repro.core.cluster import ClusterSpec
 from repro.dv.config import DVConfig
 from repro.faults.plan import FaultPlan
-from repro.tenancy import (TenancyError, TenantIsolationError,
-                           TenantPartition, TenantSpec,
+from repro.tenancy import (TenancyError, TenantIsolationError, TenantSpec,
                            merge_fault_plans, resolve_partitions,
                            run_cotenants)
 from repro.tenancy.spec import tenant_seed
@@ -155,15 +154,10 @@ def test_fault_merge_none_when_no_tenant_has_a_plan():
 # ------------------------------------------------------- solo identity ---
 
 _SOLO = {
-    "gups": (dict(table_words=1 << 9, n_updates=1 << 8, window=32),
-             ("elapsed_s", "mups_total", "mups_per_pe")),
-    # gteps differs in the last ulp (x/1e9 vs x*1e-9 derivation), so
-    # pin the raw TEPS figure the derived one comes from
-    "bfs": (dict(scale=8, edgefactor=8, window=64),
-            ("harmonic_teps",)),
-    "fft": (dict(log2_points=10), ("elapsed_s", "gflops")),
-    "scan": (dict(nx=8, ny_per_rank=2, nz=8, n_angles=8, chunk=4),
-             ("elapsed_s", "cell_angle_sweeps_per_s")),
+    "gups": dict(table_words=1 << 9, n_updates=1 << 8, window=32),
+    "bfs": dict(scale=8, edgefactor=8, window=64),
+    "fft": dict(log2_points=10),
+    "scan": dict(nx=8, ny_per_rank=2, nz=8, n_angles=8, chunk=4),
 }
 
 
@@ -185,17 +179,30 @@ def _legacy(workload, spec, fabric, params):
 @pytest.mark.parametrize("workload", sorted(_SOLO))
 def test_solo_tenant_is_byte_identical_to_legacy_path(workload, fabric):
     """One full-width tenant == the untenanted entry point, to the
-    last float bit (same engine construction order, same RNG streams,
-    same event schedule)."""
-    params, keys = _SOLO[workload]
+    last float bit, on every key the kernel reports: the same
+    job on the same cluster builder, so the tenant views are
+    transparent."""
+    params = dict(_SOLO[workload], validate=True)
     spec = ClusterSpec(n_nodes=4, seed=SEED)
     legacy = _legacy(workload, spec, fabric, params)
     res = run_cotenants(
         spec, [TenantSpec(tenant_id="solo", workload=workload,
                           params=params, n_ranks=4)], fabric=fabric)
     got = res.tenants["solo"]
+    keys = [k for k in legacy if k != "tracer"]
+    assert {"elapsed_s", "valid"} <= set(keys)
     for key in keys:
         assert got[key] == legacy[key], (key, got[key], legacy[key])
+    assert (got["workload"], got["n_ranks"]) == (workload, 4)
+
+
+def test_bfs_tenant_searches_one_root():
+    """A tenant is one rank program: a BFS tenant asking for several
+    roots (one fresh cluster each) is refused before anything runs."""
+    with pytest.raises(TenancyError, match="one program"):
+        run_cotenants(ClusterSpec(n_nodes=4, seed=SEED),
+                      [TenantSpec(tenant_id="t", workload="bfs",
+                                  params={"n_roots": 2}, n_ranks=4)])
 
 
 @pytest.mark.parametrize("fabric", ["dv", "mpi"])
