@@ -179,8 +179,7 @@ def _run_groups(spec: ClusterSpec, groups: Sequence[RankGroup],
             size, fab = ((n, shared) if g.partition is None
                          else (g.partition.n_ranks,
                                g.partition.ib_view(shared)))
-            runtime = MPIRuntime(engine, spec.ib, size,
-                                 contention=spec.ib_contention, fabric=fab)
+            runtime = MPIRuntime(engine, spec.ib, size, fab)
             context_groups.append([
                 RankContext(engine, r, size, spec.node, tracer, g.seed,
                             mpi=runtime.endpoint(r))

@@ -122,9 +122,9 @@ class DataVortexAPI:
         out to per-destination groups, in destination order (the
         paper's optimisation).
 
-        Returns (as the generator's value) the batch's joined
-        :class:`~repro.dv.flow.FanOut`, which fires when every group has
-        been delivered.
+        Fire and forget: nothing is returned.  A receiver that must know
+        when the words have landed presets ``counter`` and waits on it
+        (:meth:`wait_counter_zero`), as on the hardware.
         """
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
         addrs = np.atleast_1d(np.asarray(addrs, dtype=np.int64))
@@ -138,12 +138,12 @@ class DataVortexAPI:
         uniq, starts = np.unique(dests_s, return_index=True)
         group_counts = np.diff(np.append(starts, dests_s.size))
         starts = starts.tolist()
-        payloads = [MemWrite(addrs=addrs_s[lo:hi], values=values_s[lo:hi],
-                             counter=counter)
-                    for lo, hi in zip(starts, starts[1:] + [dests_s.size])]
-        return (yield from self._send_groups(uniq, group_counts, payloads,
-                                             dests.size, via,
-                                             cached_headers))
+        yield from self._send_groups(
+            uniq, group_counts,
+            [MemWrite(addrs=addrs_s[lo:hi], values=values_s[lo:hi],
+                      counter=counter)
+             for lo, hi in zip(starts, starts[1:] + [dests_s.size])],
+            dests.size, via, cached_headers)
 
     def exchange_words(self, words, *, base: int,
                        counter: int) -> Generator:
@@ -174,10 +174,11 @@ class DataVortexAPI:
             peers = [d for d in range(P) if d != me]
             start = int(base) + k * me
             rows = table[:, 0].tolist() if k == 1 else table
-            payloads = [MemWrite(addrs=start, values=rows[d],
-                                 counter=counter) for d in peers]
-            yield from self._send_groups(peers, [k] * (P - 1), payloads,
-                                         k * (P - 1), "dma", True)
+            yield from self._send_groups(
+                peers, [k] * (P - 1),
+                [MemWrite(addrs=start, values=rows[d], counter=counter)
+                 for d in peers],
+                k * (P - 1), "dma", True)
         yield from self.wait_counter_zero(counter)
         slots = self.vic.memory.read_range(base, P * k).reshape(P, k)
         slots[me] = table[me]
@@ -186,14 +187,16 @@ class DataVortexAPI:
     def _send_groups(self, dests, counts, payloads, n_words: int,
                      via: str, cached_headers: bool) -> Generator:
         """The tail of every multi-destination send: the call overhead,
-        the fan-out, the PCIe share of all ``n_words``, then the
-        fan-out's joined completion as the generator's value."""
+        the posted fan-out, then the PCIe share of all ``n_words``.
+
+        Callers pass ``payloads`` as a temporary and this frame drops it
+        once posted, so each group's payload lives until its own
+        delivery, not until the sender's PCIe share is paid."""
         yield from self._overhead()
-        done = self.network.transmit_batch(
-            self.rank, dests, counts, payloads,
-            inject_rate=self._inject_rate(via, cached_headers))
+        self.network.post(self.rank, dests, counts, payloads,
+                          inject_rate=self._inject_rate(via, cached_headers))
+        del payloads
         yield from self._charge_tx(via, n_words, cached_headers)
-        return done.join()
 
     def send_fifo(self, dest: int, values, *,
                   counter: Optional[int] = None,

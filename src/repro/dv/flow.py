@@ -107,83 +107,6 @@ def hop_table(topo: DataVortexTopology, n_ports: int) -> np.ndarray:
     return hops.astype(np.int32)
 
 
-class FanOut(CompletionEvent):
-    """One completion for a whole :meth:`FlowNetwork.transmit_batch`
-    fan-out, counting down its groups' deliveries.
-
-    It replaces a :class:`CompletionEvent` per group plus the
-    :class:`~repro.sim.events.AllOf` a waiter built over them at
-    :meth:`join`, and fires where that ``AllOf``'s last ``_on_child``
-    ran.  A group's completion entry used to run right after its
-    delivery; the AllOf reached a group either there (joined before
-    that entry ran) or through a zero-delay re-delivery enqueued at the
-    join (joined after).  So:
-
-    * at the last delivery one zero-delay entry stands in for that
-      group's completion entry, and fires the fan-out if it is joined
-      by then and no re-delivery comes after it;
-    * a join made once every group is delivered and some group's
-      completion entry has already run (the first group's is the
-      earliest, :meth:`Engine.mark <repro.sim.engine.Engine.mark>`)
-      enqueues one zero-delay entry instead, which stands in for the
-      re-deliveries (consecutive entries, so the last one's position is
-      the block's).
-
-    That is at most three zero-delay entries per fan-out (the stand-in,
-    a late join's entry and the event's own) where there were
-    ``2m + 1``.  The value is the list of payloads, as the AllOf's was.
-    """
-
-    __slots__ = ("_payloads", "_left", "_first", "_state")
-
-    def __init__(self, engine: Engine, src: int, payloads: list,
-                 words: int = 0) -> None:
-        super().__init__(engine, fabric="dv", op="fanout", src=src,
-                         words=words)
-        self._payloads = payloads
-        self._left = len(payloads)
-        #: engine mark where the first group's completion entry would be
-        self._first: Optional[tuple] = None
-        self._state = _OPEN
-
-    def _delivered(self, _payload: Any) -> None:
-        """One group delivered: where its CompletionEvent succeeded."""
-        if self._first is None:
-            self._first = self.engine.mark()
-        self._left -= 1
-        if not self._left:
-            self.engine.call_soon(self._last_done)
-
-    def _last_done(self) -> None:
-        if self._state is _JOINED:
-            self._fire()
-
-    def _fire(self) -> None:
-        self._succeed_soon(list(self._payloads))
-
-    def join(self) -> "FanOut":
-        """Mark where a waiter joins the fan-out (where the AllOf over
-        per-group events used to be built); returns the event."""
-        if self._state is not _OPEN:
-            return self
-        if self._left:
-            self._state = _JOINED
-        elif self._first is None:  # empty: AllOf([]) succeeded on creation
-            self._state = _LATE
-            self._fire()
-        elif self.engine.passed(self._first):
-            self._state = _LATE
-            self.engine.call_soon(self._fire)
-        else:
-            self._state = _JOINED
-        return self
-
-
-#: FanOut states: not joined; joined, fires at the last-delivery entry;
-#: joined late, fires at the join's own entry
-_OPEN, _JOINED, _LATE = "open", "joined", "late"
-
-
 @dataclass
 class FlowStats:
     """Aggregate accounting for a :class:`FlowNetwork`."""
@@ -200,13 +123,14 @@ class FlowNetwork:
     Per-transfer state rides in the arguments of two
     :meth:`Engine.call_in` wakeups (arrival, then ejection) — no marker
     events, no closures, no message pool — and hop counts come from a
-    precomputed :func:`hop_table`.  :meth:`transmit_batch` prices a
-    whole one-source/many-destination fan-out (a GUPS epoch, a counter
+    precomputed :func:`hop_table`.  :meth:`transmit` sends one transfer
+    and returns its completion.  :meth:`post` prices a whole
+    one-source/many-destination fan-out (a GUPS epoch, a counter
     exchange) in a handful of numpy operations whose rounding matches
     the scalar :meth:`transmit` recurrence exactly
-    (``np.add.accumulate`` is sequential), and completes it with one
-    :class:`FanOut`.  :meth:`post` prices a fan-out the same way with
-    no completion, and :meth:`post_fifo` a fan-out of raw FIFO words,
+    (``np.add.accumulate`` is sequential), fire and forget: as on the
+    hardware, the receiver learns from a group counter that the data
+    has landed.  :meth:`post_fifo` prices a fan-out of raw FIFO words,
     whose destination FIFO may hold each delivery until it is
     observed.  All times it hands the engine are Python floats.
 
@@ -405,63 +329,20 @@ class FlowNetwork:
                             done.succeed)
         return done
 
-    def transmit_batch(self, src: int, dests: Sequence[int],
-                       counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None) -> FanOut:
-        """Send per-destination packet groups back to back from ``src``.
-
-        Semantically identical to calling :meth:`transmit` once per
-        group, in order, at the current instant, but priced in one
-        vectorised pass; kernels that fan one host batch out to many
-        destinations (GUPS epochs, counter exchanges) should call this
-        instead of looping.
-
-        Returns one :class:`FanOut` for the whole batch.  A caller that
-        waits on it calls :meth:`FanOut.join` first, at the point it
-        would have built an ``AllOf`` over per-group events; a
-        fire-and-forget caller drops it.
-        """
-        checked = self._check_batch(src, dests, counts, payloads)
-        if checked is None:
-            return FanOut(self.engine, src, [])
-        fan = FanOut(self.engine, src, payloads, int(checked[1].sum()))
-        self._queue_batch(src, checked, payloads, inject_rate,
-                          fan._delivered)
-        return fan
-
     def post(self, src: int, dests: Sequence[int], counts: Sequence[int],
              payloads: Sequence[Any],
              inject_rate: Optional[float] = None) -> None:
         """Send per-destination effect groups back to back from ``src``,
         fire and forget.
 
-        Priced and delivered exactly as :meth:`transmit_batch`, but
-        with no completion: a group's payload is held only by its own
-        arrival and delivery entries, so it is freed when that group
-        lands (a :class:`FanOut` keeps every payload until the last
-        one does).
+        Each group is priced and delivered exactly as if :meth:`transmit`
+        were called once per group, in order, at the current instant,
+        but with no completion: a group's payload is held only by its
+        own arrival and delivery entries, so it is freed when that
+        group lands.
         """
-        checked = self._check_batch(src, dests, counts, payloads)
-        if checked is not None:
-            self._queue_batch(src, checked, payloads, inject_rate, None)
-
-    def _queue_batch(self, src: int, checked: tuple,
-                     payloads: Sequence[Any], inject_rate: Optional[float],
-                     done: Optional[Callable[[Any], Any]]) -> None:
-        """Price a checked fan-out and queue each group's arrival, to
-        report its delivery through ``done(payload)``."""
-        delays, floors, dl, cl = self._price_batch(src, *checked,
-                                                   inject_rate)
-        engine = self.engine
-        now = engine._now
-        arrive = self._arrive
-        # inlined Engine.call_in (same arithmetic: _now + delay)
-        queue = engine._queue
-        for k in range(len(dl)):
-            engine._seq += 1
-            heappush(queue, (now + delays[k], engine._seq, arrive,
-                             (src, dl[k], cl[k], floors[k], now,
-                              payloads[k], done)))
+        self._queue_groups(src, dests, counts, payloads, inject_rate,
+                           self._arrive)
 
     def post_fifo(self, src: int, dests: Sequence[int],
                   counts: Sequence[int], words: Sequence[np.ndarray],
@@ -470,35 +351,26 @@ class FlowNetwork:
         fire and forget.
 
         ``words[k]`` is a 1-D ``uint64`` array of ``counts[k]`` words.
-        Priced and delivered exactly as :meth:`transmit_batch` with
-        ``FifoPush(words[k])`` payloads whose fan-out nobody joins, but
-        with no effect objects and no completion, and a delivery the
-        destination FIFO can hold (:meth:`SurpriseFIFO.hold
-        <repro.dv.fifo.SurpriseFIFO.hold>`) takes no heap entry: it
-        lands when the FIFO is next observed.
+        Priced and delivered exactly as :meth:`post` with
+        ``FifoPush(words[k])`` payloads, but with no effect objects, and
+        a delivery the destination FIFO can hold
+        (:meth:`SurpriseFIFO.hold <repro.dv.fifo.SurpriseFIFO.hold>`)
+        takes no heap entry: it lands when the FIFO is next observed.
         """
-        checked = self._check_batch(src, dests, counts, words)
+        self._queue_groups(src, dests, counts, words, inject_rate,
+                           self._arrive_fifo)
+
+    def _queue_groups(self, src: int, dests, counts, payloads,
+                      inject_rate: Optional[float], arrive) -> None:
+        """Check a fan-out, serialise it on ``src``, price its groups
+        and queue ``arrive`` for each at its first packet's arrival."""
+        checked = self._check_batch(src, dests, counts, payloads)
         if checked is None:
             return
-        delays, floors, dl, cl = self._price_batch(src, *checked,
-                                                   inject_rate)
+        d, c = checked
+        m = d.size
         engine = self.engine
         now = engine._now
-        arrive = self._arrive_fifo
-        queue = engine._queue
-        for k in range(len(dl)):
-            engine._seq += 1
-            heappush(queue, (now + delays[k], engine._seq, arrive,
-                             (src, dl[k], cl[k], floors[k], now,
-                              words[k])))
-
-    def _price_batch(self, src: int, d: np.ndarray, c: np.ndarray,
-                     inject_rate: Optional[float]) -> tuple:
-        """Serialise a checked fan-out on ``src`` and price its groups:
-        lists of first-arrival delays, ejection floors, destinations
-        and counts."""
-        m = d.size
-        now = self.engine.now
         hop = self._hop
         gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
 
@@ -509,27 +381,19 @@ class FlowNetwork:
         tof = (self._hops[src, d] + penalty) * hop
         delays = ((seq[:m] + gap) + tof - now).tolist()
         floors = (seq[1:] + tof).tolist()
-        return delays, floors, d.tolist(), c.tolist()
-
-    def scatter(self, src: int, dests: Sequence[int],
-                counts: Sequence[int], payloads: Sequence[Any],
-                inject_rate: Optional[float] = None) -> Event:
-        """Send per-destination packet groups from one source.
-
-        Models the paper's "source aggregation" pattern: the host batches
-        packets bound for *many* destinations into one PCIe transfer; the
-        VIC then streams them into the switch back to back.  Injection is
-        serialised across the whole batch; ejection is serialised per
-        destination.  Returns the joined :class:`FanOut`, firing when
-        every group has been delivered.
-        """
-        return self.transmit_batch(src, dests, counts, payloads,
-                                   inject_rate=inject_rate).join()
+        dl, cl = d.tolist(), c.tolist()
+        # inlined Engine.call_in (same arithmetic: _now + delay)
+        queue = engine._queue
+        for k in range(m):
+            engine._seq += 1
+            heappush(queue, (now + delays[k], engine._seq, arrive,
+                             (src, dl[k], cl[k], floors[k], now,
+                              payloads[k])))
 
     # -- arrival / ejection ---------------------------------------------------
     def _arrive(self, src: int, dest: int, n: int, floor: float,
                 sent_at: float, payload: Any,
-                done: Optional[Callable[[Any], Any]]) -> None:
+                done: Optional[Callable[[Any], Any]] = None) -> None:
         """First packet reaches ``dest``: reserve its ejection port.
 
         The port is reserved at *arrival* time — not at call time — so
@@ -581,7 +445,7 @@ class FlowNetwork:
                  payload: Any, done: Optional[Callable[[Any], Any]]) -> None:
         """Eject the last packet: hand the effect to the receiver, then
         report completion through ``done(payload)`` (a transfer's
-        ``CompletionEvent.succeed`` or a fan-out's ``_delivered``)."""
+        ``CompletionEvent.succeed``; ``None`` for a posted group)."""
         eff = payload
         fsite = self._faults
         if fsite is not None and isinstance(eff, (MemWrite, FifoPush)):

@@ -64,12 +64,12 @@ class RemoteMemory:
     # -- one-sided operations ------------------------------------------------
     def put(self, addrs, values, *, counter: Optional[int] = None,
             via: str = "dma") -> Generator:
-        """Scatter ``values`` to global ``addrs`` (fire-and-forget)."""
+        """Scatter ``values`` to global ``addrs``, fire and forget: each
+        owner's preset group ``counter`` says when its words landed."""
         owners, local = self._locate(addrs)
         values = np.atleast_1d(np.asarray(values, dtype=np.uint64))
-        ev = yield from self.api.send_batch(
+        yield from self.api.send_batch(
             owners, local, values, counter=counter, via=via)
-        return ev
 
     def get(self, addrs) -> Generator:
         """Gather the words at global ``addrs``; returns an ndarray.

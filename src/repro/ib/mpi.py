@@ -27,7 +27,6 @@ from typing import (Any, Callable, Deque, Dict, Generator, List, Optional,
 import numpy as np
 
 from repro.ib.config import IBConfig
-from repro.ib.fabric import IBFabric
 from repro.obs import registry as obsreg
 from repro.sim.engine import Engine
 from repro.sim.events import CompletionEvent, Event
@@ -276,8 +275,9 @@ class MPIEndpoint:
         # order, so a message the fabric delivered early (a small RTS
         # overtaking a large eager transfer, a lucky retry draw) can
         # never be matched before an earlier send from the same source.
-        self._send_seq: Dict[int, int] = {}
-        self._recv_next_seq: Dict[int, int] = {}
+        zeros = bytes(8 * runtime.n_ranks)
+        self._send_seq = array.array("q", zeros)
+        self._recv_next_seq = array.array("q", zeros)
         self._recv_held: Dict[int, Dict[int, _Arrival]] = {}
         self._collective_seq = itertools.count()
         self._verbs = None
@@ -326,7 +326,7 @@ class MPIEndpoint:
             return
         tag, rts_id, data, seq = envelope
         arrival = _Arrival(src, tag, kind, data, nbytes, rts_id)
-        expected = self._recv_next_seq.get(src, 0)
+        expected = self._recv_next_seq[src]
         if seq != expected:
             # delivered out of send order: hold until the gap closes
             self._recv_held.setdefault(src, {})[seq] = arrival
@@ -363,7 +363,7 @@ class MPIEndpoint:
         _put(self._unexpected, (src, tag), arrival)
 
     def _next_send_seq(self, dest: int) -> int:
-        seq = self._send_seq.get(dest, 0)
+        seq = self._send_seq[dest]
         self._send_seq[dest] = seq + 1
         return seq
 
@@ -677,20 +677,16 @@ class MPIEndpoint:
 
 
 class MPIRuntime:
-    """Owns the fabric and the per-rank endpoints."""
+    """The per-rank endpoints over one fabric."""
 
     def __init__(self, engine: Engine, config: IBConfig, n_ranks: int,
-                 contention: bool = True, fabric=None) -> None:
+                 fabric) -> None:
         self.engine = engine
         self.config = config
         self.n_ranks = n_ranks
-        # a pre-built fabric (e.g. a tenancy TenantFabricView over a
-        # shared fat tree) wins outright
-        if fabric is not None:
-            self.fabric = fabric
-        else:
-            self.fabric = IBFabric(engine, config, n_ranks,
-                                   contention=contention)
+        #: an :class:`~repro.ib.fabric.IBFabric` of ``n_ranks`` ports,
+        #: or a tenancy ``TenantFabricView`` over a shared fat tree
+        self.fabric = fabric
         self.endpoints = [MPIEndpoint(self, r) for r in range(n_ranks)]
         self._rts_counter = itertools.count()
 

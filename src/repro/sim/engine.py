@@ -57,7 +57,8 @@ class Engine:
         #: ``_seq`` when the clock last moved: every number above it was
         #: taken at the current instant (:meth:`reserved_passed`)
         self._seq0 = 0
-        #: sequence number of the entry being processed (:meth:`passed`)
+        #: sequence number of the entry being processed
+        #: (:meth:`reserved_passed`)
         self._cur = 0
         self._processed_count = 0
         #: call_soon's lane: ``(sequence, fn, args)`` due at ``_now``
@@ -175,16 +176,6 @@ class Engine:
         for fn in hooks:
             fn()
         return bool(self._queue or self._soon)
-
-    def mark(self) -> tuple:
-        """The position a zero-delay entry enqueued now would take,
-        without taking it (no sequence number is consumed)."""
-        return (self._now, self._seq + 0.5)
-
-    def passed(self, mark: tuple) -> bool:
-        """True once the entry being processed comes after ``mark``:
-        an entry enqueued at the mark would already have run."""
-        return (self._now, self._cur) > mark
 
     def reserve(self, n: int = 1) -> int:
         """Take ``n`` consecutive sequence numbers for zero-delay entries

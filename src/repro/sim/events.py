@@ -174,10 +174,8 @@ class CompletionEvent(Event):
     caring which fabric ran it.  The success value remains the
     operation's payload, exactly as with a plain :class:`Event` —
     the metadata rides alongside and costs nothing to ignore.  A DV
-    fan-out (``send_batch``, ``transmit_batch``) completes with one
-    :class:`repro.dv.flow.FanOut` for the whole batch (``op="fanout"``,
-    ``dest=-1``, ``words`` the total), whose value is the list of the
-    groups' payloads.
+    fan-out (``send_batch``, ``exchange_words``) has none: it is posted
+    fire and forget, and its receivers count it in on a group counter.
 
     Attributes
     ----------

@@ -9,13 +9,12 @@ and a transmit-at-a-time loop for batches.  Their FIFO fan-outs land
 with a heap entry per delivery: ``ReferenceFlowNetwork.post_fifo`` is
 one ``transmit`` of a ``FifoPush`` per group, and
 :class:`EagerFifoFlowNetwork` is the production model with
-``post_fifo`` as ``transmit_batch`` with the fan-out dropped.
+``post_fifo`` as ``post`` of ``FifoPush`` payloads.
 ``ReferenceFlowNetwork.post`` is one ``transmit`` per group.
-:class:`PerGroupFlowNetwork` and
-:class:`ReferenceDataVortexAPI` complete a DV fan-out as it was first
-written: one :class:`~repro.sim.events.CompletionEvent` per destination
-group, joined by an :class:`~repro.sim.events.AllOf` built after the
-host's PCIe share.  :class:`ReferenceMPIEndpoint` is the MPI layer as it
+:class:`PerGroupFlowNetwork` and :class:`ReferenceDataVortexAPI` send
+a DV fan-out as it was first written: one scalar ``transmit`` per
+destination group, its completion dropped.
+:class:`ReferenceMPIEndpoint` is the MPI layer as it
 was first written: one generator process per ``isend``/``irecv``, the
 host CPU as a counted :class:`~repro.sim.resources.Resource` plus a
 :class:`~repro.sim.events.Timeout` per overhead, one event per blocked
@@ -143,17 +142,6 @@ class ReferenceFlowNetwork(FlowNetwork):
         _marker(engine, "dv:arrive", _reserve, first_arrival - now)
         return done
 
-    def transmit_batch(self, src: int, dests: Sequence[int],
-                       counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       ) -> "GroupCompletions":
-        if not (len(dests) == len(counts) == len(payloads)):
-            raise ValueError("dests, counts, payloads must align")
-        return GroupCompletions(
-            self.engine, [self.transmit(src, int(d), int(c), payload=p,
-                                        inject_rate=inject_rate)
-                          for d, c, p in zip(dests, counts, payloads)])
-
     def post(self, src: int, dests: Sequence[int], counts: Sequence[int],
              payloads: Sequence[Any],
              inject_rate: Optional[float] = None) -> None:
@@ -174,79 +162,37 @@ class ReferenceFlowNetwork(FlowNetwork):
 
 class EagerFifoFlowNetwork(FlowNetwork):
     """The production flow model with no held FIFO deliveries:
-    ``post_fifo`` is ``transmit_batch`` with ``FifoPush`` payloads and
-    the fan-out dropped."""
+    ``post_fifo`` is ``post`` with ``FifoPush`` payloads."""
 
     def post_fifo(self, src: int, dests: Sequence[int],
                   counts: Sequence[int], words: Sequence[np.ndarray],
                   inject_rate: Optional[float] = None) -> None:
-        self.transmit_batch(src, dests, counts,
-                            [FifoPush(w) for w in words],
-                            inject_rate=inject_rate)
-
-
-class GroupCompletions(list):
-    """A fan-out's per-group completion events; :meth:`join` builds the
-    ``AllOf`` over them, where a production fan-out's ``join`` stands."""
-
-    def __init__(self, engine, events: List[Event]) -> None:
-        super().__init__(events)
-        self.engine = engine
-
-    def join(self) -> Event:
-        return self.engine.all_of(self)
+        self.post(src, dests, counts, [FifoPush(w) for w in words],
+                  inject_rate=inject_rate)
 
 
 class PerGroupFlowNetwork(FlowNetwork):
-    """The production flow model with the fan-out completion it first
-    had: one :class:`CompletionEvent` per destination group."""
+    """The production flow model with a fan-out sent as it was first
+    written: ``post`` is one production ``transmit`` per group, its
+    completion dropped."""
 
-    def transmit_batch(self, src: int, dests: Sequence[int],
-                       counts: Sequence[int], payloads: Sequence[Any],
-                       inject_rate: Optional[float] = None,
-                       ) -> GroupCompletions:
-        checked = self._check_batch(src, dests, counts, payloads)
-        if checked is None:
-            return GroupCompletions(self.engine, [])
-        d, c = checked
-        m = d.size
-        engine = self.engine
-        now = engine.now
-        hop = self._hop
-        gap = max(hop, 1.0 / inject_rate) if inject_rate else hop
-
-        seq = self._inject_batch(src, c, gap, now)
-        self._mark_busy(src, float(seq[m]))
-
-        penalty = self.config.deflection_hops_per_load * self._load(now)
-        tof = (self._hops[src, d] + penalty) * hop
-        delays = ((seq[:m] + gap) + tof - now).tolist()
-        floors = (seq[1:] + tof).tolist()
-        dl = d.tolist()
-        cl = c.tolist()
-        dones = GroupCompletions(engine, [])
-        for k in range(m):
-            done = CompletionEvent(engine, fabric="dv", op="transmit",
-                                   src=src, dest=dl[k], words=cl[k])
-            dones.append(done)
-            engine.call_in(delays[k], self._arrive, src, dl[k], cl[k],
-                           floors[k], now, payloads[k], done.succeed)
-        return dones
+    post = ReferenceFlowNetwork.post
 
 
 class ReferenceDataVortexAPI(DataVortexAPI):
-    """The multi-destination send tail as first written: the per-group
-    events of the fan-out joined by an ``AllOf`` once the PCIe share is
-    charged.  ``send_batch`` and ``exchange_words`` both end in it."""
+    """The multi-destination send tail as first written: one scalar
+    ``transmit`` per group between the call overhead and the PCIe
+    share, no fan-out.  ``send_batch`` and ``exchange_words`` both end
+    in it."""
 
     def _send_groups(self, dests, counts, payloads, n_words, via,
                      cached_headers):
         yield from self._overhead()
-        events = self.network.transmit_batch(
-            self.rank, dests, counts, payloads,
-            inject_rate=self._inject_rate(via, cached_headers))
+        rate = self._inject_rate(via, cached_headers)
+        for d, c, p in zip(dests, counts, payloads):
+            self.network.transmit(self.rank, int(d), int(c), payload=p,
+                                  inject_rate=rate)
         yield from self._charge_tx(via, n_words, cached_headers)
-        return self.engine.all_of(events)
 
 
 class ReferenceIBFabric(IBFabric):
@@ -355,7 +301,7 @@ class ReferenceMPIEndpoint(mpi.MPIEndpoint):
             return
         tag, rts_id, data, seq = envelope
         arrival = mpi._Arrival(src, tag, kind, data, nbytes, rts_id)
-        expected = self._recv_next_seq.get(src, 0)
+        expected = self._recv_next_seq[src]
         if seq != expected:
             self._recv_held.setdefault(src, {})[seq] = arrival
             return

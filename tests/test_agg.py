@@ -239,6 +239,32 @@ def test_verbs_and_diropt_reject_aggregation():
         run_bfs(spec, "mpi", scale=6, strategy="diropt")
 
 
+def _fixed_pattern_run(kernel):
+    from repro.apps.snap import run_snap
+    from repro.kernels.fft1d import run_fft1d
+    if kernel == "fft":
+        return lambda spec: run_fft1d(spec, "dv", log2_points=8)
+    return lambda spec: run_snap(spec, "dv", nx=4, ny_per_rank=2, nz=4,
+                                 n_angles=8, chunk=2)
+
+
+@pytest.mark.parametrize("field", ["aggregation", "traffic"])
+@pytest.mark.parametrize("kernel", ["fft", "snap"])
+def test_fixed_pattern_kernels_reject_explicit_spec_fields(kernel, field):
+    """The FFT and the transport scan raise on an explicit aggregation
+    or traffic setting, as their job builders do for a tenant; the
+    ambient session (the ``agg`` golden axis) stays invisible."""
+    from repro.traffic.model import TrafficModel
+    run = _fixed_pattern_run(kernel)
+    value = (AggSpec(watermark=8) if field == "aggregation"
+             else TrafficModel())
+    with pytest.raises(ValueError, match="does not apply|do not apply"):
+        run(ClusterSpec(n_nodes=2, **{field: value}))
+    plain = run(ClusterSpec(n_nodes=2))
+    with agg.session(AggSpec(watermark=8)):
+        assert run(ClusterSpec(n_nodes=2)) == plain
+
+
 @pytest.mark.parametrize("fabric", ["dv", "mpi"])
 def test_tree_routing_forwards_and_validates(fabric):
     """Under tree routing on P > 4 some words must actually relay

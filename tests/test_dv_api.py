@@ -1,10 +1,15 @@
 """Integration tests for the Data Vortex API, VIC, PCIe and barriers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.dv.api as dv_api
 from repro.dv import (DVConfig, DataVortexAPI, FastBarrier, FlowNetwork,
                       HardwareBarrier, VIC)
+from repro.dv.vic import MemWrite
 from repro.sim import Engine
 
 
@@ -87,18 +92,77 @@ def test_send_empty_rejected():
 
 
 def test_send_batch_scatter_many_destinations():
+    """``send_batch`` returns nothing: each destination learns from its
+    preset group counter that its words have landed."""
     mc = MiniCluster(4)
     dests = np.array([1, 2, 3, 1, 2, 3])
     addrs = np.array([0, 0, 0, 1, 1, 1])
     vals = np.array([10, 20, 30, 11, 21, 31], np.uint64)
+    for d in (1, 2, 3):
+        mc.vics[d].counters.set(5, 2)
+
+    def sender(api):
+        return (yield from api.send_batch(dests, addrs, vals, counter=5))
+
+    def receiver(api):
+        yield from api.wait_counter_zero(5)
+        return api.vic.memory.read_range(0, 2).tolist()
+
+    got = mc.run(sender(mc.apis[0]), *map(receiver, mc.apis[1:]))
+    assert got == [None, [10, 11], [20, 21], [30, 31]]
+
+
+@pytest.mark.parametrize("call", ["send_batch", "exchange_words"])
+def test_group_payload_is_freed_at_its_own_delivery(monkeypatch, call):
+    """A multi-destination send is fire and forget: each group's values
+    view is freed when that group lands, while the sender's later
+    groups are still in flight."""
+    mc = MiniCluster(4)
+    base, k, ctr = 64, 2, 9
+    refs = {0: [], 1: [], 2: [], 3: []}  # sender -> its groups' values
+
+    def recording(addrs, values, counter=None):
+        src = 0 if call == "send_batch" else (addrs - base) // k
+        refs[src].append(weakref.ref(values))
+        return MemWrite(addrs, values, counter)
+
+    monkeypatch.setattr(dv_api, "MemWrite", recording)
+    alive = {0: [], 1: [], 2: [], 3: []}  # sender -> live views per landing
+    for p, apply in enumerate(mc.net._receivers):
+
+        def rx(src, eff, n, apply=apply):
+            if isinstance(eff, MemWrite):
+                alive[src].append(sum(r() is not None for r in refs[src]))
+            apply(src, eff, n)
+
+        mc.net._receivers[p] = rx
 
     def prog(api):
-        ev = yield from api.send_batch(dests, addrs, vals)
-        yield ev
+        # an exchange lands k words from each of 3 peers, a batch k
+        yield from api.set_counter(ctr, k * 3 if call == "exchange_words"
+                                   else k)
+        yield from api.barrier()
+        if call == "exchange_words":
+            words = np.arange(4 * k, dtype=np.uint64).reshape(4, k)
+            yield from api.exchange_words(words, base=base, counter=ctr)
+        elif api.rank == 0:
+            dests = np.repeat(np.arange(1, 4), k)
+            yield from api.send_batch(dests, np.tile(np.arange(k), 3),
+                                      np.arange(3 * k, dtype=np.uint64),
+                                      counter=ctr)
+        else:
+            yield from api.wait_counter_zero(ctr)
 
-    mc.run(prog(mc.apis[0]))
-    for d, base in ((1, 10), (2, 20), (3, 30)):
-        assert mc.vics[d].memory.read_range(0, 2).tolist() == [base, base + 1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mc.run(*map(prog, mc.apis))
+    finally:
+        if enabled:
+            gc.enable()
+    senders = range(4) if call == "exchange_words" else [0]
+    assert {s: alive[s] for s in senders} == dict.fromkeys(senders,
+                                                           [3, 2, 1])
 
 
 @pytest.mark.parametrize("n", [1, 3])

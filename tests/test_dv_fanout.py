@@ -1,20 +1,18 @@
-"""Differential oracle: one fan-out completion vs per-group events.
+"""Differential oracle: one posted fan-out vs a transmit per group.
 
-:meth:`repro.dv.flow.FlowNetwork.transmit_batch` completes a fan-out
-with one :class:`~repro.dv.flow.FanOut`, and ``send_batch`` joins it
-where it used to build an ``AllOf``.
+:meth:`repro.dv.flow.FlowNetwork.post` prices a fan-out in one
+vectorised pass and sends it fire and forget; ``send_batch`` and
+``exchange_words`` end in it.
 :class:`tests.reference_engines.PerGroupFlowNetwork` and
 :class:`tests.reference_engines.ReferenceDataVortexAPI` are the layer as
-first written: a ``CompletionEvent`` per destination group and an
-``AllOf`` over them.
+first written: one scalar ``transmit`` per destination group.
 
 Both run the same programs.  Each run records, in global order, every
 delivery, every FIFO push, every counter reaching zero and every
 waiter's resume, along with the results and the flow statistics.  The
 records must be equal bit for bit: the heap may shrink, the simulation
-may not move.  The raw-network programs join fan-outs before, after and
-at the instant of their last delivery (from a receiver, directly or
-through chains of zero-delay wakeups), never, and from several waiters.
+may not move.  The raw-network programs post fan-outs from several
+processes among scalar transfers, some of which are waited on.
 """
 
 import random
@@ -33,7 +31,7 @@ from repro.dv import flow
 from repro.dv.config import DVConfig
 from repro.dv.counters import GroupCounters
 from repro.dv.fifo import SurpriseFIFO
-from repro.dv.flow import FanOut, FlowNetwork
+from repro.dv.flow import FlowNetwork
 from repro.dv.vic import VIC, FifoPush, MemWrite
 from repro.faults.plan import FaultPlan
 from repro.kernels.bfs import run_bfs
@@ -55,10 +53,6 @@ def _stats(net):
 
 # ------------------------------------------------ raw-network programs ---
 
-#: how a fan-out is joined: at once, by a call after a delay, at one of
-#: its deliveries, by several waiting processes, never, or by scatter
-JOINS = ("now", "later", "on-delivery", "several", "never", "scatter")
-
 
 def _drive(net_cls, seed, n_ports=6, n_rounds=60, n_procs=3):
     """Random fan-outs and transfers from several processes; returns
@@ -68,58 +62,19 @@ def _drive(net_cls, seed, n_ports=6, n_rounds=60, n_procs=3):
     hop = net.config.hop_time_s
     rng = random.Random(seed)
     log = []
-    hooks = {}  # token -> callback run when that group is delivered
 
     def note(*entry):
         log.append((engine.now,) + entry)
-
-    def chain(depth, fn, *args):
-        """Run ``fn(*args)`` after ``depth`` zero-delay hops."""
-        if depth == 0:
-            fn(*args)
-        else:
-            engine.call_in(0.0, chain, depth - 1, fn, *args)
 
     def receiver(port):
         def rx(src, eff, n):
             token = None if eff is None else int(eff.values[0])
             note("rx", port, int(src), int(n), token)
-            hook = hooks.pop(token, None)
-            if hook is not None:
-                hook()
 
         return rx
 
     for p in range(n_ports):
         net.attach(p, receiver(p))
-
-    def waiter(name, ev, delay):
-        if delay is not None:
-            yield engine.timeout(delay)
-        value = yield ev
-        note("resume", name, len(value))
-
-    def joined(name, fan, n_waiters):
-        ev = fan.join()
-        note("join", name)
-        ev.add_callback(lambda e: note("fired", name))
-        for w in range(n_waiters):
-            engine.process(waiter(f"{name}/w{w}", ev, None))
-        engine.call_in(0.0, note, "after-join", name)
-
-    def join_on_delivery(name, fan, at, depth, n_waiters, bystanders):
-        """At the fan-out's ``at``-th delivery, join it ``depth``
-        zero-delay hops later, with zero-delay bystanders racing it."""
-        seen = []
-
-        def tick():
-            seen.append(engine.now)
-            if len(seen) == at:
-                chain(depth, joined, name, fan, n_waiters)
-                for d in range(bystanders):
-                    chain(d, chain, 2, note, "bystander", name, d)
-
-        return tick
 
     def prog(pid):
         tokens = iter(range(pid * 10_000, (pid + 1) * 10_000))
@@ -133,7 +88,7 @@ def _drive(net_cls, seed, n_ports=6, n_rounds=60, n_procs=3):
                 ev = net.transmit(src, dest, 1, payload=FifoPush(word))
                 if rng.random() < 0.5:
                     yield ev
-                    note("resume", name, 0)
+                    note("resume", name)
                 continue
             m = rng.randrange(1, min(n_ports, 4) + 1)
             dests = rng.sample(range(n_ports), m)
@@ -141,34 +96,8 @@ def _drive(net_cls, seed, n_ports=6, n_rounds=60, n_procs=3):
             payloads = [
                 FifoPush(np.full(c, next(tokens), np.uint64)) for c in counts
             ]
-            mode = rng.choice(JOINS)
-            if mode == "scatter":
-                ev = net.scatter(src, dests, counts, payloads)
-                note("join", name)
-                yield ev
-                note("resume", name, len(ev.value))
-                continue
-            fan = net.transmit_batch(src, dests, counts, payloads)
-            if mode == "now":
-                joined(name, fan, 1)
-            elif mode == "later":
-                delay = rng.randrange(0, 8) * hop
-                engine.call_in(delay, joined, name, fan, 1)
-            elif mode == "several":
-                ev = fan.join()
-                for w in range(3):
-                    delay = rng.randrange(0, 6) * hop
-                    engine.process(waiter(f"{name}/w{w}", ev, delay))
-            elif mode == "on-delivery":
-                at = rng.choice([m, rng.randrange(1, m + 1)])
-                depth = rng.randrange(0, 3)
-                n_waiters = rng.randrange(0, 3)
-                bystanders = rng.randrange(0, 4)
-                tick = join_on_delivery(
-                    name, fan, at, depth, n_waiters, bystanders
-                )
-                for p in payloads:
-                    hooks[int(p.values[0])] = tick
+            net.post(src, dests, counts, payloads)
+            note("post", name)
 
     for pid in range(n_procs):
         engine.process(prog(pid), name=f"p{pid}")
@@ -197,60 +126,19 @@ def test_random_fanouts_match_per_group_oracle(seed, plan_name):
         assert a == b, f"record {i} differs"
 
 
-def test_random_programs_join_every_way(monkeypatch):
-    """The seeds above join fan-outs at every position the AllOf could
-    have been built at, relative to their groups' completions."""
-    seen = set()
-    real_join = FanOut.join
-    real_last = FanOut._last_done
-    last_ran = {}  # holds the fan-outs, so their ids stay unique
-
-    def last_done(fan):
-        last_ran[id(fan)] = fan
-        real_last(fan)
-
-    def join(fan):
-        if fan._left:
-            seen.add("before the last delivery")
-        elif not fan.engine.passed(fan._first):
-            seen.add("all delivered, no completion run")
-        elif id(fan) in last_ran:
-            seen.add("after the last completion")
-        else:
-            seen.add("last completion pending, an earlier one run")
-        return real_join(fan)
-
-    monkeypatch.setattr(FanOut, "join", join)
-    monkeypatch.setattr(FanOut, "_last_done", last_done)
-    for seed in SEEDS:
-        _drive(FlowNetwork, seed)
-    assert seen == {
-        "before the last delivery",
-        "all delivered, no completion run",
-        "after the last completion",
-        "last completion pending, an earlier one run",
-    }
-
-
 def test_fanout_value_and_empty_batch():
+    """Each group's payload reaches its own destination and nothing
+    comes back to the sender; an empty fan-out queues nothing."""
     engine = Engine()
     net = FlowNetwork(engine, DVConfig(), 4)
-    ev = net.scatter(0, [1, 2, 3], [2, 1, 1], ["a", "b", "c"])
-    empty = net.scatter(0, [], [], [])
+    got = []
+    for p in range(4):
+        net.attach(p, lambda src, pl, n, p=p: got.append((src, p, pl, n)))
+    assert net.post(0, [1, 2, 3], [2, 1, 1], ["a", "b", "c"]) is None
+    net.post(0, [], [], [])
     engine.run()
-    assert ev.value == ["a", "b", "c"]
-    assert empty.ok and empty.value == []
-
-
-def test_unjoined_fanout_fires_once_joined():
-    engine = Engine()
-    net = FlowNetwork(engine, DVConfig(), 4)
-    fan = net.transmit_batch(0, [1, 2], [1, 1], [None, None])
-    engine.run()
-    assert not fan.triggered
-    fan.join()
-    engine.run()
-    assert fan.ok and fan.value == [None, None]
+    assert got == [(0, 1, "a", 2), (0, 2, "b", 1), (0, 3, "c", 1)]
+    assert (net.stats.transfers, net.stats.packets_sent) == (3, 4)
 
 
 # --------------------------------------------------- kernels and apps ---
@@ -336,8 +224,7 @@ def _record(monkeypatch, reference, run, remap=None):
 
 
 def _assert_same(monkeypatch, run):
-    """The one-completion layer and the oracle leave identical
-    records."""
+    """The posting layer and the oracle leave identical records."""
     log, out, stats = _record(monkeypatch, False, run)
     ref_log, ref_out, ref_stats = _record(monkeypatch, True, run)
     assert stats == ref_stats

@@ -162,20 +162,19 @@ def test_scatter_delivers_everywhere():
     eng, net = flow_net(8)
     got = {}
     for p in range(8):
-        net.attach(p, lambda s, pl, n, p=p: got.setdefault(p, pl))
+        net.attach(p, lambda s, pl, n, p=p: got.setdefault(p, (pl, eng.now)))
 
-    def prog(eng):
-        ev = net.scatter(0, [1, 2, 3], [5, 5, 5], ["a", "b", "c"])
-        yield ev
-
-    eng.run_process(prog(eng))
-    assert got == {1: "a", 2: "b", 3: "c"}
+    net.post(0, [1, 2, 3], [5, 5, 5], ["a", "b", "c"])
+    eng.run()
+    assert {p: pl for p, (pl, _) in got.items()} == {1: "a", 2: "b", 3: "c"}
+    # the posted groups inject back to back: the run drains at the last
+    assert eng.now == max(t for _, t in got.values()) > 15 * net._hop
 
 
 def test_scatter_validates_alignment():
     eng, net = flow_net(4)
     with pytest.raises(ValueError):
-        net.scatter(0, [1, 2], [1], ["x"])
+        net.post(0, [1, 2], [1], ["x"])
 
 
 def test_flow_stats_accumulate():

@@ -20,50 +20,42 @@ def test_ring_permutation_is_single_cycle():
         assert cur == 0 and len(seen) == n
 
 
-def test_remote_memory_put_get_roundtrip():
-    spec = ClusterSpec(n_nodes=4)
-    words = 64
+def _put_then_get(n_nodes, words, put_addrs, put_vals, get_addrs):
+    """Rank 0 puts, every owner waits on its preset group counter for
+    its words to land (``put`` returns nothing), then rank 0 gets."""
 
     def program(ctx):
-        if ctx.rank != 0:
-            yield from ctx.barrier()
-            yield from ctx.barrier()
-            return None
-        rm = RemoteMemory(ctx.dv, ctx.size, words)
-        addrs = np.array([0, 63, 64, 200, 255])   # spans all 4 owners
-        vals = np.array([11, 22, 33, 44, 55], np.uint64)
-        ev = yield from rm.put(addrs, vals)
-        yield ev
+        api = ctx.dv
+        mine = int((put_addrs // words == ctx.rank).sum())
+        yield from api.set_counter(13, mine)
         yield from ctx.barrier()
-        got = yield from rm.get(addrs)
+        rm = RemoteMemory(api, ctx.size, words)
+        if ctx.rank == 0:
+            assert (yield from rm.put(put_addrs, put_vals,
+                                      counter=13)) is None
+        yield from api.wait_counter_zero(13)
         yield from ctx.barrier()
-        return got.tolist()
+        got = None
+        if ctx.rank == 0:
+            got = (yield from rm.get(get_addrs)).tolist()
+        yield from ctx.barrier()
+        return got
 
-    res = run_spmd(spec, program, "dv")
-    assert res.values[0] == [11, 22, 33, 44, 55]
+    return run_spmd(ClusterSpec(n_nodes=n_nodes), program, "dv").values[0]
+
+
+def test_remote_memory_put_get_roundtrip():
+    addrs = np.array([0, 63, 64, 200, 255])   # spans all 4 owners
+    vals = np.array([11, 22, 33, 44, 55], np.uint64)
+    assert _put_then_get(4, 64, addrs, vals, addrs) == [11, 22, 33, 44, 55]
 
 
 def test_remote_memory_get_preserves_request_order():
-    spec = ClusterSpec(n_nodes=2)
-
-    def program(ctx):
-        if ctx.rank != 0:
-            yield from ctx.barrier()
-            yield from ctx.barrier()
-            return None
-        rm = RemoteMemory(ctx.dv, ctx.size, 32)
-        ev = yield from rm.put(np.arange(64),
-                               np.arange(64, dtype=np.uint64) * 10)
-        yield ev
-        yield from ctx.barrier()
-        # deliberately unsorted, interleaving both owners
-        addrs = np.array([40, 1, 33, 0, 63])
-        got = yield from rm.get(addrs)
-        yield from ctx.barrier()
-        return got.tolist()
-
-    res = run_spmd(spec, program, "dv")
-    assert res.values[0] == [400, 10, 330, 0, 630]
+    # deliberately unsorted, interleaving both owners
+    got = _put_then_get(2, 32, np.arange(64),
+                        np.arange(64, dtype=np.uint64) * 10,
+                        np.array([40, 1, 33, 0, 63]))
+    assert got == [400, 10, 330, 0, 630]
 
 
 def test_remote_memory_bounds_checked():

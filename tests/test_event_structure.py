@@ -11,17 +11,19 @@ fft_rendezvous 484 -> 192; heat and barrier were 3264 and 1616
 before): their zero-delay wakeups run from the engine's sequence-
 ordered lane (``Engine.call_soon``), and
 ``tests/test_mpi_requests.py`` holds them to the process-per-request
-layer record for record.  The DV fan-outs with one completion each did
-too (gups_dv 2766 -> 2270): the per-group ``CompletionEvent`` entries,
-the ``AllOf`` re-deliveries at ``send_batch``'s join and the ``AllOf``
-entries left the heap (240, 240 and 16), and the fan-out's stand-in and
-its own entry run from the lane; ``tests/test_dv_fanout.py`` holds them
-to the per-group layer record for record.  So did the GUPS epochs'
-fire-and-forget FIFO fan-outs (gups_dv 2270 -> 1790): the 480 deliveries
-to the owners' FIFOs are held by the FIFO and land when it is next
-observed, not as heap entries of their own; ``tests/test_fifo_deferral.py``
-holds them to a heap entry per delivery, every observation and resume.
-The results and messages columns never move.
+layer record for record.  The DV fan-outs did too (gups_dv 2766 ->
+2270): the per-group ``CompletionEvent`` entries, the ``AllOf``
+re-deliveries at ``send_batch``'s join and the ``AllOf`` entries left
+the heap (240, 240 and 16).  Fan-outs are now posted fire and forget;
+the one completion per fan-out that stood in between ran from the
+lane, so dropping it moved no pin.  ``tests/test_dv_fanout.py`` holds
+them to a ``transmit`` per group record for record.  So did the GUPS
+epochs' fire-and-forget FIFO fan-outs (gups_dv 2270 -> 1790): the 480
+deliveries to the owners' FIFOs are held by the FIFO and land when it
+is next observed, not as heap entries of their own;
+``tests/test_fifo_deferral.py`` holds them to a heap entry per
+delivery, every observation and resume.  The results and messages
+columns never move.
 """
 
 import pytest

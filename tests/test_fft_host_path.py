@@ -253,7 +253,7 @@ def test_post_lands_as_transmit_per_group(seed):
 
 def test_post_frees_each_payload_at_its_delivery():
     """A delivered group's words are gone before the last group lands
-    (a ``transmit_batch`` fan-out holds them all until then)."""
+    (a fan-out that completed held them all until then)."""
     engine = Engine()
     net = FlowNetwork(engine, DVConfig(), 4)
     alive = []

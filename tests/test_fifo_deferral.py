@@ -4,9 +4,9 @@
 :class:`~repro.dv.fifo.SurpriseFIFO` hold a delivery and land it when
 the FIFO is next observed.  Two oracles give every delivery its own
 heap entry: :class:`tests.reference_engines.EagerFifoFlowNetwork` posts
-through ``transmit_batch`` with ``FifoPush`` payloads and drops the
-fan-out, and :class:`tests.reference_engines.ReferenceFlowNetwork`
-through one scalar ``transmit`` per group.
+through ``post`` with ``FifoPush`` payloads, and
+:class:`tests.reference_engines.ReferenceFlowNetwork` through one
+scalar ``transmit`` per group.
 
 The same random programs run on each.  A run records every FIFO
 observation with its time, every waiter's resume (``fifo_wait`` with
@@ -41,6 +41,8 @@ from repro.tenancy.experiments import interference_point
 from tests.reference_engines import EagerFifoFlowNetwork, ReferenceFlowNetwork
 from tests.test_mpi_requests import _digest
 
+#: the keys name the oracles in test ids; "transmit_batch" is the
+#: eager oracle, whose ``post_fifo`` is ``post`` of ``FifoPush`` groups
 ORACLES = {
     "transmit_batch": EagerFifoFlowNetwork,
     "transmit": ReferenceFlowNetwork,

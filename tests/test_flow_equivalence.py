@@ -96,7 +96,7 @@ def _drive_flow(net_cls, n_ports, seed, n_rounds=120):
                 payloads = [FifoPush(np.arange(c, dtype=np.uint64))
                             for c in counts]
                 rng.random()  # keeps the traffic stream of the seeds
-                net.transmit_batch(src, dests, counts, payloads)
+                net.post(src, dests, counts, payloads)
             else:
                 dest = rng.randrange(n_ports)
                 ev = net.transmit(src, dest, 1)
@@ -152,8 +152,7 @@ def test_simulated_times_stay_python_floats(batch):
     net = FlowNetwork(engine, DVConfig(), 8)
     rate = 0.5 / net.config.hop_time_s
     if batch:
-        net.transmit_batch(0, [3, 5, 3], [4, 2, 3], [None] * 3,
-                           inject_rate=rate)
+        net.post(0, [3, 5, 3], [4, 2, 3], [None] * 3, inject_rate=rate)
     else:
         net.transmit(0, 5, 4, inject_rate=rate)
         net.transmit(1, 5, 3, inject_rate=rate)

@@ -5,14 +5,21 @@ from 1 to 9 so non-power-of-two paths are covered)."""
 import numpy as np
 import pytest
 
-from repro.ib import ANY_SOURCE, ANY_TAG, IBConfig, MPIRuntime
+from repro.ib import ANY_SOURCE, ANY_TAG, IBConfig, IBFabric, MPIRuntime
 from repro.sim import Engine
+
+
+def runtime(eng, n, config=None, contention=True):
+    """An ``n``-rank MPI runtime over its own fat tree."""
+    config = config or IBConfig()
+    return MPIRuntime(eng, config, n,
+                      IBFabric(eng, config, n, contention=contention))
 
 
 def run_ranks(n, fn, config=None, until=None):
     """Spawn fn(ep) per rank, run, return list of process values."""
     eng = Engine()
-    rt = MPIRuntime(eng, config or IBConfig(), n)
+    rt = runtime(eng, n, config)
     procs = [eng.process(fn(rt.endpoint(r)), name=f"rank{r}")
              for r in range(n)]
     eng.run(until=until)
@@ -299,7 +306,7 @@ def test_contention_slows_colliding_flows():
     def workload(contention):
         eng = Engine()
         cfg = IBConfig(leaf_size=4, uplinks_per_leaf=1)
-        rt = MPIRuntime(eng, cfg, 8, contention=contention)
+        rt = runtime(eng, 8, cfg, contention=contention)
 
         def fn(ep):
             if ep.rank < 4:
@@ -338,7 +345,7 @@ def test_deadlock_error_names_the_stuck_rank(shadow):
 
 def test_blocked_receive_event_is_labelled_with_its_rank():
     eng = Engine()
-    ep = MPIRuntime(eng, IBConfig(), 2).endpoint(1)
+    ep = runtime(eng, 2).endpoint(1)
     assert "recv@1 pending" in repr(next(ep.recv(0, tag=0)))
     assert "irecv @1" in repr(ep.irecv(0))
     assert "isend @1" in repr(ep.isend(0, None))
@@ -353,7 +360,7 @@ def test_reordered_arrivals_respect_send_order():
     delivered.  The pre-fix endpoint matched purely on arrival order
     and handed over "B" here."""
     eng = Engine()
-    rt = MPIRuntime(eng, IBConfig(), 2)
+    rt = runtime(eng, 2)
     ep = rt.endpoint(1)
     # rank 0's sends arrive swapped: seq 1 ("B") before seq 0 ("A")
     ep._on_fabric(0, "eager", (0, -1, "B", 1), 8)
@@ -456,7 +463,7 @@ class _MatchHarness:
     the oracle, recording which arrival each receive got from both."""
 
     def __init__(self, n_ranks=4):
-        self.ep = MPIRuntime(Engine(), IBConfig(), n_ranks).endpoint(0)
+        self.ep = runtime(Engine(), n_ranks).endpoint(0)
         self.oracle = _LinearMatcher()
         self.seq = {}
         self.n_msgs = 0

@@ -332,31 +332,3 @@ def test_zero_delay_ties_fire_in_enqueue_order():
         eng.call_in(1.0, spawn, tag)
     eng.run()
     assert fired == ["a", "b", "a'", "b'", "a''", "b''"]
-
-
-def test_mark_is_passed_exactly_when_the_serial_order_says():
-    """``passed(mark)`` is false in the marking entry and in entries
-    queued before the mark (same instant included), and true in entries
-    queued after it, through the heap or the ``call_soon`` lane."""
-    eng = Engine()
-    marks = []
-    seen = []
-
-    def look(tag):
-        seen.append((tag, eng.passed(marks[0])))
-
-    def first():
-        marks.append(eng.mark())
-        look("marking entry")
-        eng.call_soon(look, "zero-delay after the mark")
-        eng.call_in(0.0, look, "heap entry after the mark")
-        eng.call_in(1.0, look, "a later instant")
-
-    eng.call_in(1.0, first)
-    eng.call_in(1.0, look, "same instant, queued before the mark")
-    eng.run()
-    assert seen == [("marking entry", False),
-                    ("same instant, queued before the mark", False),
-                    ("zero-delay after the mark", True),
-                    ("heap entry after the mark", True),
-                    ("a later instant", True)]
