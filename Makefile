@@ -7,8 +7,8 @@ PYTEST   = PYTHONPATH=src $(PYTHON) -m pytest
 REPRO    = PYTHONPATH=src $(PYTHON) -m repro.cli
 
 # The files `ruff format --check` gates (formatting is adopted
-# incrementally, starting with the golden subsystem); keep in sync
-# with .github/workflows/ci.yml.
+# incrementally, starting with the golden subsystem).  The CI lint
+# job runs `make lint`, so this is the one list.
 FORMATTED = src/repro/golden \
             tests/test_golden_store.py \
             tests/test_golden_policy.py tests/test_golden_harness.py \

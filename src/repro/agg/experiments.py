@@ -25,7 +25,7 @@ Every point is a module-level keyword-only runner over primitives, so
 the grid pickles into pool workers and memoises in the exec result
 cache.  ``fig_agg`` is registered in
 :data:`repro.core.experiments.REGISTRY`, golden-pinned at a small
-config, and determinism-verified across all six golden axes (see
+config, and determinism-verified across all five golden axes (see
 docs/aggregation.md).
 """
 

@@ -4,9 +4,7 @@ The spec is a frozen dataclass of primitives so it hashes, pickles into
 pool workers, and canonicalises into the exec result cache exactly like
 :class:`~repro.core.cluster.ClusterSpec`'s other knobs.  ``None`` on the
 cluster spec (the default) keeps every legacy kernel path byte-for-byte
-— the goldens pin exactly that — and a scoped :func:`repro.agg.session`
-override lets the golden harness aggregate existing entry points without
-threading a parameter through every call site.
+— the goldens pin exactly that.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The stable programmatic facade over the repro stack (api 5.0).
+"""The stable programmatic facade over the repro stack (api 6.0).
 
 One spec, one run verb.  Everything a driver needs — regenerating
 paper figures, 64-1024-node projections, skew / aggregation /
@@ -14,14 +14,14 @@ interference matrices — is a registry experiment
 ['nodes', 'dv', 'dv_fast', 'mpi']
 
 The spec carries the *whole* request: registry id, runner params,
-cluster overrides, a fault plan, an aggregation spec, and co-scheduled
-tenant workloads.  :func:`run` threads each field to the experiment
-runner when its signature accepts the matching keyword (``plan=``,
-``tenants=``) and falls back to the scoped session overrides
-(:func:`repro.faults.session`, :func:`repro.agg.session`) otherwise —
-sessions are process-global, so combining them with
+cluster overrides, a fault plan, and co-scheduled tenant workloads.
+:func:`run` threads each field to the experiment runner when its
+signature accepts the matching keyword (``plan=``, ``tenants=``); a
+fault plan falls back to the scoped :func:`repro.faults.session`
+otherwise — sessions are process-global, so combining one with
 ``RunOptions(workers>1)`` is an error rather than a silent no-op in
-the pool workers.
+the pool workers.  Aggregation is not a spec field: it is a
+cluster input (``ClusterSpec.aggregation``), swept by ``fig_agg``.
 
 The facade is versioned independently of the package
 (:data:`__api_version__`, semver).  2.0.0 was the spec-surface
@@ -30,9 +30,12 @@ redesign; 3.0.0 removed the six 1.x entry points it had kept as shims;
 ``poll``, ``collect``), whose jobs were plain :func:`run` calls;
 5.0.0 removed the named sweeps, which recomputed registry figures,
 and the spec inputs no runner could take (``traffic``,
-:class:`~repro.tenancy.TenantSpec` tenants).  docs/api.md has the
-migration tables.  Only names in :data:`__all__` are covered by the
-contract.  Every public callable takes keyword-only arguments
+:class:`~repro.tenancy.TenantSpec` tenants); 6.0.0 removed
+``aggregation``, which no runner took either and whose session
+fallback aggregated some figures and silently ignored others.
+docs/api.md has the migration tables.  Only names in
+:data:`__all__` are covered by the contract.  Every public callable
+takes keyword-only arguments
 (enforced by ``tools/check_api_signatures.py`` in ``make lint``).
 Heavy imports happen inside the functions: ``import repro.api`` is
 cheap, and the lazy imports also break the cycle with the golden
@@ -42,10 +45,10 @@ harness, which runs its figures through :func:`_figure_point`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional,
+from typing import (Any, Callable, Dict, Mapping, Optional,
                     Sequence, Tuple)
 
-__api_version__ = "5.0.0"
+__api_version__ = "6.0.0"
 
 __all__ = [
     "__api_version__",
@@ -63,7 +66,7 @@ __all__ = [
 
 #: Spec schema version :func:`run` understands (bumped whenever the
 #: spec's fields change; docs/api.md lists each bump).
-SPEC_VERSION = 3
+SPEC_VERSION = 4
 
 
 # ----------------------------------------------------------- datatypes ---
@@ -78,11 +81,10 @@ class ExperimentSpec:
     them (a key in both is an error, not a silent override).
 
     The remaining fields are optional: a
-    :class:`~repro.faults.FaultPlan`, an :class:`~repro.agg.AggSpec`,
-    and ``tenants`` — workload names for runners that co-schedule
-    (the ``fig_interference`` idiom).  :func:`run` threads each to the
-    runner's matching keyword or a scoped session; see its docstring
-    for the rules.
+    :class:`~repro.faults.FaultPlan` and ``tenants`` — workload names
+    for runners that co-schedule (the ``fig_interference`` idiom).
+    :func:`run` threads each to the runner's matching keyword or a
+    scoped session; see its docstring for the rules.
     """
 
     exp_id: str
@@ -90,7 +92,6 @@ class ExperimentSpec:
     version: int = SPEC_VERSION
     cluster: Mapping[str, Any] = field(default_factory=dict)
     faults: Optional["FaultPlan"] = None
-    aggregation: Optional["AggSpec"] = None
     tenants: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -107,12 +108,6 @@ class ExperimentSpec:
                 raise TypeError(
                     "faults must be a repro.faults.FaultPlan "
                     f"(got {type(self.faults).__name__})")
-        if self.aggregation is not None:
-            from repro.agg import AggSpec
-            if not isinstance(self.aggregation, AggSpec):
-                raise TypeError(
-                    "aggregation must be a repro.agg.AggSpec "
-                    f"(got {type(self.aggregation).__name__})")
         object.__setattr__(self, "tenants", tuple(self.tenants))
         for t in self.tenants:
             if not isinstance(t, str):
@@ -186,8 +181,6 @@ def spec_to_dict(*, spec: ExperimentSpec) -> Dict[str, Any]:
         out["cluster"] = dict(spec.cluster)
     if spec.faults is not None:
         out["faults"] = dataclasses.asdict(spec.faults)
-    if spec.aggregation is not None:
-        out["aggregation"] = dataclasses.asdict(spec.aggregation)
     if spec.tenants:
         out["tenants"] = list(spec.tenants)
     return out
@@ -211,10 +204,6 @@ def spec_from_dict(*, data: Mapping[str, Any]) -> ExperimentSpec:
             faults["outages"] = tuple(
                 tuple(o) for o in faults["outages"])
         kwargs["faults"] = FaultPlan(**faults)
-    aggregation = data.pop("aggregation", None)
-    if aggregation is not None:
-        from repro.agg import AggSpec
-        kwargs["aggregation"] = AggSpec(**dict(aggregation))
     if data:
         raise ValueError(
             f"unknown ExperimentSpec field(s): {sorted(data)}")
@@ -329,13 +318,12 @@ def run(*, spec: ExperimentSpec,
     * ``faults`` → the runner's ``plan=`` keyword when its signature
       accepts one, else a scoped :func:`repro.faults.session`;
     * ``tenants`` → the runner's ``tenants=`` keyword; there is no
-      tenancy session, so a runner without one rejects the field;
-    * ``aggregation`` → a scoped :func:`repro.agg.session` (no runner
-      takes it directly).
+      tenancy session, so a runner without one rejects the field.
 
     Scoped sessions are process-global and invisible to pool workers,
-    so any session fallback combined with ``RunOptions(workers > 1)``
-    raises instead of silently dropping the field.
+    so the fault-session fallback combined with
+    ``RunOptions(workers > 1)`` raises instead of silently dropping
+    the field.
     """
     import contextlib
 
@@ -359,29 +347,22 @@ def run(*, spec: ExperimentSpec,
         params[kw] = value
         return True
 
-    stack = contextlib.ExitStack()
-    sessions: List[str] = []
-    with stack:
-        if spec.faults is not None and not thread("plan", spec.faults,
-                                                  "faults"):
-            from repro import faults as faults_mod
-            stack.enter_context(faults_mod.session(spec.faults))
-            sessions.append("faults")
-        if spec.tenants and not thread("tenants", list(spec.tenants),
-                                       "tenants"):
+    session = contextlib.nullcontext()
+    if spec.faults is not None and not thread("plan", spec.faults,
+                                              "faults"):
+        if options is not None and options.workers > 1:
             raise ValueError(
-                f"experiment {exp_id!r} does not take tenants "
-                f"(no tenants= keyword); see fig_interference")
-        if spec.aggregation is not None and not thread(
-                "aggregation", spec.aggregation, "aggregation"):
-            from repro import agg
-            stack.enter_context(agg.session(spec.aggregation))
-            sessions.append("aggregation")
-        if sessions and options is not None and options.workers > 1:
-            raise ValueError(
-                f"spec field(s) {', '.join(sessions)} fall back to "
-                f"process-global sessions for {exp_id!r}, which pool "
-                f"workers cannot see; use RunOptions(workers=1)")
+                f"spec.faults falls back to process-global sessions "
+                f"for {exp_id!r}, which pool workers cannot see; use "
+                f"RunOptions(workers=1)")
+        from repro import faults as faults_mod
+        session = faults_mod.session(spec.faults)
+    if spec.tenants and not thread("tenants", list(spec.tenants),
+                                   "tenants"):
+        raise ValueError(
+            f"experiment {exp_id!r} does not take tenants "
+            f"(no tenants= keyword); see fig_interference")
+    with session:
         return run_experiment(exp_id, executor=_executor(options),
                               **params)
 

@@ -246,9 +246,9 @@ def snap_job(n_ranks: int, fabric: str, seed: int, traffic=None,
 
 def run_snap(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
     """Run the SNAP sweep proxy on one fabric; ``params`` are
-    :func:`snap_job`'s keywords.  An explicit ``spec.traffic`` or
-    ``spec.aggregation`` raises; an ambient ``agg.session`` does not
-    apply."""
+    :func:`snap_job`'s keywords.  A ``spec.traffic`` or
+    ``spec.aggregation`` raises: the sweep's communication pattern is
+    fixed."""
     job = snap_job(spec.n_nodes, fabric, spec.seed, spec.traffic,
                    spec.aggregation, **params)
     return job.finish([run_spmd(spec, job.programs[0], fabric).values])

@@ -60,9 +60,9 @@ class ClusterSpec:
     #: :class:`~repro.agg.AggSpec` routes the irregular kernels' remote
     #: updates through the :mod:`repro.agg` runtime (per-destination
     #: buffers, watermark/timeout flushes, optional tree routing).
-    #: ``None`` keeps every legacy kernel path byte-identical (a scoped
-    #: ``agg.session(...)`` override still applies).  See
-    #: docs/aggregation.md.
+    #: ``None`` keeps every legacy kernel path byte-identical.  This
+    #: field is the one way to aggregate a run (co-tenants use
+    #: ``TenantSpec.aggregation``).  See docs/aggregation.md.
     aggregation: Optional["AggSpec"] = None
 
     def __post_init__(self) -> None:

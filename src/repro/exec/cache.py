@@ -4,12 +4,12 @@ Every finished point (or whole figure table) is stored as one JSON file
 named by the SHA-256 of its canonicalised identity::
 
     {"runner": "<module.qualname>", "params": {...}, "version": "1.0.0",
-     "context": {"source": "<digest>", "agg": ..., "faults": ...}}
+     "context": {"source": "<digest>", "faults": ...}}
 
 so a cache entry is invalidated automatically when the runner, any
 parameter, the repro package version, or the package's source code
-changes, and a run under an aggregation or fault session never reads
-the entry of a run outside one (:func:`run_context`).  Values must be
+changes, and a run under a fault session never reads the entry of a
+run outside one (:func:`run_context`).  Values must be
 JSON-serialisable; callers skip caching for points whose results are
 not (e.g. a result carrying a live tracer object).
 
@@ -103,13 +103,11 @@ def source_digest() -> str:
 
 def run_context() -> Dict[str, Any]:
     """What decides a result besides (runner, params, version): the
-    package sources and the two result-changing scoped sessions
-    (:func:`repro.agg.session`, :func:`repro.faults.session`).  The
-    tenancy session is bit-identical by contract and stays out of the
-    key."""
-    from repro import agg, faults
-    return {"source": source_digest(), "agg": agg.session_spec(),
-            "faults": faults.active()}
+    package sources and the one result-changing scoped session,
+    :func:`repro.faults.session`.  Aggregation is a
+    ``ClusterSpec`` field, so it is already in the params."""
+    from repro import faults
+    return {"source": source_digest(), "faults": faults.active()}
 
 
 def cache_key(runner_name: str, params: Mapping[str, Any],

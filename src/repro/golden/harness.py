@@ -3,17 +3,12 @@
 This module generalises the per-feature differential tests that grew up
 with the obs, exec, and faults layers (obs on/off bit-identity, serial
 vs parallel pools, warm-cache equivalence, all-zero fault plans) into
-**one driver**: every golden figure is re-run along six axes —
+**one driver**: every golden figure is re-run along five axes —
 
 * ``workers`` — serial in-process vs a two-worker process pool,
 * ``cache``  — cold run vs a warm re-run through a result cache,
 * ``obs``    — metrics collection off vs on,
 * ``faults`` — no fault plan vs an installed all-zero :class:`FaultPlan`,
-* ``agg``    — the figure under a scoped :func:`repro.agg.session`
-  aggregation override: two repeats must agree with each other
-  bit-for-bit (seeded flush ordering), though kernels that
-  consult the override legitimately diverge from the un-aggregated
-  baseline,
 * ``tenancy`` — the figure inside a
   :func:`repro.tenancy.shadow_session`: every ``run_spmd`` is routed
   through the co-scheduler as one full-width identity tenant, which
@@ -92,11 +87,10 @@ GOLDEN_CONFIGS: Dict[str, Dict[str, Any]] = {
                                    ("bfs", "scan"), ("scan", "bfs"))},
 }
 
-#: The six determinism axes, in report order.  ``agg`` is special:
-#: its candidates are compared against *each other*, not the shared
-#: baseline (see :func:`check_axis`).
-AXES: Tuple[str, ...] = ("workers", "cache", "obs", "faults", "agg",
-                         "tenancy")
+#: The five determinism axes, in report order.  Aggregated runs are
+#: pinned by ``fig_agg``'s golden (explicit AggSpecs in its grid) on
+#: the ``workers`` and ``cache`` axes, not by an axis of their own.
+AXES: Tuple[str, ...] = ("workers", "cache", "obs", "faults", "tenancy")
 
 
 def _config_for(fig: str,
@@ -280,20 +274,6 @@ def _axis_faults(fig: str, params: Dict[str, Any]) -> List[Table]:
         return [_figure_point(fig, **params)]
 
 
-def _axis_agg(fig: str, params: Dict[str, Any]) -> List[Table]:
-    """The figure under a scoped aggregation session, run twice.
-    Kernels that consult :func:`repro.agg.resolve_spec` legitimately
-    produce *different* tables from the un-aggregated baseline
-    (coalescing changes message timing), so this axis demands
-    bit-identity between the two aggregated runs — seeded flush
-    ordering must hold across repeat runs.  Figures whose kernels
-    ignore aggregation simply reproduce the baseline twice."""
-    from repro import agg
-    from repro.agg import AggSpec
-    with agg.session(AggSpec(watermark=64)):
-        return [_figure_point(fig, **params) for _ in range(2)]
-
-
 def _axis_tenancy(fig: str, params: Dict[str, Any]) -> List[Table]:
     """The figure inside a tenancy shadow session: every run_spmd in
     the figure executes through the co-scheduler as a single full-width
@@ -314,7 +294,7 @@ def check_axis(fig: str, axis: str, baseline: Optional[Table] = None,
         raise KeyError(f"unknown axis {axis!r}; known: {AXES}")
     params = _config_for(fig, overrides)
     seed = int(params.get("seed", GOLDEN_SEED))
-    if baseline is None and axis != "agg":
+    if baseline is None:
         baseline = _figure_point(fig, **params)
     if axis == "workers":
         ran = _axis_workers(fig, params)
@@ -334,13 +314,6 @@ def check_axis(fig: str, axis: str, baseline: Optional[Table] = None,
         candidates = _axis_obs(fig, params)
     elif axis == "tenancy":
         candidates = _axis_tenancy(fig, params)
-    elif axis == "agg":
-        candidates = _axis_agg(fig, params)
-        # aggregation may legitimately shift results away from the
-        # un-aggregated baseline; the axis contract is bit-identity
-        # among the aggregated runs themselves
-        baseline = candidates[0]
-        candidates = candidates[1:]
     else:
         candidates = _axis_faults(fig, params)
     diffs: List[CellDiff] = []

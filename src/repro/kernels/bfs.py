@@ -700,8 +700,7 @@ def bfs_job(n_ranks: int, fabric: str, seed: int, traffic=None,
 def run_bfs(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
     """Run the Graph500-style BFS benchmark: one fresh cluster per
     search root.  ``params`` are :func:`bfs_job`'s keywords."""
-    from repro import agg as aggmod
     job = bfs_job(spec.n_nodes, fabric, spec.seed, spec.traffic,
-                  aggmod.resolve_spec(spec.aggregation), **params)
+                  spec.aggregation, **params)
     return job.finish([run_spmd(spec, program, fabric).values
                        for program in job.programs])

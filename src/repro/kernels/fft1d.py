@@ -338,9 +338,9 @@ def fft1d_job(n_ranks: int, fabric: str, seed: int, traffic=None,
 
 def run_fft1d(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
     """Run the distributed FFT benchmark; ``params`` are
-    :func:`fft1d_job`'s keywords.  An explicit ``spec.traffic`` or
-    ``spec.aggregation`` raises; an ambient ``agg.session`` does not
-    apply."""
+    :func:`fft1d_job`'s keywords.  A ``spec.traffic`` or
+    ``spec.aggregation`` raises: the FFT's all-to-all pattern is
+    fixed."""
     job = fft1d_job(spec.n_nodes, fabric, spec.seed, spec.traffic,
                     spec.aggregation, **params)
     return job.finish([run_spmd(spec, job.programs[0], fabric).values])

@@ -458,8 +458,7 @@ def run_gups(spec: ClusterSpec, fabric: str, **params) -> Dict[str, object]:
     """Run GUPS on one fabric; returns update rates, the run's
     ``tracer`` and, when validating, the verdict.  ``params`` are
     :func:`gups_job`'s keywords."""
-    from repro import agg as aggmod
     job = gups_job(spec.n_nodes, fabric, spec.seed, spec.traffic,
-                   aggmod.resolve_spec(spec.aggregation), **params)
+                   spec.aggregation, **params)
     res = run_spmd(spec, job.programs[0], "dv" if fabric == "dv" else "mpi")
     return {**job.finish([res.values]), "tracer": res.tracer}

@@ -13,8 +13,10 @@ Highlights
 * **Processes** — plain Python generators that ``yield`` waitables
   (:class:`Timeout`, :class:`Event`, other processes, or
   :class:`AllOf`/:class:`AnyOf` conditions).
-* **Stores** — FIFO item queues used to model hardware queues (surprise
-  FIFOs, NIC receive queues, DMA tables).
+* **Resources** — counted acquisition, which models the PCIe bus's
+  PIO lane and DMA engines.  Hardware queues (the VIC's surprise
+  FIFO) keep their own word buffers and wake waiters with an
+  :class:`Event`.
 
 Example
 -------
@@ -33,7 +35,6 @@ from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Resource
-from repro.sim.store import Store
 from repro.sim.rng import SeedSequenceFactory, derive_seed
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "Resource",
     "SeedSequenceFactory",
     "SimulationError",
-    "Store",
     "Timeout",
     "derive_seed",
 ]

@@ -97,20 +97,11 @@ def run_cotenants(spec: ClusterSpec, tenants: Sequence[TenantSpec],
     parts = resolve_partitions(tenants, spec.n_nodes, spec.dv)
     plan = merge_fault_plans(tenants, parts, spec.seed)
 
-    from repro import agg as aggmod
     jobs: List[KernelJob] = []
     groups: List[RankGroup] = []
     for t, part in zip(tenants, parts):
         seed = tenant_seed(t, spec.seed)
-        # Only the irregular kernels consult the scoped aggregation
-        # override untenanted (run_fft1d / run_snap never call
-        # resolve_spec), so an ambient agg.session must stay invisible
-        # to FFT/scan tenants exactly as it is untenanted; an explicit
-        # per-tenant aggregation on those workloads still raises.
-        agg_spec = t.aggregation
-        if agg_spec is None and t.workload in ("gups", "bfs"):
-            agg_spec = aggmod.resolve_spec(None, tenant=t.tenant_id)
-        job = _tenant_job(t, fabric, part.n_ranks, seed, agg_spec)
+        job = _tenant_job(t, fabric, part.n_ranks, seed, t.aggregation)
         jobs.append(job)
         groups.append(RankGroup(job.programs[0], seed, f"{t.tenant_id}:",
                                 part))

@@ -1,6 +1,6 @@
 """The api contract: one spec, one run verb.
 
-Everything the 2.0 redesign promised (docs/api.md), as kept by 5.0:
+Everything the 2.0 redesign promised (docs/api.md), as kept by 6.0:
 :class:`ExperimentSpec` carries the whole request; :func:`api.run`
 resolves only registry ids, threads each field to the runner's keyword
 or a scoped session and refuses keys the runner does not take; and the
@@ -144,13 +144,14 @@ def test_spec_rejects_wrong_version():
         api.ExperimentSpec(exp_id="fig4", version=2)
     with pytest.raises(ValueError, match="version 2 is not supported"):
         api.spec_from_dict(data={"exp_id": "fig4", "version": 2})
+    # version 3 still had aggregation
+    with pytest.raises(ValueError, match="version 3 is not supported"):
+        api.ExperimentSpec(exp_id="fig4", version=3)
 
 
 def test_spec_rejects_wrong_field_types():
     with pytest.raises(TypeError, match="FaultPlan"):
         api.ExperimentSpec(exp_id="fig4", faults={"seed": 3})
-    with pytest.raises(TypeError, match="AggSpec"):
-        api.ExperimentSpec(exp_id="fig4", aggregation={"watermark": 8})
     with pytest.raises(TypeError, match="workload names"):
         api.ExperimentSpec(exp_id="fig4", tenants=(42,))
 
@@ -162,7 +163,6 @@ def test_spec_json_round_trip_is_exact():
         cluster={"seed": 5},
         faults=FaultPlan(seed=3, drop_prob=0.01,
                          link_outages=((1, 0.0, 1e-6),)),
-        aggregation=AggSpec(watermark=32),
         tenants=("gups", "fft"))
     wire = json.loads(json.dumps(api.spec_to_dict(spec=spec)))
     assert api.spec_from_dict(data=wire) == spec
@@ -179,6 +179,20 @@ def test_spec_tenants_are_workload_names_only():
         api.spec_from_dict(data={
             "exp_id": "fig_interference",
             "tenants": [{"tenant_id": "t", "workload": "fft"}]})
+
+
+def test_spec_has_no_aggregation_field():
+    """Aggregation is a cluster input (``ClusterSpec.aggregation``).
+    The spec field reached no runner, so fig7 ran unaggregated with it
+    while fig6a's DV column silently became DV plus software
+    aggregation; it is gone in either form."""
+    with pytest.raises(TypeError, match="aggregation"):
+        api.ExperimentSpec(exp_id="fig7",
+                           aggregation=AggSpec(watermark=64))
+    with pytest.raises(ValueError, match=r"unknown ExperimentSpec "
+                       r"field\(s\): \['aggregation'\]"):
+        api.spec_from_dict(data={"exp_id": "fig7",
+                                 "aggregation": {"watermark": 64}})
 
 
 def test_spec_from_dict_rejects_unknown_fields():
@@ -198,15 +212,15 @@ def test_cluster_spec_has_no_shards_field():
 
 # ------------------------------------------------------------ version ---
 
-def test_api_version_is_five():
-    assert api.__api_version__.split(".")[0] == "5"
+def test_api_version_is_six():
+    assert api.__api_version__.split(".")[0] == "6"
     # 4.0 removed the synchronous experiment service (docs/api.md)
     for gone in ("submit", "poll", "collect"):
         assert gone not in api.__all__ and not hasattr(api, gone)
-    # 5.0 narrowed the spec to the fields a runner takes (docs/api.md)
+    # 5.0 and 6.0 narrowed the spec to the fields a runner takes
+    # (docs/api.md)
     import dataclasses
     assert [f.name for f in dataclasses.fields(api.ExperimentSpec)] == [
-        "exp_id", "params", "version", "cluster", "faults",
-        "aggregation", "tenants"]
-    # spec version 3 dropped the shard count (docs/api.md)
-    assert api.SPEC_VERSION == 3
+        "exp_id", "params", "version", "cluster", "faults", "tenants"]
+    # spec version 4 dropped aggregation (docs/api.md)
+    assert api.SPEC_VERSION == 4

@@ -127,7 +127,7 @@ def test_run_rejects_bad_params_json(capsys):
 
 def test_run_spec_file(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3,
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 4,
                                      "params": {"nodes": [2]}}))
     assert cli.main(["run", "--spec-file", str(spec_file),
                      "--csv"]) == 0
@@ -143,7 +143,7 @@ def test_run_requires_exp_id(capsys):
 
 def test_run_spec_file_conflicts_with_exp(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 3}))
+    spec_file.write_text(json.dumps({"exp_id": "fig4", "version": 4}))
     assert cli.main(["run", "fig4", "--spec-file", str(spec_file)]) == 2
     assert "--spec-file" in capsys.readouterr().err
 
@@ -151,7 +151,7 @@ def test_run_spec_file_conflicts_with_exp(tmp_path, capsys):
 def test_run_spec_file_rejects_bad_document(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(
-        json.dumps({"exp_id": "fig4", "version": 3, "bogus_field": 1})
+        json.dumps({"exp_id": "fig4", "version": 4, "bogus_field": 1})
     )
     assert cli.main(["run", "--spec-file", str(spec_file)]) == 2
     assert "bad spec file" in capsys.readouterr().err
@@ -401,6 +401,12 @@ def test_verify_rejects_unknown_axis(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify", "--figs", "fig4", "--goldens", goldens,
                      "--axes", "moon-phase"]) == 2
+    capsys.readouterr()
+    # api 6.0 removed the agg axis: aggregation is a ClusterSpec field
+    assert cli.main(["verify", "--figs", "fig4", "--goldens", goldens,
+                     "--axes", "agg"]) == 2
+    assert ("unknown axes agg; known: workers, cache, obs, faults, "
+            "tenancy" in capsys.readouterr().err)
 
 
 def test_verify_record_and_compare_mutually_exclusive(tmp_path):

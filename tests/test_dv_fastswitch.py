@@ -3,6 +3,7 @@ packet for packet — with failed nodes, TTL, dead ports and installed
 fault plans too — and be substantially faster."""
 
 import dataclasses
+import gc
 import random
 import time
 
@@ -135,19 +136,30 @@ def test_faster_on_large_switch():
     plan = [(s, rng.randrange(topo.ports))
             for s in range(topo.ports) for _ in range(32)]
 
-    t0 = time.perf_counter()
-    ref = ReferenceCycleSwitch(topo)
-    for s, d in plan:
-        ref.inject(s, d)
-    ref.run_until_drained()
-    t_ref = time.perf_counter() - t0
+    def drain(model):
+        """The switch after one inject-and-drain of ``plan``, and the
+        best wall time of 3 such drains."""
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sw = model(topo)
+            for s, d in plan:
+                sw.inject(s, d)
+            sw.run_until_drained()
+            best = min(best, time.perf_counter() - t0)
+        return sw, best
 
-    t0 = time.perf_counter()
-    fast = CycleSwitch(topo)
-    for s, d in plan:
-        fast.inject(s, d)
-    fast.run_until_drained()
-    t_fast = time.perf_counter() - t0
+    # timed with the cyclic collector paused, as Engine.run pauses
+    # it: a full collection of the suite's live objects landing in
+    # one drain would decide the ratio on a shared host
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        ref, t_ref = drain(ReferenceCycleSwitch)
+        fast, t_fast = drain(CycleSwitch)
+    finally:
+        if paused:
+            gc.enable()
 
     assert fast.stats.ejected == ref.stats.ejected
     # generous bound; typical speedup is ~3x at 256 ports and grows

@@ -237,26 +237,6 @@ def test_uncacheable_point_still_runs(tmp_path):
 
 # --------------------------------------------- what else keys a result ---
 
-def test_aggregation_session_is_part_of_the_cache_identity(tmp_path):
-    """Regression: fig_skew's runner has no ``aggregation=`` keyword,
-    so ``api.run`` applies the spec's AggSpec through ``agg.session``.
-    A cached un-aggregated table must not answer the aggregated run."""
-    import repro.api as api
-    from repro.agg import AggSpec
-    params = {"seed": 2017, "nodes": 2, "exponents": (0.0,),
-              "include_hotset": False, "table_words": 1024,
-              "n_updates": 256}
-    plain = api.ExperimentSpec(exp_id="fig_skew", params=params)
-    aggregated = api.ExperimentSpec(exp_id="fig_skew", params=params,
-                                    aggregation=AggSpec(watermark=64))
-    cached = api.RunOptions(cache_dir=str(tmp_path))
-    api.run(spec=plain, options=cached)
-    warm = api.run(spec=aggregated, options=cached)
-    fresh = api.run(spec=aggregated)
-    assert warm.rows == fresh.rows
-    assert fresh.rows != api.run(spec=plain).rows
-
-
 def test_fault_session_is_part_of_the_cache_identity(tmp_path):
     from repro import faults
     calls = []

@@ -41,10 +41,10 @@ from repro.tenancy.experiments import interference_point
 from tests.reference_engines import EagerFifoFlowNetwork, ReferenceFlowNetwork
 from tests.test_mpi_requests import _digest
 
-#: the keys name the oracles in test ids; "transmit_batch" is the
-#: eager oracle, whose ``post_fifo`` is ``post`` of ``FifoPush`` groups
+#: the keys name the oracles in test ids by the call each one lands a
+#: FIFO delivery with: ``post`` of ``FifoPush`` groups, or ``transmit``
 ORACLES = {
-    "transmit_batch": EagerFifoFlowNetwork,
+    "post": EagerFifoFlowNetwork,
     "transmit": ReferenceFlowNetwork,
 }
 
@@ -280,7 +280,7 @@ def test_near_capacity_fifos(monkeypatch, seed, capacity, strict):
     overflow and drops happen where they did."""
     _assert_same(
         monkeypatch,
-        "transmit_batch",
+        "post",
         seed=seed,
         capacity=capacity,
         strict=strict,
@@ -392,7 +392,7 @@ def test_gups_matches_oracle(monkeypatch, n, oracle):
 
 def test_gups_obs_on_matches_oracle(monkeypatch):
     with obs.session() as reg:
-        ref = _kernel(monkeypatch, "transmit_batch", _gups(8))
+        ref = _kernel(monkeypatch, "post", _gups(8))
     with obs.session() as new_reg:
         new = _kernel(monkeypatch, None, _gups(8))
     assert new == ref
@@ -407,7 +407,7 @@ def test_gups_unaggregated_matches_oracle(monkeypatch):
             spec, "dv", table_words=256, n_updates=256, aggregate=False
         )
 
-    ref = _kernel(monkeypatch, "transmit_batch", run)
+    ref = _kernel(monkeypatch, "post", run)
     assert _kernel(monkeypatch, None, run) == ref
 
 
@@ -427,7 +427,7 @@ def test_gups_cotenant_matches_oracle(monkeypatch):
         )
 
     with obs.session() as reg:
-        ref = _kernel(monkeypatch, "transmit_batch", run)
+        ref = _kernel(monkeypatch, "post", run)
     with obs.session() as new_reg:
         new = _kernel(monkeypatch, None, run)
     assert new == ref

@@ -40,9 +40,8 @@ def test_run_goldens_returns_all_requested():
 
 @pytest.mark.parametrize("fig", sorted(GOLDEN_CONFIGS))
 def test_harness_all_axes_bit_identical(fig):
-    """Every tier-1 figure along all six axes (workers, cache, obs,
-    all-zero fault plan, agg, tenancy) — the acceptance-criteria
-    sweep."""
+    """Every tier-1 figure along all five axes (workers, cache, obs,
+    all-zero fault plan, tenancy) — the acceptance-criteria sweep."""
     reports = run_harness([fig])
     assert [r.axis for r in reports] == list(AXES)
     for r in reports:
@@ -52,8 +51,9 @@ def test_harness_all_axes_bit_identical(fig):
 def test_check_axis_rejects_unknown_axis():
     with pytest.raises(KeyError):
         check_axis("fig4", "moon-phase")
-    with pytest.raises(KeyError):  # the removed axis
-        check_axis("fig4", "shards")
+    for gone in ("shards", "agg"):  # the removed axes
+        with pytest.raises(KeyError):
+            check_axis("fig4", gone)
 
 
 def test_axis_divergence_names_axis_cell_and_seed(monkeypatch):

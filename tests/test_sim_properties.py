@@ -1,11 +1,11 @@
 """Property-based tests of the simulation kernel's core guarantees:
-determinism, FIFO ordering, conservation."""
+determinism, a monotone clock, and the seeded RNG streams."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Engine, Store
+from repro.sim import Engine
 from repro.sim.rng import (SeedSequenceFactory, derive_seed,
                            permutation_stream, rng_for)
 
@@ -52,51 +52,6 @@ def test_property_clock_monotone(delays):
     eng.run()
     assert seen == sorted(seen)
     assert eng.now == seen[-1]
-
-
-# ------------------------------------------------------------------ FIFO ---
-
-@given(st.lists(st.integers(), min_size=1, max_size=60))
-@settings(max_examples=40, deadline=None)
-def test_property_store_fifo(items):
-    eng = Engine()
-    st_ = Store(eng)
-    got = []
-
-    def producer(eng):
-        for it in items:
-            yield st_.put(it)
-
-    def consumer(eng):
-        for _ in items:
-            got.append((yield st_.get()))
-
-    eng.process(producer(eng))
-    eng.process(consumer(eng))
-    eng.run()
-    assert got == items
-
-
-@given(st.integers(1, 8), st.integers(1, 30))
-@settings(max_examples=30, deadline=None)
-def test_property_store_conservation(capacity, n):
-    """Nothing is lost or duplicated through a bounded store."""
-    eng = Engine()
-    st_ = Store(eng, capacity=capacity)
-    out = []
-
-    def producer(eng):
-        for i in range(n):
-            yield st_.put(i)
-
-    def consumer(eng):
-        while len(out) < n:
-            out.append((yield st_.get()))
-
-    eng.process(producer(eng))
-    eng.process(consumer(eng))
-    eng.run()
-    assert out == list(range(n))
 
 
 # ------------------------------------------------------------------- RNG ---

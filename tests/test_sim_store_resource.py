@@ -1,148 +1,8 @@
-"""Unit tests for Store and Resource."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Engine, Resource, Store
-
-
-# ---------------------------------------------------------------- Store ---
-
-def test_store_put_then_get():
-    eng = Engine()
-    st = Store(eng)
-
-    def body(eng):
-        yield st.put("x")
-        item = yield st.get()
-        return item
-
-    assert eng.run_process(body(eng)) == "x"
-
-
-def test_store_get_blocks_until_put():
-    eng = Engine()
-    st = Store(eng)
-
-    def consumer(eng):
-        item = yield st.get()
-        return (eng.now, item)
-
-    def producer(eng):
-        yield eng.timeout(3.0)
-        yield st.put("late")
-
-    p = eng.process(consumer(eng))
-    eng.process(producer(eng))
-    eng.run()
-    assert p.value == (3.0, "late")
-
-
-def test_store_fifo_order():
-    eng = Engine()
-    st = Store(eng)
-    for i in range(5):
-        st.put(i)
-    got = []
-
-    def body(eng):
-        for _ in range(5):
-            got.append((yield st.get()))
-
-    eng.run_process(body(eng))
-    assert got == [0, 1, 2, 3, 4]
-
-
-def test_store_getters_served_fifo():
-    eng = Engine()
-    st = Store(eng)
-    results = []
-
-    def consumer(eng, name):
-        item = yield st.get()
-        results.append((name, item))
-
-    eng.process(consumer(eng, "first"))
-    eng.process(consumer(eng, "second"))
-
-    def producer(eng):
-        yield eng.timeout(1.0)
-        st.put("a")
-        st.put("b")
-
-    eng.process(producer(eng))
-    eng.run()
-    assert results == [("first", "a"), ("second", "b")]
-
-
-def test_store_capacity_blocks_put():
-    eng = Engine()
-    st = Store(eng, capacity=1)
-    log = []
-
-    def producer(eng):
-        yield st.put("a")
-        log.append(("accepted-a", eng.now))
-        yield st.put("b")
-        log.append(("accepted-b", eng.now))
-
-    def consumer(eng):
-        yield eng.timeout(5.0)
-        yield st.get()
-
-    eng.process(producer(eng))
-    eng.process(consumer(eng))
-    eng.run()
-    assert log == [("accepted-a", 0.0), ("accepted-b", 5.0)]
-
-
-def test_store_try_put_respects_capacity():
-    eng = Engine()
-    st = Store(eng, capacity=2)
-    assert st.try_put(1) and st.try_put(2)
-    assert not st.try_put(3)
-    assert len(st) == 2
-
-
-def test_store_try_get():
-    eng = Engine()
-    st = Store(eng)
-    assert st.try_get() == (False, None)
-    st.put("v")
-    eng.run()
-    assert st.try_get() == (True, "v")
-
-
-def test_store_drain():
-    eng = Engine()
-    st = Store(eng)
-    for i in range(4):
-        st.put(i)
-    eng.run()
-    assert st.drain() == [0, 1, 2, 3]
-    assert st.is_empty
-
-
-def test_store_drain_unblocks_putters():
-    eng = Engine()
-    st = Store(eng, capacity=1)
-    accepted = []
-
-    def producer(eng):
-        yield st.put("a")
-        yield st.put("b")
-        accepted.append(eng.now)
-
-    eng.process(producer(eng))
-    eng.run(until=1.0)
-    st.drain()
-    eng.run()
-    assert accepted == [1.0]
-
-
-def test_store_zero_capacity_rejected():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        Store(eng, capacity=0)
+from repro.sim import Engine, Resource
 
 
 # ------------------------------------------------------------- Resource ---

@@ -5,20 +5,20 @@ The contract under test (docs/tenancy.md):
 * a solo full-width tenant is **byte-identical** to the legacy
   untenanted entry point for every workload on both fabrics;
 * ``tenancy.shadow_session()`` routes ``run_spmd`` through the
-  co-scheduler and must change nothing (the sixth golden axis);
+  co-scheduler and must change nothing (the ``tenancy`` golden axis);
 * per-tenant ``tenant.net.*`` obs series reconcile exactly against the
   cluster-wide FlowStats / FabricStats totals;
 * partition enforcement is real: rank, counter, and DV-memory
   references outside a tenant's window raise
   :class:`TenantIsolationError`;
-* the scoped ``agg`` session globals are tenant-safe (the
-  shared-state hazard this layer exposed).
+* a tenant's own ``TenantSpec.aggregation`` aggregates that tenant
+  only, and an aggregated co-tenant run repeats bit-for-bit.
 """
 
 import numpy as np
 import pytest
 
-from repro import agg, tenancy
+from repro import tenancy
 from repro.agg import AggSpec
 from repro.core.cluster import ClusterSpec
 from repro.dv.config import DVConfig
@@ -391,37 +391,24 @@ def test_fabric_view_translates_and_guards_ranks():
         view.transfer(0, 7, 64)
 
 
-# ------------------------------------------------- session shared state ---
+# ---------------------------------------------------------- aggregation ---
 
-def test_agg_session_is_tenant_keyed():
-    outer = AggSpec(watermark=8)
-    inner = AggSpec(watermark=64)
-    with agg.session(outer, tenant="a"):
-        with agg.session(inner, tenant="b"):
-            assert agg.resolve_spec(None, tenant="a") is outer
-            assert agg.resolve_spec(None, tenant="b") is inner
-            assert agg.resolve_spec(None) is None
-    assert agg.resolve_spec(None, tenant="a") is None
-
-
-def test_nested_anonymous_agg_session_raises():
-    with agg.session(AggSpec(watermark=8)):
-        with pytest.raises(RuntimeError, match="nested anonymous"):
-            with agg.session(AggSpec(watermark=64)):
-                pass  # pragma: no cover
-        # aggregation-free inner scopes still compose (legacy idiom)
-        with agg.session(None):
-            assert agg.resolve_spec(None) is None
-
-
-def test_ambient_agg_session_stays_invisible_to_regular_tenants():
-    """The agg golden axis wraps whole figures in an anonymous
-    agg.session; FFT/scan tenants must ignore it exactly as the legacy
-    run_fft1d / run_snap paths do."""
+def test_aggregated_gups_cotenant_repeats_bit_for_bit():
+    """``TenantSpec.aggregation`` aggregates its own tenant only (the
+    FFT co-tenant reports no aggregation stats), and the co-scheduled
+    run repeats exactly: the flush order is seeded per tenant."""
     spec = ClusterSpec(n_nodes=8, seed=SEED)
-    with agg.session(AggSpec(watermark=64)):
-        res = run_cotenants(spec, _two_tenants(), fabric="mpi")
-    assert res.tenants["b"]["workload"] == "fft"
+
+    def one():
+        res = run_cotenants(
+            spec, _two_tenants(aggregation=AggSpec(watermark=8)),
+            fabric="dv")
+        return res.elapsed, res.tenants
+
+    first = one()
+    assert first[1]["a"]["agg"]["messages_pre"] > 0
+    assert "agg" not in first[1]["b"]
+    assert one() == first
 
 
 # -------------------------------------------------------- interference ---

@@ -246,7 +246,7 @@ def test_fig_skew_deterministic_along_axis(axis):
 # ------------------------------------------------------------ api and cli ---
 
 def test_api_surface():
-    assert api.__api_version__ == "5.0.0"
+    assert api.__api_version__ == "6.0.0"
     assert "build_traffic" in api.__all__
     model = api.build_traffic(dist="zipf",
                               dist_params={"exponent": 1.2},

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Lint gate: the ``repro.api`` facade honours the 5.0 contract.
+"""Lint gate: the ``repro.api`` facade honours the 6.0 contract.
 
 Ruff has no rule for "public signatures must be keyword-only", so
 ``make lint`` runs this instead (see the per-file-ignores note in
@@ -10,7 +10,7 @@ and enforces three things on ``src/repro/api.py``:
   or public method accepts positional arguments beyond ``self`` — no
   positional-only params, no positional-or-keyword params, no
   ``*args``;
-* **surface**: every name the 5.0 contract promises
+* **surface**: every name the 6.0 contract promises
   (:data:`REQUIRED_SURFACE`) is defined, and ``__all__`` lists exactly
   those names plus ``__api_version__`` — no extra public names;
 * **version**: ``__api_version__`` has major version
@@ -27,7 +27,7 @@ import sys
 
 API_FILE = pathlib.Path(__file__).resolve().parents[1] / "src/repro/api.py"
 
-#: Names the api 5.0 contract promises (functions and classes).
+#: Names the api 6.0 contract promises (functions and classes).
 REQUIRED_SURFACE = {
     "ExperimentSpec", "RunOptions", "GoldenVerdict",
     "spec_to_dict", "spec_from_dict",
@@ -36,7 +36,7 @@ REQUIRED_SURFACE = {
 }
 
 #: Required major version of ``__api_version__``.
-EXPECTED_MAJOR = 5
+EXPECTED_MAJOR = 6
 
 
 def _literal_strings(node: ast.expr) -> list[str] | None:
@@ -95,7 +95,7 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
                     exported = _literal_strings(node.value)
 
     for name in sorted(REQUIRED_SURFACE - defined):
-        out.append(f"{path}:1: required api 5.0 name {name!r} is not "
+        out.append(f"{path}:1: required api 6.0 name {name!r} is not "
                    f"defined")
     if exported is None:
         out.append(f"{path}:1: __all__ is not a literal list of "
@@ -104,9 +104,9 @@ def _offences(tree: ast.Module, path: pathlib.Path) -> list[str]:
         public = set(exported) - {"__api_version__"}
         for name in sorted(public - REQUIRED_SURFACE):
             out.append(f"{path}:1: __all__ exports {name!r}, which is "
-                       f"not in the api 5.0 surface")
+                       f"not in the api 6.0 surface")
         for name in sorted(REQUIRED_SURFACE - public):
-            out.append(f"{path}:1: __all__ is missing api 5.0 name "
+            out.append(f"{path}:1: __all__ is missing api 6.0 name "
                        f"{name!r}")
     if version is None:
         out.append(f"{path}:1: __api_version__ is not a literal "
@@ -125,7 +125,7 @@ def main(argv: list[str]) -> int:
         print(line)
     if offences:
         print(f"check_api_signatures: {len(offences)} offence(s) — "
-              f"repro.api breaks its 5.0 contract", file=sys.stderr)
+              f"repro.api breaks its 6.0 contract", file=sys.stderr)
         return 1
     print(f"check_api_signatures: {path.name} ok")
     return 0
